@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .expr import (                                    # noqa: F401
     Const, DomainError, EvalError, Expr, ExprError,
     NonDifferentiableError, UnboundVariableError, Var,
-    differentiate, evaluate, free_vars, simplify, substitute, to_string,
+    simplify, substitute, to_string,
 )
 from .parser import ParseError, parse_expr             # noqa: F401
 from .quadrature import (                              # noqa: F401
@@ -26,8 +26,8 @@ from .factorize import (                               # noqa: F401
 )
 from .lpv import (                                     # noqa: F401
     LpvssModel, RangeBox, RangeGridError, SchedulingError, SchedulingMap,
-    VerifyReport, default_box, estimate_range, eval_lpvss, eval_sched,
-    extract_element, extract_factor, verify_embedding,
+    VerifyReport, default_box, estimate_range, extract_element,
+    extract_factor, verify_embedding,
 )
 from .sim import (                                     # noqa: F401
     GridMismatchError, InputSignal, SolverConfig, SolverError, Trajectory,

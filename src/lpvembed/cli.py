@@ -378,6 +378,9 @@ def main(argv=None) -> int:
             SchedulingError, SolverError, GridMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERT
+    except RecursionError:
+        print("error: expressions are nested too deeply", file=sys.stderr)
+        return EXIT_CONVERT
 
 
 if __name__ == "__main__":

@@ -537,30 +537,6 @@ def call(fn: str, arg) -> Expr:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def evaluate(e: Expr, bindings: Mapping[str, float] | None = None) -> float:
-    """Evaluate ``e`` at the given variable bindings.
-
-    Every free variable must be bound; extra bindings are ignored.  Raises
-    UnboundVariableError or DomainError accordingly.
-    """
-    return e.eval(bindings or {})
-
-
-def differentiate(e: Expr, var: str) -> Expr:
-    """Symbolic partial derivative of ``e`` with respect to ``var``."""
-    return e.diff(var)
-
-
-def free_vars(e: Expr) -> frozenset[str]:
-    """The exact set of variable names occurring in ``e``."""
-    return e.free_vars()
-
-
-def is_constant_in(e: Expr, names: Iterable[str]) -> bool:
-    """True iff no name in ``names`` survives in ``e`` after simplification."""
-    return not (simplify(e).free_vars() & set(names))
-
-
 def simplify(e: Expr) -> Expr:
     """Rebuild ``e`` bottom-up through the normalizing constructors.
 
@@ -707,21 +683,22 @@ def compile_scalar(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     """Compile ``e`` to a positional-argument Python function.
 
     The compiled function mirrors the tree evaluation order exactly, so it
-    returns bit-identical values to :func:`evaluate`.  Falls back to tree
+    returns bit-identical values to ``e.eval``.  Falls back to tree
     walking when a node or a variable name cannot be compiled (deferred
-    integral entries, exotic variable names).
+    integral entries, exotic variable names) or the expression is nested
+    too deeply for the Python compiler.
     """
     names = list(arg_names)
     try:
         if not all(_IDENT.match(n) for n in names):
             raise TypeError("non-identifier variable name")
         body = _pycode(e)
-    except TypeError:
+        ns: dict[str, object] = {"_pow": math.pow}
+        for fn, impl in FUNCTIONS.items():
+            ns[f"_fn_{fn}"] = impl
+        src = f"lambda {', '.join(names)}: {body}" if names else f"lambda: {body}"
+        return eval(src, ns)  # namespace is closed: only math ops above
+    except (TypeError, SyntaxError, RecursionError):
         def fallback(*args: float) -> float:
             return e.eval(dict(zip(names, args)))
         return fallback
-    ns: dict[str, object] = {"_pow": math.pow}
-    for fn, impl in FUNCTIONS.items():
-        ns[f"_fn_{fn}"] = impl
-    src = f"lambda {', '.join(names)}: {body}" if names else f"lambda: {body}"
-    return eval(src, ns)  # namespace is closed: only math ops above

@@ -22,9 +22,8 @@ deferred-quadrature node for that entry alone and a warning is recorded.
 
 from __future__ import annotations
 
+import math
 import re
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -114,6 +113,13 @@ class NlssModel:
                         e.diff(v)
                     except NonDifferentiableError as exc:
                         raise ModelError(f"{label}{i + 1}: {exc}") from exc
+                nodes = [e]
+                while nodes:
+                    n = nodes.pop()
+                    if isinstance(n, Const) and not math.isfinite(n.value):
+                        raise ModelError(
+                            f"{label}{i + 1}: constants fold to {n.value!r}")
+                    nodes.extend(n.children())
 
     @property
     def x_names(self) -> tuple[str, ...]:
@@ -183,30 +189,11 @@ class Anchor:
 # deferred quadrature
 # ---------------------------------------------------------------------------
 
-# Per-evaluation-pass memo for deferred integrals.  Evaluation contexts
-# (matrix evaluation, one simulation derivative call) open the context
-# manager; outside any context, entries are integrated afresh each time.
-_memo_ctx = threading.local()
-
-
-@contextmanager
-def quadrature_memo():
-    prev = getattr(_memo_ctx, "memo", None)
-    if prev is None:
-        _memo_ctx.memo = {}
-    try:
-        yield
-    finally:
-        _memo_ctx.memo = prev
-
-
 class DeferredIntegral(Expr):
     """An entry kept as integral_0^1 integrand dlam, evaluated on demand.
 
     Behaves as an expression in the integrand's non-lam variables.  Each
-    evaluation runs adaptive quadrature on a compiled integrand; within
-    a :func:`quadrature_memo` context, results are reused for repeated
-    (x, u) points.
+    evaluation runs adaptive quadrature on a compiled integrand.
     """
 
     __slots__ = ("integrand", "abs_tol", "rel_tol", "max_subdivisions",
@@ -249,17 +236,10 @@ class DeferredIntegral(Expr):
         except KeyError as exc:
             from .expr import UnboundVariableError
             raise UnboundVariableError(exc.args[0]) from None
-        memo = getattr(_memo_ctx, "memo", None)
-        key = (id(self), vals)
-        if memo is not None and key in memo:
-            return memo[key]
         fn = self._fn
-        result = integrate(lambda l: fn(l, *vals), 0.0, 1.0,
-                           abs_tol=self.abs_tol, rel_tol=self.rel_tol,
-                           max_subdivisions=self.max_subdivisions)
-        if memo is not None:
-            memo[key] = result.value
-        return result.value
+        return integrate(lambda l: fn(l, *vals), 0.0, 1.0,
+                         abs_tol=self.abs_tol, rel_tol=self.rel_tol,
+                         max_subdivisions=self.max_subdivisions).value
 
     def diff(self, var):
         from .expr import NonDifferentiableError
@@ -480,14 +460,13 @@ class MatrixFunction:
     def evaluate(self, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
         args = tuple(x) + tuple(u)
         out = np.empty(self.shape)
-        with quadrature_memo():
-            for i, row in enumerate(self._fns()):
-                for j, fn in enumerate(row):
-                    try:
-                        out[i, j] = fn(*args)
-                    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                        raise EvalError(
-                            f"{self.tag}({i + 1},{j + 1}): {exc}") from exc
+        for i, row in enumerate(self._fns()):
+            for j, fn in enumerate(row):
+                try:
+                    out[i, j] = fn(*args)
+                except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                    raise EvalError(
+                        f"{self.tag}({i + 1},{j + 1}): {exc}") from exc
         return out
 
     def entry_strings(self) -> list[list[str]]:

@@ -20,6 +20,7 @@ model an exact global embedding of the nonlinear system, which
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -27,8 +28,7 @@ import numpy as np
 
 from .expr import Expr, Add, Mul, EvalError, compile_scalar, mul, to_string
 from .factorize import (
-    Anchor, FactorizedSystem, ModelError, NlssModel,
-    quadrature_memo, var_sort_key,
+    Anchor, FactorizedSystem, ModelError, NlssModel, var_sort_key,
 )
 
 RANGE_GRID_BUDGET = 10_000_000
@@ -74,12 +74,11 @@ class SchedulingMap:
     def evaluate(self, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
         args = tuple(x) + tuple(u)
         out = np.empty(len(self.entries))
-        with quadrature_memo():
-            for i, fn in enumerate(self._fns()):
-                try:
-                    out[i] = fn(*args)
-                except (EvalError, ValueError, ZeroDivisionError, OverflowError) as exc:
-                    raise SchedulingError(i, exc) from exc
+        for i, fn in enumerate(self._fns()):
+            try:
+                out[i] = fn(*args)
+            except (EvalError, ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise SchedulingError(i, exc) from exc
         return out
 
     def entry_strings(self) -> list[str]:
@@ -153,15 +152,6 @@ class LpvssModel:
                 np.tensordot(w, self.B, axes=1),
                 np.tensordot(w, self.C, axes=1),
                 np.tensordot(w, self.D, axes=1))
-
-
-def eval_sched(sm: SchedulingMap, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
-    return sm.evaluate(x, u)
-
-
-def eval_lpvss(m: LpvssModel, p: Sequence[float]):
-    """Numeric (A, B, C, D) at the scheduling point p."""
-    return m.matrices(p)
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +316,20 @@ def estimate_range(sm: SchedulingMap, box: Mapping[str, tuple[float, float]],
             axes.append(np.linspace(lo, hi, grid_per_dim))
         fn = compile_scalar(e, fp)
         lo = hi = None
-        with quadrature_memo():
-            for pt in itertools.product(*axes):
-                try:
-                    v = fn(*pt)
-                except (EvalError, ValueError, ZeroDivisionError,
-                        OverflowError) as exc:
-                    raise SchedulingError(idx, exc) from exc
-                if lo is None or v < lo:
-                    lo = v
-                if hi is None or v > hi:
-                    hi = v
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise SchedulingError(idx, ValueError(
-                f"non-finite value over the box: [{lo}, {hi}]"))
+        for pt in itertools.product(*axes):
+            try:
+                v = fn(*pt)
+            except (EvalError, ValueError, ZeroDivisionError,
+                    OverflowError) as exc:
+                raise SchedulingError(idx, exc) from exc
+            if not math.isfinite(v):
+                where = ", ".join(f"{n}={float(c)!r}" for n, c in zip(fp, pt))
+                raise SchedulingError(idx, ValueError(
+                    f"non-finite value {v!r} at grid point {where}"))
+            if lo is None or v < lo:
+                lo = v
+            if hi is None or v > hi:
+                hi = v
         raw.append((lo, hi))
     return RangeBox(
         raw=tuple(raw),

@@ -1,11 +1,19 @@
 """Simulation of nonlinear models and self-scheduled LPV models.
 
-Continuous-time models integrate with an adaptive Dormand-Prince 5(4)
-pair (dense output through 4th-order Hermite interpolation on accepted
-steps, final step clipped to the horizon) or a fixed-step classic RK4;
-discrete-time models iterate the state map directly.  The self-scheduled
-loop closes the scheduling map at every derivative evaluation:
-p = eta(x, u(t)), then xi(x) = A(p)(x - x_bar) + B(p)(u - u_bar) + V.
+Both kinds of model run through one driver, :func:`_simulate`, which
+takes a state map ``step(t, x, u)`` and an output map ``output(t, x, u)``
+and does everything else: dimension checks, method selection, input
+and output sampling on the grid, and the solver.  Continuous-time models
+integrate with an adaptive Dormand-Prince 5(4) pair (final step clipped
+to the horizon) or a fixed-step classic RK4; both integrators emit
+accepted steps, and one sampler fills the output grid from them by cubic
+Hermite interpolation.  Discrete-time models iterate the state map and
+stop at the first non-finite state.
+
+:func:`simulate_nl` hands the driver the compiled f and h.
+:func:`simulate_lpv_self_scheduled` hands it maps that close the
+scheduling map at every evaluation: p = eta(x, u(t)), then
+xi(x) = A(p)(x - x_bar) + B(p)(u - u_bar) + V, and likewise for y.
 
 Everything here is deterministic: identical inputs and configuration
 produce bit-identical trajectories.
@@ -21,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import EvalError, Expr, compile_scalar
-from .factorize import NlssModel, quadrature_memo
+from .factorize import NlssModel
 from .lpv import LpvssModel, SchedulingMap
 from .parser import parse_expr
 
@@ -216,17 +224,11 @@ def _initial_step(rhs, t0, y0, f0, t_end, rel_tol, abs_tol):
     return min(100 * h0, h1, t_end - t0)
 
 
-def _integrate_rk45(rhs, y0, t_grid, cfg: SolverConfig):
-    t_end = float(t_grid[-1])
-    t = float(t_grid[0])
-    y = np.array(y0, dtype=float)
+def _rk45_steps(rhs, t, y, t_end, cfg: SolverConfig):
+    """Accepted Dormand-Prince steps as (t, y, f, t_new, y_new, f_new)."""
     f = rhs(t, y)
     if not np.all(np.isfinite(f)):
         raise SolverError("non-finite derivative", t)
-    out = np.empty((len(t_grid), len(y)))
-    out[0] = y
-    gi = 1  # next grid index to fill
-
     h = min(_initial_step(rhs, t, y, f, t_end, cfg.rel_tol, cfg.abs_tol),
             cfg.max_step)
     eps = np.finfo(float).eps
@@ -248,14 +250,7 @@ def _integrate_rk45(rhs, y0, t_grid, cfg: SolverConfig):
         err = _error_norm(err_vec, y, y_new, cfg.rel_tol, cfg.abs_tol)
         if err <= 1.0:
             t_new = t + h
-            # fill output grid points passed by this step
-            while gi < len(t_grid) and t_grid[gi] <= t_new:
-                s = t_grid[gi]
-                if s == t_new:
-                    out[gi] = y_new
-                else:
-                    out[gi] = _hermite(t, y, k[0], t_new, y_new, k[6], s)
-                gi += 1
+            yield t, y, k[0], t_new, y_new, k[6]
             t, y = t_new, y_new
             k[0] = k[6]  # FSAL
             factor = _MAX_FACTOR if err == 0.0 else min(
@@ -263,20 +258,11 @@ def _integrate_rk45(rhs, y0, t_grid, cfg: SolverConfig):
             h *= factor
         else:
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-    while gi < len(t_grid):  # grid points at exactly t_end
-        out[gi] = y
-        gi += 1
-    return out
 
 
-def _integrate_rk4(rhs, y0, t_grid, cfg: SolverConfig):
-    t_end = float(t_grid[-1])
-    t = float(t_grid[0])
-    y = np.array(y0, dtype=float)
+def _rk4_steps(rhs, t, y, t_end, cfg: SolverConfig):
+    """Fixed classic RK4 steps as (t, y, f, t_new, y_new, f_new)."""
     f = rhs(t, y)
-    out = np.empty((len(t_grid), len(y)))
-    out[0] = y
-    gi = 1
     eps = np.finfo(float).eps
     while t < t_end:
         rem = t_end - t
@@ -292,17 +278,28 @@ def _integrate_rk4(rhs, y0, t_grid, cfg: SolverConfig):
             raise SolverError("non-finite state", t)
         t_new = t + h
         f_new = rhs(t_new, y_new)
+        yield t, y, f, t_new, y_new, f_new
+        t, y, f = t_new, y_new, f_new
+
+
+def _sample_steps(steps, y0, t_grid) -> np.ndarray:
+    """States on ``t_grid`` from a stream of accepted steps.
+
+    Grid points inside a step are Hermite-interpolated from its end
+    values and derivatives; points at or past the last step's end (the
+    horizon, up to rounding) take its final state.
+    """
+    out = np.empty((len(t_grid), len(y0)))
+    out[0] = y = y0
+    gi = 1  # next grid index to fill
+    for t, y, f, t_new, y_new, f_new in steps:
         while gi < len(t_grid) and t_grid[gi] <= t_new:
             s = t_grid[gi]
-            if s == t_new:
-                out[gi] = y_new
-            else:
-                out[gi] = _hermite(t, y, k1, t_new, y_new, f_new, s)
+            out[gi] = (y_new if s == t_new
+                       else _hermite(t, y, f, t_new, y_new, f_new, s))
             gi += 1
-        t, y, f = t_new, y_new, f_new
-    while gi < len(t_grid):
-        out[gi] = y
-        gi += 1
+        y = y_new
+    out[gi:] = y
     return out
 
 
@@ -331,6 +328,47 @@ def _discrete_grid(t_end: float, sample_time: float) -> np.ndarray:
 # front ends
 # ---------------------------------------------------------------------------
 
+def _simulate(step, output, nx: int, nu: int, sample_time: float,
+              x0: Sequence[float], u: InputSignal, t_end: float,
+              cfg: SolverConfig | None):
+    """Solve xi = step(t, x, u(t)) and sample y = output(t, x, u(t)).
+
+    Returns the grid and the state, output and input samples on it.
+    """
+    cfg = cfg or SolverConfig()
+    if len(x0) != nx or u.nu != nu:
+        raise ValueError("x0 or input dimension does not match the model")
+    method = cfg.resolve(sample_time)
+    x0 = np.array(x0, dtype=float)
+
+    if method == "discrete":
+        grid = _discrete_grid(t_end, sample_time)
+        xs = np.empty((len(grid), nx))
+        us = np.array([u(t) for t in grid])
+        xs[0] = x0
+        for i in range(len(grid) - 1):
+            xs[i + 1] = step(float(grid[i]), xs[i], us[i])
+            if not np.all(np.isfinite(xs[i + 1])):
+                raise SolverError("non-finite state", float(grid[i + 1]))
+    else:
+        grid = _output_grid(t_end, cfg.output_dt)
+        steps = _rk45_steps if method == "rk45" else _rk4_steps
+        xs = _sample_steps(
+            steps(lambda t, x: step(t, x, u(t)), float(grid[0]), x0,
+                  float(grid[-1]), cfg),
+            x0, grid)
+        us = np.array([u(t) for t in grid])
+    # rows go straight into one array, sized by the first row; a list of
+    # per-sample rows raises the peak memory of long LPV runs
+    ys = None
+    for i, t in enumerate(grid):
+        y = output(float(t), xs[i], us[i])
+        if ys is None:
+            ys = np.empty((len(grid), len(y)))
+        ys[i] = y
+    return grid, xs, ys, us
+
+
 def _eval_all(fns, args, t):
     try:
         return [fn(*args) for fn in fns]
@@ -338,44 +376,21 @@ def _eval_all(fns, args, t):
         raise SolverError(f"model evaluation failed: {exc}", t) from exc
 
 
-def _continuous(rhs, x0, u, t_end, cfg, method):
-    grid = _output_grid(t_end, cfg.output_dt)
-    integ = _integrate_rk45 if method == "rk45" else _integrate_rk4
-    xs = integ(rhs, x0, grid, cfg)
-    us = np.array([u(t) for t in grid])
-    return grid, xs, us
-
-
 def simulate_nl(model: NlssModel, x0: Sequence[float], u: InputSignal,
                 t_end: float, cfg: SolverConfig | None = None) -> Trajectory:
     """Simulate the nonlinear model itself."""
-    cfg = cfg or SolverConfig()
-    if len(x0) != model.nx or u.nu != model.nu:
-        raise ValueError("x0 or input dimension does not match the model")
-    method = cfg.resolve(model.sample_time)
     names = model.var_names
     f_fns = [compile_scalar(e, names) for e in model.f]
     h_fns = [compile_scalar(e, names) for e in model.h]
 
-    if method == "discrete":
-        grid = _discrete_grid(t_end, model.sample_time)
-        xs = np.empty((len(grid), model.nx))
-        us = np.array([u(t) for t in grid])
-        xs[0] = x0
-        for i in range(len(grid) - 1):
-            args = tuple(xs[i]) + tuple(us[i])
-            xs[i + 1] = _eval_all(f_fns, args, float(grid[i]))
-            if not np.all(np.isfinite(xs[i + 1])):
-                raise SolverError("non-finite state", float(grid[i + 1]))
-    else:
-        def rhs(t, ystate):
-            args = tuple(ystate) + tuple(u(t))
-            return np.array(_eval_all(f_fns, args, t))
-        grid, xs, us = _continuous(rhs, x0, u, t_end, cfg, method)
+    def step(t, x, uu):
+        return np.array(_eval_all(f_fns, tuple(x) + tuple(uu), t))
 
-    ys = np.array([_eval_all(h_fns, tuple(x) + tuple(uu), float(t))
-                   for t, x, uu in zip(grid, xs, us)])
-    return Trajectory(grid, xs, ys, us)
+    def output(t, x, uu):
+        return _eval_all(h_fns, tuple(x) + tuple(uu), t)
+
+    return Trajectory(*_simulate(step, output, model.nx, model.nu,
+                                 model.sample_time, x0, u, t_end, cfg))
 
 
 def simulate_lpv_self_scheduled(m: LpvssModel, sm: SchedulingMap,
@@ -385,42 +400,24 @@ def simulate_lpv_self_scheduled(m: LpvssModel, sm: SchedulingMap,
     """Simulate the LPV model closed over its own scheduling map.
 
     Every derivative (or step map) evaluation recomputes
-    p = eta(x, u(t)) before combining the affine matrix families.
+    p = eta(x, u(t)) before combining the affine matrix families; every
+    output sample does too and records p alongside y.
     """
-    cfg = cfg or SolverConfig()
-    if len(x0) != m.nx or u.nu != m.nu:
-        raise ValueError("x0 or input dimension does not match the model")
-    method = cfg.resolve(m.sample_time)
     x_bar = np.asarray(m.anchor.x_bar)
     u_bar = np.asarray(m.anchor.u_bar)
 
-    def step_map(x, uu):
-        p = sm.evaluate(x, uu)
-        A, B, _, _ = m.matrices(p)
+    def step(t, x, uu):
+        A, B, _, _ = m.matrices(sm.evaluate(x, uu))
         return A @ (x - x_bar) + B @ (uu - u_bar) + m.V
 
-    if method == "discrete":
-        grid = _discrete_grid(t_end, m.sample_time)
-        xs = np.empty((len(grid), m.nx))
-        us = np.array([u(t) for t in grid])
-        xs[0] = x0
-        for i in range(len(grid) - 1):
-            xs[i + 1] = step_map(xs[i], us[i])
-        if not np.all(np.isfinite(xs)):
-            raise SolverError("non-finite state", float(grid[-1]))
-    else:
-        def rhs(t, ystate):
-            return step_map(ystate, u(t))
-        grid, xs, us = _continuous(rhs, x0, u, t_end, cfg, method)
-
-    ps = np.empty((len(grid), m.np))
-    ys = np.empty((len(grid), m.ny))
-    for i in range(len(grid)):
-        p = sm.evaluate(xs[i], us[i])
+    def output(t, x, uu):
+        p = sm.evaluate(x, uu)
         _, _, C, D = m.matrices(p)
-        ps[i] = p
-        ys[i] = C @ (xs[i] - x_bar) + D @ (us[i] - u_bar) + m.W
-    return Trajectory(grid, xs, ys, us, ps)
+        return np.concatenate((C @ (x - x_bar) + D @ (uu - u_bar) + m.W, p))
+
+    grid, xs, yp, us = _simulate(step, output, m.nx, m.nu, m.sample_time,
+                                 x0, u, t_end, cfg)
+    return Trajectory(grid, xs, yp[:, :m.ny], us, yp[:, m.ny:])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Command-line interface: verbs, exit codes, and file outputs."""
 
+import importlib
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lpvembed
 from lpvembed.cli import main
 
 DISK_SCENARIO = ["--input", "2*sin(0.2*pi*t)", "--x0", "0,0", "--t-end", "5"]
@@ -82,6 +87,50 @@ def test_convert_unparsable_model_exits_2(tmp_path, capsys):
                         str(tmp_path / "x.json")], capsys)
     assert code == 2
     assert ":6:" in err
+
+
+def _model_file(tmp_path, f1):
+    path = tmp_path / "m.nlss"
+    path.write_text("format_version 1\nnx 1\nnu 1\nny 1\n"
+                    f"time continuous\nf1 = {f1}\nh1 = x1\n")
+    return str(path)
+
+
+def _nested_sin(depth):
+    arg = "x1"
+    for _ in range(depth):
+        arg = f"x1 + 0.5*sin({arg})"
+    return f"-x1 + 0.5*sin({arg})"
+
+
+def test_convert_non_finite_folded_constant_exits_cleanly(tmp_path, capsys):
+    # 1e200*1e200*0 folds to nan; the model is rejected at load time like
+    # any other malformed model file
+    path = _model_file(tmp_path, "-x1 + 1e200*1e200*0*x1 + u1")
+    code, _, err = run(["convert", path, "-o", str(tmp_path / "x.json")],
+                       capsys)
+    assert code == 2
+    assert "f1: constants fold to nan" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_deeply_nested_model_falls_back_to_tree_walking(tmp_path,
+                                                                 capsys):
+    # too many nested parentheses for the Python compiler
+    path = _model_file(tmp_path, _nested_sin(90))
+    code, text, err = run(["simulate", path, "-o", str(tmp_path / "s.csv"),
+                           "--t-end", "0.05"], capsys)
+    assert code == 0, err
+    assert "wrote" in text
+
+
+def test_convert_too_deeply_nested_model_exits_3(tmp_path, capsys):
+    path = _model_file(tmp_path, _nested_sin(150))
+    code, _, err = run(["convert", path, "-o", str(tmp_path / "x.json")],
+                       capsys)
+    assert code == 3
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
 
 
 def test_convert_bad_anchor_name_exits_2(tmp_path, capsys):
@@ -224,8 +273,25 @@ def test_info_artifact(disk_artifact, capsys):
 # -------------------------------------------------------------- console script
 
 def test_console_script_installed():
+    # installed: run the script itself; from a source tree: check that the
+    # declared entry point resolves and that the package runs as a module
     exe = shutil.which("lpvembed")
-    assert exe, "console script not on PATH"
-    got = subprocess.run([exe, "--version"], capture_output=True, text=True)
+    env = None
+    if exe:
+        argv = [exe, "--version"]
+    else:
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = pyproject.read_text().split("[project.scripts]\n", 1)[1]
+        scripts = scripts.split("\n[", 1)[0].splitlines()
+        targets = {k.strip(): v.strip().strip('"')
+                   for k, _, v in (line.partition("=") for line in scripts)}
+        assert targets.get("lpvembed") == "lpvembed.cli:main"
+        module, _, attr = targets["lpvembed"].partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))
+        src = str(Path(lpvembed.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        argv = [sys.executable, "-m", "lpvembed", "--version"]
+    got = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert got.returncode == 0
-    assert got.stdout.strip().startswith("lpvembed ")
+    assert got.stdout.strip() == f"lpvembed {lpvembed.__version__}"

@@ -14,7 +14,6 @@ from lpvembed.expr import (
 from lpvembed.factorize import (
     Anchor, DeferredIntegral, ModelError, NlssModel, factorize,
     integrate_analytic, integrate_numeric, jacobian, line_substitute,
-    quadrature_memo,
 )
 from lpvembed.parser import parse_expr
 from lpvembed.quadrature import integrate
@@ -174,9 +173,8 @@ def test_deferred_integral_eval_and_errors():
     names = ("x", "lam")
     node = DeferredIntegral(pe("1 - tanh(lam*x)^2", names))
     assert to_string(node) == "integral01(-tanh(lam*x)^2 + 1)"
-    with quadrature_memo():
-        assert node.eval({"x": 2.0}) == pytest.approx(math.tanh(2.0) / 2.0,
-                                                      abs=1e-10)
+    assert node.eval({"x": 2.0}) == pytest.approx(math.tanh(2.0) / 2.0,
+                                                  abs=1e-10)
     with pytest.raises(UnboundVariableError):
         node.eval({})
     with pytest.raises(NonDifferentiableError):

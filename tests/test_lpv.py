@@ -10,8 +10,8 @@ import pytest
 from lpvembed.factorize import ModelError, NlssModel, factorize
 from lpvembed.lpv import (
     LpvssModel, RangeGridError, SchedulingError, SchedulingMap,
-    default_box, estimate_range, eval_lpvss, eval_sched, extract_element,
-    extract_factor, verify_embedding,
+    default_box, estimate_range, extract_element, extract_factor,
+    verify_embedding,
 )
 from lpvembed.parser import parse_expr
 from lpvembed.synthetic import random_model
@@ -115,9 +115,9 @@ def test_affine_evaluation_is_linear_in_p(disk_doc):
 
 def test_eval_wrappers(disk_doc):
     m, sm = extract_factor(factorize(disk_doc.model))
-    p = eval_sched(sm, [0.5, 1.0], [0.2])
+    p = sm.evaluate([0.5, 1.0], [0.2])
     assert p[0] == pytest.approx(math.sin(0.5) / 0.5, rel=1e-15)
-    A = eval_lpvss(m, p)[0]
+    A = m.matrices(p)[0]
     assert A[1, 0] == pytest.approx(130.9636363636364 * p[0], rel=1e-15)
 
 
@@ -180,6 +180,22 @@ def test_range_reports_domain_errors_per_entry():
     sm = SchedulingMap(entries=(pe("ln(x1)", ("x1",)),), var_names=("x1",))
     with pytest.raises(SchedulingError):
         estimate_range(sm, {"x1": (-1.0, 1.0)}, grid_per_dim=11)
+
+
+def test_range_rejects_nan_on_part_of_the_box():
+    # x2*x3 overflows to inf; times abs(x1) - x1 it is nan for x1 >= 0 and
+    # +inf (tanh 1) for x1 < 0, so a NaN-blind scan would report (1, 1)
+    names = ("x1", "x2", "x3")
+    sm = SchedulingMap(entries=(pe("x1", names),
+                                pe("tanh(x2*x3*(abs(x1) - x1))", names)),
+                       var_names=names)
+    box = {"x1": (-1.0, 1.0), "x2": (1e200, 1e200), "x3": (1e200, 1e200)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SchedulingError) as ei:
+            estimate_range(sm, box, grid_per_dim=11)
+    assert ei.value.index == 1
+    assert str(ei.value) == ("p2: non-finite value nan at grid point "
+                             "x1=0.0, x2=1e+200, x3=1e+200")
 
 
 def test_range_bounds_grid_samples_exactly(disk_doc):

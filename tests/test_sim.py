@@ -223,6 +223,24 @@ def test_diverging_discrete_model_raises_solver_error():
         simulate_nl(model, [10.0], InputSignal.zero(1), 400.0)
 
 
+def test_diverging_discrete_self_scheduled_run_stops_at_first_overflow():
+    # x1^2 from 10 squares past the float range at the 9th step; the run
+    # must stop there rather than iterate the horizon on inf/NaN
+    model = make_model(["x1^2"], ["x1"], 1, 1, sample_time=1.0)
+    m, sm = extract_factor(factorize(model))
+    steps = []
+    evaluate = sm.evaluate
+    sm.evaluate = lambda x, u: steps.append(float(x[0])) or evaluate(x, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError) as ei:
+            simulate_lpv_self_scheduled(m, sm, [10.0], InputSignal.zero(1),
+                                        400.0)
+    assert ei.value.t == 9.0
+    assert "non-finite state" in str(ei.value)
+    assert len(steps) == 9                   # x0 .. x8, then x9 = inf
+    assert steps[-1] == pytest.approx(1e256, rel=1e-12)
+
+
 def test_trajectory_csv_roundtrip(tmp_path, disk_doc):
     u = InputSignal.from_exprs(["2*sin(0.2*pi*t)"], 1)
     traj = simulate_nl(disk_doc.model, [0.0, 0.0], u, 1.0)
