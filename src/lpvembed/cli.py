@@ -6,6 +6,8 @@ trajectory CSV), compare (RMSE between the two), info.
 
 Exit codes: 0 success, 2 parse/usage error, 3 conversion or simulation
 error, 4 verification or comparison residual above the threshold.
+A self-scheduled run whose p(t) leaves the artifact's stored range box
+warns on stderr and still exits 0.
 """
 
 from __future__ import annotations
@@ -212,12 +214,25 @@ def _x0_for(args, nx: int):
     return vals
 
 
+def _warn_range_exit(m, traj):
+    """One stderr line when p(t) leaves the artifact's stored range box."""
+    if m.range_box is None:
+        return
+    found = m.range_box.first_exit(traj.t, traj.p)
+    if found is not None:
+        k, t, n = found
+        print(f"warning: p{k + 1} left the stored range box at t = {t!r}; "
+              f"{n} of {len(traj.t)} samples lie outside it", file=sys.stderr)
+
+
 def _run_scenario(target: str, args):
     if _is_artifact(target):
         m, sm, _doc = load_artifact(target)
         u = _input_for(args, m.nu)
-        return simulate_lpv_self_scheduled(m, sm, _x0_for(args, m.nx), u,
+        traj = simulate_lpv_self_scheduled(m, sm, _x0_for(args, m.nx), u,
                                            args.t_end, _cfg(args))
+        _warn_range_exit(m, traj)
+        return traj
     doc = _load_model(target)
     u = _input_for(args, doc.model.nu)
     return simulate_nl(doc.model, _x0_for(args, doc.model.nx), u,
@@ -246,6 +261,7 @@ def cmd_compare(args) -> int:
     cfg = _cfg(args)
     a = simulate_nl(doc.model, x0, u, args.t_end, cfg)
     b = simulate_lpv_self_scheduled(m, sm, x0, u, args.t_end, cfg)
+    _warn_range_exit(m, b)
     errs = rmse(a, b, "x")
     print("per-state RMSE (nonlinear vs self-scheduled LPV):")
     for i, v in enumerate(errs):

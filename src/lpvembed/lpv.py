@@ -94,6 +94,22 @@ class RangeBox:
     grid_per_dim: int
     box: dict[str, tuple[float, float]]
 
+    def first_exit(self, t: np.ndarray, p: np.ndarray):
+        """Where the samples ``p`` (n, np) at times ``t`` leave ``reported``.
+
+        Returns (component index, time, samples outside) for the first
+        sample with a component outside the box, taking the lowest
+        index when several leave together; the count is of samples with
+        any component outside.  None when every sample lies inside.
+        """
+        lo, hi = np.asarray(self.reported, dtype=float).reshape(-1, 2).T
+        outside = (p < lo) | (p > hi)
+        rows = np.flatnonzero(outside.any(axis=1))
+        if rows.size == 0:
+            return None
+        first = rows[0]
+        return int(np.argmax(outside[first])), float(t[first]), int(rows.size)
+
 
 @dataclass
 class LpvssModel:
@@ -107,6 +123,13 @@ class LpvssModel:
 
     and the output analogue with C, D, W.  For the default origin
     anchor dx = x and du = u.
+
+    The dense arrays are the only stored form: the artifact holds them,
+    :meth:`matrices` and :func:`verify_embedding` contract them, and
+    edits to them take effect on the next call.  Most of their entries
+    are zero (a 30-pendulum chain keeps 206 of 320,400 entries of A), so
+    simulation evaluates the realization through :meth:`affine_maps`,
+    which gathers the nonzeros afresh on every call.
     """
 
     nx: int
@@ -152,6 +175,37 @@ class LpvssModel:
                 np.tensordot(w, self.B, axes=1),
                 np.tensordot(w, self.C, axes=1),
                 np.tensordot(w, self.D, axes=1))
+
+    def affine_maps(self):
+        """The realization as a sparse state map and output map.
+
+        Returns ``(state, output)``: ``state(p, x, u)`` is
+        ``A(p)(x - x_bar) + B(p)(u - u_bar) + V`` and ``output(p, x, u)``
+        its analogue with C, D, W.  Each map keeps the nonzero
+        coefficients of ``[X | U]`` as triplets (k, i, j, c) and sums
+        ``c * w[k] * z[j]`` into row i, with ``w = [1, p]`` and
+        ``z = [x - x_bar, u - u_bar]``, so its cost follows the nonzero
+        count rather than ``np * nx^2``.  The maps copy the current
+        coefficients; build them again after editing the arrays.  They
+        sum in another order than :meth:`matrices` and agree with it to
+        rounding, not bit for bit.
+        """
+        bar = np.concatenate((self.anchor.x_bar, self.anchor.u_bar))
+
+        def sparse(X, U, offset):
+            XU = np.concatenate((X, U), axis=2)
+            k, i, j = np.nonzero(XU)
+            c = XU[k, i, j]
+            rows = XU.shape[1]
+
+            def apply(p, x, u):
+                w = np.concatenate(((1.0,), p))
+                z = np.concatenate((x, u)) - bar
+                return np.bincount(i, weights=c * w[k] * z[j],
+                                   minlength=rows) + offset
+            return apply
+
+        return sparse(self.A, self.B, self.V), sparse(self.C, self.D, self.W)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +411,9 @@ class VerifyReport:
 
     @property
     def max_residual(self) -> float:
-        return float(max(self.f_max.max(initial=0.0),
-                         self.h_max.max(initial=0.0)))
+        """Worst residual over all equations; NaN or inf if any was."""
+        return float(np.max(np.concatenate((self.f_max, self.h_max)),
+                            initial=0.0))
 
     def to_dict(self) -> dict:
         return {
@@ -389,6 +444,8 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
     At each point: p = eta(x, u), then A(p)(x - x_bar) + B(p)(u - u_bar)
     + V is checked against f(x, u) entrywise (outputs likewise).  The
     report carries per-equation worst residuals and where they occurred.
+    A non-finite residual (from a non-finite f or realization value)
+    fails: the first one becomes its equation's worst point and stays.
     """
     if box is None:
         box = default_box(model)
@@ -417,16 +474,16 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
         f_lpv = A @ dx + B @ du + m.V
         h_lpv = C @ dx + D @ du + m.W
         args = tuple(row)
-        for i in range(model.nx):
-            r = abs(f_lpv[i] - f_fns[i](*args))
-            if r > f_max[i] or f_worst[i] is None:
-                f_max[i] = r
-                f_worst[i] = (tuple(x), tuple(u))
-        for i in range(model.ny):
-            r = abs(h_lpv[i] - h_fns[i](*args))
-            if r > h_max[i] or h_worst[i] is None:
-                h_max[i] = r
-                h_worst[i] = (tuple(x), tuple(u))
+        for lpv, fns, worst_r, worst_at in ((f_lpv, f_fns, f_max, f_worst),
+                                            (h_lpv, h_fns, h_max, h_worst)):
+            for i, fn in enumerate(fns):
+                r = abs(lpv[i] - fn(*args))
+                # "not r <= ..." also takes a NaN residual; a non-finite
+                # worst is never replaced
+                if worst_at[i] is None or (not r <= worst_r[i]
+                                           and math.isfinite(worst_r[i])):
+                    worst_r[i] = r
+                    worst_at[i] = (tuple(x), tuple(u))
     return VerifyReport(f_max, h_max, f_worst, h_worst,
                         samples, seed, {k: (float(v[0]), float(v[1]))
                                         for k, v in box.items()})

@@ -14,6 +14,12 @@ stop at the first non-finite state.
 :func:`simulate_lpv_self_scheduled` hands it maps that close the
 scheduling map at every evaluation: p = eta(x, u(t)), then
 xi(x) = A(p)(x - x_bar) + B(p)(u - u_bar) + V, and likewise for y.
+It evaluates that realization through the sparse maps of
+:meth:`LpvssModel.affine_maps`, built once per run from the model's
+dense arrays, so a rhs call costs about the number of nonzero
+coefficients rather than np * nx^2, and the state map builds no C(p)
+or D(p).  The maps agree with :meth:`LpvssModel.matrices` to rounding,
+not bit for bit.
 
 Everything here is deterministic: identical inputs and configuration
 produce bit-identical trajectories.
@@ -29,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import EvalError, Expr, compile_scalar
-from .factorize import NlssModel
+from .factorize import ModelError, NlssModel
 from .lpv import LpvssModel, SchedulingMap
 from .parser import parse_expr
 
@@ -334,6 +340,7 @@ def _simulate(step, output, nx: int, nu: int, sample_time: float,
     """Solve xi = step(t, x, u(t)) and sample y = output(t, x, u(t)).
 
     Returns the grid and the state, output and input samples on it.
+    A non-finite state or output sample raises SolverError at its time.
     """
     cfg = cfg or SolverConfig()
     if len(x0) != nx or u.nu != nu:
@@ -366,6 +373,11 @@ def _simulate(step, output, nx: int, nu: int, sample_time: float,
         if ys is None:
             ys = np.empty((len(grid), len(y)))
         ys[i] = y
+    # one check over all rows: a per-row check cost several percent of
+    # a short nonlinear run
+    bad = np.flatnonzero(~np.isfinite(ys).all(axis=1))
+    if bad.size:
+        raise SolverError("non-finite output", float(grid[bad[0]]))
     return grid, xs, ys, us
 
 
@@ -400,20 +412,21 @@ def simulate_lpv_self_scheduled(m: LpvssModel, sm: SchedulingMap,
     """Simulate the LPV model closed over its own scheduling map.
 
     Every derivative (or step map) evaluation recomputes
-    p = eta(x, u(t)) before combining the affine matrix families; every
-    output sample does too and records p alongside y.
+    p = eta(x, u(t)) and applies the sparse state map; every output
+    sample does too, applies the output map and records p alongside y.
+    The maps are built from the model's arrays once per run.
     """
-    x_bar = np.asarray(m.anchor.x_bar)
-    u_bar = np.asarray(m.anchor.u_bar)
+    if sm.np != m.np:
+        raise ModelError(f"the scheduling map has {sm.np} entries, "
+                         f"the model expects {m.np}")
+    state_map, output_map = m.affine_maps()
 
     def step(t, x, uu):
-        A, B, _, _ = m.matrices(sm.evaluate(x, uu))
-        return A @ (x - x_bar) + B @ (uu - u_bar) + m.V
+        return state_map(sm.evaluate(x, uu), x, uu)
 
     def output(t, x, uu):
         p = sm.evaluate(x, uu)
-        _, _, C, D = m.matrices(p)
-        return np.concatenate((C @ (x - x_bar) + D @ (uu - u_bar) + m.W, p))
+        return np.concatenate((output_map(p, x, uu), p))
 
     grid, xs, yp, us = _simulate(step, output, m.nx, m.nu, m.sample_time,
                                  x0, u, t_end, cfg)

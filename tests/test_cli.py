@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lpvembed
@@ -89,10 +90,10 @@ def test_convert_unparsable_model_exits_2(tmp_path, capsys):
     assert ":6:" in err
 
 
-def _model_file(tmp_path, f1):
+def _model_file(tmp_path, f1, h1="x1", box=""):
     path = tmp_path / "m.nlss"
     path.write_text("format_version 1\nnx 1\nnu 1\nny 1\n"
-                    f"time continuous\nf1 = {f1}\nh1 = x1\n")
+                    f"time continuous\nf1 = {f1}\nh1 = {h1}\n{box}")
     return str(path)
 
 
@@ -131,6 +132,18 @@ def test_convert_too_deeply_nested_model_exits_3(tmp_path, capsys):
     assert code == 3
     assert "nested too deeply" in err
     assert "Traceback" not in err
+
+
+def test_convert_with_non_finite_residuals_exits_4(tmp_path, capsys):
+    # -x1*x1 overflows on about a third of the box: inf - inf residuals
+    path = _model_file(tmp_path, "-x1*x1 + u1",
+                       box="box x1 -2e154 2e154\nbox u1 -1 1\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, text, _ = run(["convert", path, "-o", str(tmp_path / "x.json"),
+                             "--grid", "101"], capsys)
+    assert code == 4
+    assert "max residual nan" in text
+    assert "ABOVE THRESHOLD" in text
 
 
 def test_convert_bad_anchor_name_exits_2(tmp_path, capsys):
@@ -218,6 +231,54 @@ def test_simulate_bad_x0_exits_2(tmp_path, capsys):
                         "--t-end", "1", "-o", str(tmp_path / "t.csv")], capsys)
     assert code == 2
     assert "--x0" in err
+
+
+def test_simulate_non_finite_output_exits_3(tmp_path, capsys):
+    path = _model_file(tmp_path, "-x1 + u1", h1="1e300*x1*x1")
+    with np.errstate(over="ignore"):
+        code, _, err = run(["simulate", path, "-o", str(tmp_path / "o.csv"),
+                            "--t-end", "1", "--x0=1e10"], capsys)
+    assert code == 3
+    assert "non-finite output (t = 0.0)" in err
+
+
+def test_simulate_reports_p_leaving_its_range_box(tmp_path, capsys):
+    # p1 = x1, ranged over [-1, 1] and widened to [-1.005, 1.005]; from
+    # x1 = 2, x1(t) = 2/(1 + 2t) stays outside for the samples t < 0.495
+    path = _model_file(tmp_path, "-x1*x1 + u1",
+                       box="box x1 -1 1\nbox u1 -1 1\n")
+    art = str(tmp_path / "sq.json")
+    assert main(["convert", path, "-o", art, "--grid", "101"]) == 0
+    capsys.readouterr()
+    code, _, err = run(["simulate", art, "-o", str(tmp_path / "o.csv"),
+                        "--t-end", "1", "--x0=2"], capsys)
+    assert code == 0
+    assert err == ("warning: p1 left the stored range box at t = 0.0; "
+                   "50 of 101 samples lie outside it\n")
+    code, _, err = run(["compare", path, art, "--t-end", "1", "--x0=2"],
+                       capsys)
+    assert code == 0
+    assert err.count("p1 left the stored range box at t = 0.0") == 1
+    # an artifact without a stored box has nothing to compare against
+    doc = json.loads(Path(art).read_text())
+    doc["range_box"] = None
+    Path(art).write_text(json.dumps(doc))
+    code, _, err = run(["simulate", art, "-o", str(tmp_path / "o.csv"),
+                        "--t-end", "1", "--x0=2"], capsys)
+    assert code == 0
+    assert err == ""
+
+
+def test_simulate_inside_the_range_box_prints_no_warning(tmp_path,
+                                                         disk_artifact, capsys):
+    code, _, err = run(["simulate", disk_artifact, *DISK_SCENARIO,
+                        "-o", str(tmp_path / "t.csv")], capsys)
+    assert code == 0
+    assert err == ""
+    code, _, err = run(["compare", "unbalanced_disk", disk_artifact,
+                        *DISK_SCENARIO], capsys)
+    assert code == 0
+    assert err == ""
 
 
 def test_simulate_wrong_solver_exits_2(tmp_path, capsys):

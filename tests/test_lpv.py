@@ -7,12 +7,13 @@ import random
 import numpy as np
 import pytest
 
-from lpvembed.factorize import ModelError, NlssModel, factorize
+from lpvembed.factorize import Anchor, ModelError, NlssModel, factorize
 from lpvembed.lpv import (
-    LpvssModel, RangeGridError, SchedulingError, SchedulingMap,
+    LpvssModel, RangeBox, RangeGridError, SchedulingError, SchedulingMap,
     default_box, estimate_range, extract_element, extract_factor,
     verify_embedding,
 )
+from lpvembed.models import corpus, load_bundled
 from lpvembed.parser import parse_expr
 from lpvembed.synthetic import random_model
 
@@ -121,6 +122,76 @@ def test_eval_wrappers(disk_doc):
     assert A[1, 0] == pytest.approx(130.9636363636364 * p[0], rel=1e-15)
 
 
+# tolerance of the sparse maps against the dense reference, fixed before
+# the maps were written: they only reorder the float sums of matrices(p)
+MAP_TOL = 1e-12
+
+
+def _assert_maps_match_dense(m, points, label=""):
+    """The sparse maps against matrices(p) at (p, x, u) triplets."""
+    state, output = m.affine_maps()
+    x_bar = np.asarray(m.anchor.x_bar)
+    u_bar = np.asarray(m.anchor.u_bar)
+    for p, x, u in points:
+        A, B, C, D = m.matrices(p)
+        for got, want in ((state(p, x, u), A @ (x - x_bar) + B @ (u - u_bar)
+                           + m.V),
+                          (output(p, x, u), C @ (x - x_bar) + D @ (u - u_bar)
+                           + m.W)):
+            assert got.shape == want.shape, label
+            assert np.all(np.abs(got - want) <= MAP_TOL * (1 + np.abs(want))), \
+                label
+
+
+def _map_cases():
+    """(label, NlssModel, anchor) for every model the maps are checked on."""
+    for doc in corpus():
+        yield doc.model.name, doc.model, None
+    for seed in range(30):
+        yield f"random_model({seed})", random_model(seed), None
+    yield ("disk anchored", load_bundled("unbalanced_disk").model,
+           Anchor((0.7, -1.2), (0.4,)))
+    # h is a constant: C and D hold no nonzero, the output map is W alone
+    yield "constant output", make_model(["-x1 + sin(x1)*u1"], ["0.5"], 1, 1), \
+        None
+
+
+@pytest.mark.parametrize("extract", [extract_element, extract_factor])
+def test_affine_maps_agree_with_dense_matrices(extract):
+    rng = np.random.default_rng(11)
+    for label, model, anchor in _map_cases():
+        m, sm = extract(factorize(model, anchor))
+        points = []
+        for _ in range(5):
+            x = rng.uniform(-1.5, 1.5, model.nx)
+            u = rng.uniform(-1.5, 1.5, model.nu)
+            # on the scheduling map, and off it: the maps are affine in
+            # any p, not only in p = eta(x, u)
+            points.append((sm.evaluate(x, u), x, u))
+            points.append((rng.uniform(-3, 3, m.np), x, u))
+        _assert_maps_match_dense(m, points, label)
+
+
+def test_affine_maps_edge_shapes():
+    rng = np.random.default_rng(5)
+    # np = 0: an LTI model
+    m, _ = extract_factor(factorize(make_model(["-x1 + 2*u1"], ["3*x1 - u1"],
+                                               1, 1)))
+    assert m.np == 0
+    _assert_maps_match_dense(m, [(np.zeros(0), rng.uniform(-1, 1, 1),
+                                  rng.uniform(-1, 1, 1)) for _ in range(3)])
+    # nu = 0, which model files cannot declare but the array form allows
+    A = rng.uniform(-1, 1, (3, 2, 2))
+    A[1, 0, 1] = 0.0
+    m = LpvssModel(nx=2, nu=0, ny=1, np=2,
+                   A=A, B=np.zeros((3, 2, 0)),
+                   C=rng.uniform(-1, 1, (3, 1, 2)), D=np.zeros((3, 1, 0)),
+                   V=np.array([0.1, -0.2]), W=np.array([0.3]),
+                   anchor=Anchor((0.5, -0.5), ()))
+    _assert_maps_match_dense(m, [(rng.uniform(-2, 2, 2), rng.uniform(-1, 1, 2),
+                                  np.zeros(0)) for _ in range(5)])
+
+
 def test_lpvss_shape_validation():
     with pytest.raises(ModelError):
         LpvssModel(nx=2, nu=1, ny=1, np=1,
@@ -216,6 +287,22 @@ def test_range_bounds_grid_samples_exactly(disk_doc):
         assert wlo <= v <= whi
 
 
+def test_range_box_first_exit():
+    rb = RangeBox(raw=((-1.0, 1.0), (0.0, 2.0)),
+                  reported=((-1.0, 1.0), (0.0, 2.0)), grid_per_dim=11, box={})
+    t = np.array([0.0, 0.5, 1.0, 1.5])
+    inside = np.array([[0.0, 1.0], [1.0, 2.0], [-1.0, 0.0], [0.5, 0.5]])
+    assert rb.first_exit(t, inside) is None      # the bounds are inside
+    p = inside.copy()
+    p[1] = [1.5, 2.5]                            # both leave at t = 0.5
+    p[3] = [0.5, -0.1]
+    assert rb.first_exit(t, p) == (0, 0.5, 2)
+    p[1] = [1.0, 2.5]
+    assert rb.first_exit(t, p) == (1, 0.5, 2)
+    empty = RangeBox(raw=(), reported=(), grid_per_dim=11, box={})
+    assert empty.first_exit(t, np.zeros((4, 0))) is None
+
+
 def test_scheduling_error_carries_index():
     sm = SchedulingMap(entries=(pe("x1", ("x1",)), pe("ln(x1)", ("x1",))),
                        var_names=("x1",))
@@ -284,6 +371,36 @@ def test_verify_report_locates_worst_point(disk_doc):
     f_lpv = A @ np.asarray(x) + B @ np.asarray(u)
     f_ref = disk_doc.model.eval_f(x, u)
     assert abs((f_lpv - f_ref)[1]) == pytest.approx(rep.f_max[1], rel=1e-12)
+
+
+def test_verify_fails_on_non_finite_residuals():
+    # -x1*x1 overflows to -inf for |x1| > 1.34e154, so about a third of
+    # the box gives inf - inf = NaN against the realization
+    model = make_model(["-x1*x1 + u1"], ["x1"], 1, 1)
+    m, sm = extract_factor(factorize(model))
+    box = {"x1": (-2e154, 2e154), "u1": (-1.0, 1.0)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = verify_embedding(model, m, sm, samples=1000, box=box, seed=0)
+    assert not math.isfinite(rep.max_residual)
+    assert not math.isfinite(rep.f_max[0])
+    assert rep.h_max[0] == 0.0
+    (x1,), _u = rep.f_worst[0]
+    assert abs(x1) > math.sqrt(np.finfo(float).max)
+    # the first non-finite sample is the worst point: replay the sampler
+    rng = np.random.default_rng(0)
+    pts = -2e154 + 4e154 * rng.random((1000, 2))
+    first = next(row for row in pts
+                 if abs(row[0]) > math.sqrt(np.finfo(float).max))
+    assert x1 == first[0]
+
+
+def test_verify_max_residual_sees_a_non_finite_output_residual():
+    # a NaN output residual must not be hidden behind finite state ones
+    model = make_model(["-x1 + u1"], ["x1"], 1, 1)
+    m, sm = extract_factor(factorize(model))
+    rep = verify_embedding(model, m, sm, samples=10, seed=0)
+    rep.h_max[0] = float("nan")
+    assert math.isnan(rep.max_residual)
 
 
 def test_verify_report_dict_roundtrips(disk_doc):

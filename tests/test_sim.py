@@ -7,8 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from lpvembed.factorize import NlssModel, factorize
-from lpvembed.lpv import extract_factor
+from lpvembed.factorize import ModelError, NlssModel, factorize
+from lpvembed.lpv import SchedulingMap, extract_factor
 from lpvembed.models import corpus, load_bundled
 from lpvembed.parser import parse_expr
 from lpvembed.sim import (
@@ -241,6 +241,28 @@ def test_diverging_discrete_self_scheduled_run_stops_at_first_overflow():
     assert steps[-1] == pytest.approx(1e256, rel=1e-12)
 
 
+# y = 1e307*x1 with x1 = e^t overflows once e^t > 17.98, at t = 2.889;
+# the first non-finite sample on the 0.01 grid is t = 2.89
+OVERFLOWING_OUTPUT = make_model(["x1"], ["1e307*x1"], 1, 1)
+
+
+def test_non_finite_output_sample_raises_solver_error():
+    with np.errstate(over="ignore"):
+        with pytest.raises(SolverError) as ei:
+            simulate_nl(OVERFLOWING_OUTPUT, [1.0], InputSignal.zero(1), 4.0)
+    assert "non-finite output" in str(ei.value)
+    assert ei.value.t == pytest.approx(2.89)
+
+
+def test_non_finite_self_scheduled_output_raises_solver_error():
+    m, sm = extract_factor(factorize(OVERFLOWING_OUTPUT))
+    with np.errstate(over="ignore"):
+        with pytest.raises(SolverError) as ei:
+            simulate_lpv_self_scheduled(m, sm, [1.0], InputSignal.zero(1), 4.0)
+    assert "non-finite output" in str(ei.value)
+    assert ei.value.t == pytest.approx(2.89)
+
+
 def test_trajectory_csv_roundtrip(tmp_path, disk_doc):
     u = InputSignal.from_exprs(["2*sin(0.2*pi*t)"], 1)
     traj = simulate_nl(disk_doc.model, [0.0, 0.0], u, 1.0)
@@ -310,3 +332,41 @@ def test_embedding_tracks_corpus_models_across_scenarios():
             b = simulate_lpv_self_scheduled(m, sm, x0, u, 2.0)
             worst = max(worst, float(np.max(rmse(a, b))))
     assert worst < 1e-6
+
+
+def test_self_scheduled_run_sees_edits_to_the_arrays(disk_doc):
+    # the sparse maps are built per run, so an in-place edit of the dense
+    # arrays between runs must show in the next run
+    m, sm = extract_factor(factorize(disk_doc.model))
+    u = InputSignal.from_exprs(["2*sin(0.2*pi*t)"], 1)
+    a = simulate_lpv_self_scheduled(m, sm, [0.0, 0.0], u, 2.0)
+    m.A[0][1, 1] += 0.5
+    b = simulate_lpv_self_scheduled(m, sm, [0.0, 0.0], u, 2.0)
+    assert np.max(np.abs(a.x - b.x)) > 1e-3
+    m.A[0][1, 1] -= 0.5
+    c = simulate_lpv_self_scheduled(m, sm, [0.0, 0.0], u, 2.0)
+    assert np.array_equal(a.x, c.x)
+
+
+def test_self_scheduled_rk4_evaluates_p_once_per_rhs_call_and_sample(
+        disk_doc, monkeypatch):
+    # the benchmark derives its rhs count from these calls: one for the
+    # initial derivative, four per RK4 step and one per output sample
+    calls = []
+    evaluate = SchedulingMap.evaluate
+    monkeypatch.setattr(SchedulingMap, "evaluate",
+                        lambda self, x, u: calls.append(1) or evaluate(self, x, u))
+    m, sm = extract_factor(factorize(disk_doc.model))
+    cfg = SolverConfig(method="rk4", step=0.125, output_dt=0.25)
+    traj = simulate_lpv_self_scheduled(m, sm, [0.1, 0.0], InputSignal.zero(1),
+                                       1.0, cfg)
+    assert len(traj.t) == 5
+    assert len(calls) == 1 + 4 * 8 + 5
+
+
+def test_self_scheduled_rejects_a_mismatched_scheduling_map(disk_doc):
+    m, sm = extract_factor(factorize(disk_doc.model))
+    short = SchedulingMap((), sm.var_names)
+    with pytest.raises(ModelError):
+        simulate_lpv_self_scheduled(m, short, [0.0, 0.0], InputSignal.zero(1),
+                                    1.0)
