@@ -286,7 +286,8 @@ def cmd_info(args) -> int:
             print(f"  warning: {w}")
         ver = rep.get("verify")
         if ver:
-            print(f"  verified max residual {ver['max_residual']:.3e} "
+            # non-finite residuals are stored as "nan", "inf" or "-inf"
+            print(f"  verified max residual {float(ver['max_residual']):.3e} "
                   f"over {ver['samples']} samples")
     else:
         doc = _load_model(args.target)

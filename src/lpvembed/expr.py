@@ -158,36 +158,8 @@ class Expr:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({to_string(self)!r})"
 
-    # arithmetic sugar; scalars coerce to Const
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_coerce(other)))
-
-    def __rsub__(self, other):
-        return add(_coerce(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __pow__(self, other):
-        return pow_(self, _coerce(other))
-
-    def __neg__(self):
-        return neg(self)
+    def __setattr__(self, *a):
+        raise AttributeError("Expr nodes are immutable")
 
 
 class Const(Expr):
@@ -195,9 +167,6 @@ class Const(Expr):
 
     def __init__(self, value: float):
         object.__setattr__(self, "value", float(value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
     def _key(self):
         return ("const", self.value)
@@ -217,9 +186,6 @@ class Var(Expr):
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
     def _key(self):
         return ("var", self.name)
@@ -242,9 +208,6 @@ class _Nary(Expr):
 
     def __init__(self, terms: tuple[Expr, ...]):
         object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
     def children(self):
         return self.terms
@@ -300,9 +263,6 @@ class Div(Expr):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
     def _key(self):
         return ("div", self.num._key(), self.den._key())
 
@@ -332,9 +292,6 @@ class Pow(Expr):
     def __init__(self, base: Expr, exponent: Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
     def _key(self):
         return ("pow", self.base._key(), self.exponent._key())
@@ -374,9 +331,6 @@ class Call(Expr):
             raise ValueError(f"unknown function '{fn}'")
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
     def _key(self):
         return ("call", self.fn, self.arg._key())
@@ -544,19 +498,7 @@ def simplify(e: Expr) -> Expr:
     nested sums and products.  The result is semantically equal to the
     input; no algebraic identities beyond these are applied.
     """
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Add):
-        return add(*(simplify(t) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(*(simplify(t) for t in e.terms))
-    if isinstance(e, Div):
-        return div(simplify(e.num), simplify(e.den))
-    if isinstance(e, Pow):
-        return pow_(simplify(e.base), simplify(e.exponent))
-    if isinstance(e, Call):
-        return call(e.fn, simplify(e.arg))
-    return e  # foreign node types (deferred integrals) pass through
+    return substitute(e, {})
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr | float]) -> Expr:
@@ -577,7 +519,7 @@ def substitute(e: Expr, mapping: Mapping[str, Expr | float]) -> Expr:
         return pow_(substitute(e.base, mapping), substitute(e.exponent, mapping))
     if isinstance(e, Call):
         return call(e.fn, substitute(e.arg, mapping))
-    return e
+    return e  # foreign node types (deferred integrals) pass through
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +602,12 @@ def _negated(e: Expr) -> Expr | None:
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+# the only names compiled code sees: math ops, and inf and nan, which
+# repr prints for folded non-finite constants
+_CODEGEN_NS = {"__builtins__": {}, "_pow": math.pow, "inf": math.inf,
+               "nan": math.nan,
+               **{f"_fn_{fn}": impl for fn, impl in FUNCTIONS.items()}}
+
 
 def _pycode(e: Expr) -> str:
     if isinstance(e, Const):
@@ -693,11 +641,8 @@ def compile_scalar(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
         if not all(_IDENT.match(n) for n in names):
             raise TypeError("non-identifier variable name")
         body = _pycode(e)
-        ns: dict[str, object] = {"_pow": math.pow}
-        for fn, impl in FUNCTIONS.items():
-            ns[f"_fn_{fn}"] = impl
         src = f"lambda {', '.join(names)}: {body}" if names else f"lambda: {body}"
-        return eval(src, ns)  # namespace is closed: only math ops above
+        return eval(src, _CODEGEN_NS)
     except (TypeError, SyntaxError, RecursionError):
         def fallback(*args: float) -> float:
             return e.eval(dict(zip(names, args)))

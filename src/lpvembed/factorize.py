@@ -25,14 +25,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .expr import (
     Add, Call, Const, Div, EvalError, Expr, Mul, NonDifferentiableError,
-    Pow, Var, ZERO,
-    add, call, compile_scalar, div, mul, neg, pow_,
+    Pow, UnboundVariableError, Var, ZERO,
+    add, call, compile_scalar, div, mul, neg,
     simplify, substitute, to_string,
 )
 from .quadrature import integrate
@@ -171,10 +171,6 @@ class Anchor:
     def origin(cls, nx: int, nu: int) -> "Anchor":
         return cls((0.0,) * nx, (0.0,) * nu)
 
-    @property
-    def is_origin(self) -> bool:
-        return not any(self.x_bar) and not any(self.u_bar)
-
     def bindings(self, nx: int, nu: int) -> dict[str, float]:
         if len(self.x_bar) != nx or len(self.u_bar) != nu:
             raise ModelError(
@@ -215,17 +211,11 @@ class DeferredIntegral(Expr):
                            compile_scalar(integrand, (LAMBDA,) + args))
         object.__setattr__(self, "_free", free)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
     def _key(self):
         return ("defint", self.integrand._key(), self.abs_tol, self.rel_tol)
 
     def free_vars(self):
         return self._free
-
-    def children(self):
-        return ()
 
     def display(self) -> str:
         return f"integral01({to_string(self.integrand)})"
@@ -234,7 +224,6 @@ class DeferredIntegral(Expr):
         try:
             vals = tuple(float(bindings[a]) for a in self._args)
         except KeyError as exc:
-            from .expr import UnboundVariableError
             raise UnboundVariableError(exc.args[0]) from None
         fn = self._fn
         return integrate(lambda l: fn(l, *vals), 0.0, 1.0,
@@ -242,7 +231,6 @@ class DeferredIntegral(Expr):
                          max_subdivisions=self.max_subdivisions).value
 
     def diff(self, var):
-        from .expr import NonDifferentiableError
         raise NonDifferentiableError(
             "deferred integral entries cannot be differentiated")
 
@@ -282,6 +270,13 @@ def line_substitute(e: Expr, anchor: Anchor) -> Expr:
 # symbolic integration over lam in [0, 1]
 # ---------------------------------------------------------------------------
 
+def _poly_mul(a: list[Expr], b: list[Expr]) -> list[Expr]:
+    """Coefficients of the product of two polynomials in lam."""
+    return [add(*(mul(a[i], b[k - i])
+                  for i in range(len(a)) if 0 <= k - i < len(b)))
+            for k in range(len(a) + len(b) - 1)]
+
+
 def _poly_coeffs(e: Expr) -> list[Expr] | None:
     """Coefficients [c0, c1, ...] with e = sum ck * lam^k, ck lam-free.
 
@@ -298,8 +293,7 @@ def _poly_coeffs(e: Expr) -> list[Expr] | None:
             c = _poly_coeffs(t)
             if c is None:
                 return None
-            if len(c) > len(out):
-                out.extend([ZERO] * (len(c) - len(out)))
+            out.extend([ZERO] * (len(c) - len(out)))  # empty when shorter
             for k, ck in enumerate(c):
                 out[k] = add(out[k], ck)
         return out
@@ -309,11 +303,7 @@ def _poly_coeffs(e: Expr) -> list[Expr] | None:
             c = _poly_coeffs(t)
             if c is None:
                 return None
-            out = [
-                add(*(mul(out[i], c[k - i])
-                      for i in range(len(out)) if 0 <= k - i < len(c)))
-                for k in range(len(out) + len(c) - 1)
-            ]
+            out = _poly_mul(out, c)
         return out
     if isinstance(e, Pow) and isinstance(e.exponent, Const):
         k = e.exponent.value
@@ -323,11 +313,7 @@ def _poly_coeffs(e: Expr) -> list[Expr] | None:
                 return None
             out = [Const(1.0)]
             for _ in range(int(k)):
-                out = [
-                    add(*(mul(out[i], base[j - i])
-                          for i in range(len(out)) if 0 <= j - i < len(base)))
-                    for j in range(len(out) + len(base) - 1)
-                ]
+                out = _poly_mul(out, base)
             return out
     if isinstance(e, Div) and LAMBDA not in e.den.free_vars():
         num = _poly_coeffs(e.num)
@@ -340,9 +326,7 @@ def _poly_coeffs(e: Expr) -> list[Expr] | None:
 def _affine_in_lambda(e: Expr) -> Expr | None:
     """If e = lam * a with a lam-free and structurally nonzero, return a."""
     c = _poly_coeffs(e)
-    if c is None or len(c) != 2:
-        return None
-    if simplify(c[0]) != ZERO:
+    if c is None or len(c) != 2 or simplify(c[0]) != ZERO:
         return None
     a = simplify(c[1])
     return None if a == ZERO else a
@@ -423,12 +407,7 @@ def integrate_numeric(e: Expr, point: Mapping[str, float],
                       rel_tol: float = DEFAULT_QUAD_REL_TOL,
                       max_subdivisions: int = DEFAULT_QUAD_MAX_SUBDIVISIONS) -> float:
     """Quadrature value of integral_0^1 e dlam with (x, u) bound to ``point``."""
-    names = tuple(sorted(e.free_vars() - {LAMBDA}, key=var_sort_key))
-    fn = compile_scalar(e, (LAMBDA,) + names)
-    vals = tuple(float(point[n]) for n in names)
-    return integrate(lambda l: fn(l, *vals), 0.0, 1.0,
-                     abs_tol=abs_tol, rel_tol=rel_tol,
-                     max_subdivisions=max_subdivisions).value
+    return DeferredIntegral(e, abs_tol, rel_tol, max_subdivisions).eval(point)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +420,6 @@ class MatrixFunction:
 
     entries: tuple[tuple[Expr, ...], ...]
     tag: str                       # which of A, B, C, D this is
-    mode: str                      # integration mode that produced it
     var_names: tuple[str, ...]     # x names then u names
     _compiled: list = field(default=None, repr=False, compare=False)
 
@@ -479,7 +457,6 @@ class FactorizedSystem:
 
     model: NlssModel
     anchor: Anchor
-    mode: str
     A_bar: MatrixFunction
     B_bar: MatrixFunction
     C_bar: MatrixFunction
@@ -509,7 +486,6 @@ def _integrate_entry(integrand: Expr, mode: str, tag: str, i: int, j: int,
     integrand = simplify(integrand)
     if LAMBDA not in integrand.free_vars():
         return integrand  # constant along the line; the integral is itself
-    abs_tol, rel_tol, max_sub = quad_tols
     if mode == "analytic":
         result = integrate_analytic(integrand)
         if result is not None:
@@ -517,7 +493,7 @@ def _integrate_entry(integrand: Expr, mode: str, tag: str, i: int, j: int,
         warnings.append(
             f"{tag}({i + 1},{j + 1}): no closed form for "
             f"integral01({to_string(integrand)}); entry deferred to quadrature")
-    return DeferredIntegral(integrand, abs_tol, rel_tol, max_sub)
+    return DeferredIntegral(integrand, *quad_tols)
 
 
 def factorize(model: NlssModel, anchor: Anchor | None = None,
@@ -535,7 +511,7 @@ def factorize(model: NlssModel, anchor: Anchor | None = None,
         raise ModelError(f"unknown integration mode '{mode}'")
     if anchor is None:
         anchor = Anchor.origin(model.nx, model.nu)
-    anchor.bindings(model.nx, model.nu)  # dimension check
+    at = anchor.bindings(model.nx, model.nu)  # also checks dimensions
 
     quad_tols = (quad_abs_tol, quad_rel_tol, quad_max_subdivisions)
     warnings: list[str] = []
@@ -555,11 +531,10 @@ def factorize(model: NlssModel, anchor: Anchor | None = None,
             )
             for i in range(len(fvec))
         )
-        blocks[tag] = MatrixFunction(rows, tag, mode, model.var_names)
+        blocks[tag] = MatrixFunction(rows, tag, model.var_names)
 
-    at = anchor.bindings(model.nx, model.nu)
     V = np.array([e.eval(at) for e in model.f])
     W = np.array([e.eval(at) for e in model.h])
-    return FactorizedSystem(model, anchor, mode,
+    return FactorizedSystem(model, anchor,
                             blocks["A"], blocks["B"], blocks["C"], blocks["D"],
                             V, W, tuple(warnings))

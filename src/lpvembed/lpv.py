@@ -8,8 +8,9 @@ together with a scheduling map p = eta(x, u) built from the nonlinear
 matrix entries.  Two extraction policies are provided: 'element' turns
 every nonlinear entry into one scheduling variable, 'factor' first
 splits entries into sums of (constant coefficient) * (nonlinear factor)
-and schedules the factors.  Both deduplicate structurally identical
-expressions, so repeated nonlinearities cost a single p component.
+and schedules the factors.  Both are one pass over the entries and
+deduplicate structurally identical expressions, so repeated
+nonlinearities cost a single p component.
 
 Substituting p = eta(x, u) back recovers the factorized matrices
 exactly; combined with the line-integral identity this makes the LPV
@@ -44,6 +45,12 @@ class SchedulingError(Exception):
 
 class RangeGridError(Exception):
     """The requested range grid is larger than the evaluation budget."""
+
+
+def _json_float(v) -> float | str:
+    """``v`` for a strict JSON document: "nan", "inf" or "-inf" if not finite."""
+    v = float(v)
+    return v if math.isfinite(v) else str(v)
 
 
 @dataclass
@@ -110,6 +117,14 @@ class RangeBox:
         first = rows[0]
         return int(np.argmax(outside[first])), float(t[first]), int(rows.size)
 
+    def to_dict(self) -> dict:
+        return {
+            "grid_per_dim": self.grid_per_dim,
+            "box": {k: list(v) for k, v in self.box.items()},
+            "raw": [list(v) for v in self.raw],
+            "reported": [list(map(_json_float, v)) for v in self.reported],
+        }
+
 
 @dataclass
 class LpvssModel:
@@ -124,12 +139,13 @@ class LpvssModel:
     and the output analogue with C, D, W.  For the default origin
     anchor dx = x and du = u.
 
-    The dense arrays are the only stored form: the artifact holds them,
-    :meth:`matrices` and :func:`verify_embedding` contract them, and
-    edits to them take effect on the next call.  Most of their entries
-    are zero (a 30-pendulum chain keeps 206 of 320,400 entries of A), so
-    simulation evaluates the realization through :meth:`affine_maps`,
-    which gathers the nonzeros afresh on every call.
+    Every coefficient and offset must be finite.  The dense arrays are
+    the only stored form: the artifact holds them, :meth:`matrices` and
+    :func:`verify_embedding` contract them, and edits to them take
+    effect on the next call.  Most of their entries are zero (a
+    30-pendulum chain keeps 206 of 320,400 entries of A), so simulation
+    evaluates the realization through :meth:`affine_maps`, which
+    gathers the nonzeros afresh on every call.
     """
 
     nx: int
@@ -152,25 +168,23 @@ class LpvssModel:
             "B": (self.np + 1, self.nx, self.nu),
             "C": (self.np + 1, self.ny, self.nx),
             "D": (self.np + 1, self.ny, self.nu),
+            "V": (self.nx,),
+            "W": (self.ny,),
         }
         for name, shape in expected.items():
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ModelError(f"{name} has shape {arr.shape}, expected {shape}")
-        if self.V.shape != (self.nx,) or self.W.shape != (self.ny,):
-            raise ModelError("offset vectors V, W have wrong length")
-
-    @property
-    def is_continuous(self) -> bool:
-        return self.sample_time == 0.0
+            # min and max see any inf or NaN without a full-size mask
+            if not np.isfinite([arr.min(initial=0), arr.max(initial=0)]).all():
+                at = np.argwhere(~np.isfinite(arr))[0].tolist()
+                raise ModelError(f"{name}{at} = {arr[tuple(at)]} is not finite")
 
     def matrices(self, p: Sequence[float]):
         p = np.asarray(p, dtype=float)
         if p.shape != (self.np,):
             raise ModelError(f"expected {self.np} scheduling values, got {p.shape}")
-        w = np.empty(self.np + 1)
-        w[0] = 1.0
-        w[1:] = p
+        w = np.concatenate(((1.0,), p))
         return (np.tensordot(w, self.A, axes=1),
                 np.tensordot(w, self.B, axes=1),
                 np.tensordot(w, self.C, axes=1),
@@ -235,53 +249,36 @@ def _split_term(term: Expr):
     return coeff, mul(*hot)
 
 
-class _Assembler:
-    """Shared bookkeeping for both extraction policies."""
+def _extract(fs: FactorizedSystem, split: bool):
+    """Both extraction policies: one row-major pass over A, B, C, D.
 
-    def __init__(self, fs: FactorizedSystem):
-        self.fs = fs
-        self.index: dict[Expr, int] = {}
-        self.entries: list[Expr] = []
-        # per matrix tag: constant block and list of (p, i, j, coeff)
-        self.const = {}
-        self.hits = {t: [] for t in "ABCD"}
-        m = fs.model
-        self.shapes = {"A": (m.nx, m.nx), "B": (m.nx, m.nu),
-                       "C": (m.ny, m.nx), "D": (m.ny, m.nu)}
-        for t, s in self.shapes.items():
-            self.const[t] = np.zeros(s)
-
-    def sched_index(self, e: Expr) -> int:
-        k = self.index.get(e)
-        if k is None:
-            k = len(self.entries)
-            self.index[e] = k
-            self.entries.append(e)
-        return k
-
-    def build(self):
-        m = self.fs.model
-        n_p = len(self.entries)
-        stacked = {}
-        for t, (r, c) in self.shapes.items():
-            arr = np.zeros((n_p + 1, r, c))
-            arr[0] = self.const[t]
-            for k, i, j, coeff in self.hits[t]:
-                arr[k + 1, i, j] += coeff
-            stacked[t] = arr
-        model = LpvssModel(
-            nx=m.nx, nu=m.nu, ny=m.ny, np=n_p,
-            A=stacked["A"], B=stacked["B"], C=stacked["C"], D=stacked["D"],
-            V=self.fs.V.copy(), W=self.fs.W.copy(),
-            anchor=self.fs.anchor, sample_time=m.sample_time,
-        )
-        sched = SchedulingMap(tuple(self.entries), m.var_names)
-        return model, sched
-
-
-def _matrix_blocks(fs: FactorizedSystem):
-    for tag in "ABCD":
-        yield tag, getattr(fs, f"{tag}_bar").entries
+    ``split`` flattens each entry into terms and each term into
+    (coefficient, factor); without it every entry is its own factor.
+    """
+    blocks = {t: getattr(fs, f"{t}_bar") for t in "ABCD"}
+    # (tag, k, i, j, coeff): k = 0 for constant terms, else 1 + the index
+    # of the factor, numbered in discovery order
+    index: dict[Expr, int] = {}
+    hits = []
+    for tag, block in blocks.items():
+        for i, row in enumerate(block.entries):
+            for j, e in enumerate(row):
+                terms = e.terms if split and isinstance(e, Add) else (e,)
+                for term in terms:
+                    if not term.free_vars():
+                        hits.append((tag, 0, i, j, term.eval({})))
+                        continue
+                    coeff, factor = _split_term(term) if split else (1.0, term)
+                    k = index.setdefault(factor, len(index)) + 1
+                    hits.append((tag, k, i, j, coeff))
+    arrays = {t: np.zeros((len(index) + 1,) + b.shape) for t, b in blocks.items()}
+    for tag, k, i, j, coeff in hits:
+        arrays[tag][k, i, j] += coeff
+    m = fs.model
+    model = LpvssModel(nx=m.nx, nu=m.nu, ny=m.ny, np=len(index), **arrays,
+                       V=fs.V.copy(), W=fs.W.copy(), anchor=fs.anchor,
+                       sample_time=m.sample_time)
+    return model, SchedulingMap(tuple(index), m.var_names)
 
 
 def extract_element(fs: FactorizedSystem):
@@ -291,15 +288,7 @@ def extract_element(fs: FactorizedSystem):
     entry e becomes (or reuses) a scheduling variable with coefficient 1
     at its position.  Discovery order is row-major over A, B, C, D.
     """
-    asm = _Assembler(fs)
-    for tag, rows in _matrix_blocks(fs):
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                if not e.free_vars():
-                    asm.const[tag][i, j] += e.eval({})
-                else:
-                    asm.hits[tag].append((asm.sched_index(e), i, j, 1.0))
-    return asm.build()
+    return _extract(fs, split=False)
 
 
 def extract_factor(fs: FactorizedSystem):
@@ -312,18 +301,7 @@ def extract_factor(fs: FactorizedSystem):
     no clean split degrades to element treatment (coefficient 1 on the
     whole term).
     """
-    asm = _Assembler(fs)
-    for tag, rows in _matrix_blocks(fs):
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                terms = e.terms if isinstance(e, Add) else (e,)
-                for term in terms:
-                    if not term.free_vars():
-                        asm.const[tag][i, j] += term.eval({})
-                        continue
-                    coeff, factor = _split_term(term)
-                    asm.hits[tag].append((asm.sched_index(factor), i, j, coeff))
-    return asm.build()
+    return _extract(fs, split=True)
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +398,12 @@ class VerifyReport:
             "samples": self.samples,
             "seed": self.seed,
             "box": {k: list(v) for k, v in self.box.items()},
-            "max_residual": self.max_residual,
-            "f_max": [float(v) for v in self.f_max],
-            "h_max": [float(v) for v in self.h_max],
-            "f_worst": [[list(map(float, x)), list(map(float, u))]
+            "max_residual": _json_float(self.max_residual),
+            "f_max": [_json_float(v) for v in self.f_max],
+            "h_max": [_json_float(v) for v in self.h_max],
+            "f_worst": [[list(map(_json_float, x)), list(map(_json_float, u))]
                         for x, u in self.f_worst],
-            "h_worst": [[list(map(float, x)), list(map(float, u))]
+            "h_worst": [[list(map(_json_float, x)), list(map(_json_float, u))]
                         for x, u in self.h_worst],
         }
 
@@ -435,6 +413,9 @@ def default_box(model: NlssModel) -> dict[str, tuple[float, float]]:
     return {n: (-1.0, 1.0) for n in model.var_names}
 
 
+# an overflowing model warns from numpy and from generated code; the
+# non-finite residual it leaves fails the check instead
+@np.errstate(all="ignore")
 def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
                      samples: int = 1000,
                      box: Mapping[str, tuple[float, float]] | None = None,

@@ -30,6 +30,7 @@ exactly, so verification results are reproducible from the file alone.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -38,6 +39,7 @@ import numpy as np
 from . import __version__ as _version
 from .expr import Expr, EvalError
 from .factorize import (
+    DEFAULT_QUAD_ABS_TOL, DEFAULT_QUAD_MAX_SUBDIVISIONS, DEFAULT_QUAD_REL_TOL,
     Anchor, DeferredIntegral, LAMBDA, ModelError, NlssModel,
     input_names, state_names,
 )
@@ -192,8 +194,9 @@ def load_model_file(path: str) -> ModelDocument:
                 raise ModelFileError("box needs exactly two bounds", path, no)
             lo = _eval_const_expr(vals[0], constants, path, no)
             hi = _eval_const_expr(vals[1], constants, path, no)
-            if lo > hi:
-                raise ModelFileError(f"box for {name} has lo > hi", path, no)
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+                raise ModelFileError(
+                    f"box for {name} needs finite bounds with lo <= hi", path, no)
             box[name] = (lo, hi)
         else:
             raise ModelFileError(f"unrecognized line '{text}'", path, no)
@@ -258,9 +261,10 @@ def _sched_entry_from_json(obj, names: tuple[str, ...], path: str) -> Expr:
                                    variables=names + (LAMBDA,))
             return DeferredIntegral(
                 integrand,
-                abs_tol=float(obj.get("abs_tol", 1e-10)),
-                rel_tol=float(obj.get("rel_tol", 1e-8)),
-                max_subdivisions=int(obj.get("max_subdivisions", 2000)),
+                abs_tol=float(obj.get("abs_tol", DEFAULT_QUAD_ABS_TOL)),
+                rel_tol=float(obj.get("rel_tol", DEFAULT_QUAD_REL_TOL)),
+                max_subdivisions=int(obj.get("max_subdivisions",
+                                             DEFAULT_QUAD_MAX_SUBDIVISIONS)),
             )
     except (ParseError, KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"bad scheduling entry {obj!r}: {exc}", path) from None
@@ -279,25 +283,30 @@ def artifact_dict(m: LpvssModel, sm: SchedulingMap, meta: dict | None = None) ->
         "offsets": {"V": m.V.tolist(), "W": m.W.tolist()},
         "scheduling": [_sched_entry_to_json(e) for e in sm.entries],
         "footprints": [list(fp) for fp in sm.footprints],
-        "range_box": None,
+        "range_box": None if m.range_box is None else m.range_box.to_dict(),
     }
-    if m.range_box is not None:
-        rb = m.range_box
-        out["range_box"] = {
-            "grid_per_dim": rb.grid_per_dim,
-            "box": {k: list(v) for k, v in rb.box.items()},
-            "raw": [list(v) for v in rb.raw],
-            "reported": [list(v) for v in rb.reported],
-        }
     out.update(meta or {})
     return out
 
 
 def save_artifact(path: str, m: LpvssModel, sm: SchedulingMap,
                   meta: dict | None = None):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(artifact_dict(m, sm, meta), fh, indent=2)
-        fh.write("\n")
+    """Write the artifact as strict JSON, with no NaN or Infinity tokens.
+
+    A failure leaves no partial artifact: the text goes to a sibling
+    ``.tmp`` file that replaces ``path`` only when complete.
+    """
+    # streamed rather than json.dumps'd first: with indent, dumps holds
+    # one string per number (+30 MB peak for a 5 MB chain artifact)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(artifact_dict(m, sm, meta), fh, indent=2, allow_nan=False)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_artifact(path: str):

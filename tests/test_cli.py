@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,55 @@ def test_convert_with_non_finite_residuals_exits_4(tmp_path, capsys):
     assert code == 4
     assert "max residual nan" in text
     assert "ABOVE THRESHOLD" in text
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON token {name}")
+
+
+def test_convert_with_non_finite_residuals_writes_strict_json(tmp_path,
+                                                              capsys):
+    path = _model_file(tmp_path, "-x1*x1 + u1",
+                       box="box x1 -2e154 2e154\nbox u1 -1 1\n")
+    out = str(tmp_path / "x.json")
+    # the default filter shows a warning once per location; "always"
+    # records every one, so none can hide behind an earlier run
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(["convert", path, "-o", out, "--grid", "101"],
+                           capsys)
+    assert code == 4
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in err
+    doc = json.loads(open(out).read(), parse_constant=_reject_constant)
+    verify = doc["report"]["verify"]
+    assert verify["max_residual"] == "nan"
+    assert "nan" in verify["f_max"]
+    code, text, _ = run(["info", out], capsys)
+    assert code == 0
+    assert "verified max residual nan over 1000 samples" in text
+
+
+def test_convert_with_non_finite_coefficient_exits_3(tmp_path, capsys):
+    # d/dx1 of 1e308*x1^3 carries 3e308 = inf into A
+    path = _model_file(tmp_path, "-x1 + 1e308*x1^3 + u1")
+    out = tmp_path / "x.json"
+    code, _, err = run(["convert", path, "-o", str(out), "--grid", "101"],
+                       capsys)
+    assert code == 3
+    assert "error: A[" in err and "is not finite" in err
+    assert not out.exists()
+
+
+def test_loading_a_non_finite_artifact_exits_2(tmp_path, disk_artifact,
+                                               capsys):
+    doc = json.load(open(disk_artifact))
+    doc["matrices"]["A"][1][1][0] = float("-inf")
+    bad = str(tmp_path / "bad.json")
+    json.dump(doc, open(bad, "w"))
+    code, _, err = run(["info", bad], capsys)
+    assert code == 2
+    assert "A[1, 1, 0] = -inf is not finite" in err
 
 
 def test_convert_bad_anchor_name_exits_2(tmp_path, capsys):

@@ -274,3 +274,24 @@ def test_compiled_domain_error():
     fn = compile_scalar(p("ln(x)"), ("x",))
     with pytest.raises(ValueError):
         fn(-1.0)
+
+
+@pytest.mark.parametrize("e", [Const(math.inf), Const(-math.inf),
+                               add(X, Const(math.nan))],
+                         ids=["inf", "-inf", "x+nan"])
+def test_compiled_non_finite_constants_match_tree_eval(e):
+    # repr prints these constants as the bare names inf and nan
+    fn = compile_scalar(e, ("x",))
+    got, want = fn(0.5), e.eval({"x": 0.5})
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_every_node_type_is_immutable():
+    from lpvembed.factorize import DeferredIntegral
+    nodes = [Const(1.0), X, add(X, Y), mul(X, Y), div(X, Y), pow_(X, Y),
+             call("sin", X), DeferredIntegral(mul(Var("lam"), X))]
+    for node in nodes:
+        with pytest.raises(AttributeError, match="immutable"):
+            node.value = 2.0
+    # simplify passes foreign nodes through untouched
+    assert simplify(nodes[-1]) is nodes[-1]

@@ -200,6 +200,24 @@ def test_lpvss_shape_validation():
                    V=np.zeros(2), W=np.zeros(1), anchor=None)
 
 
+def test_lpvss_rejects_non_finite_coefficients():
+    def build(**bad):
+        arrays = dict(A=np.zeros((2, 2, 2)), B=np.zeros((2, 2, 1)),
+                      C=np.zeros((2, 1, 2)), D=np.zeros((2, 1, 1)),
+                      V=np.zeros(2), W=np.zeros(1))
+        arrays.update(bad)
+        return LpvssModel(nx=2, nu=1, ny=1, np=1, **arrays,
+                          anchor=Anchor.origin(2, 1))
+
+    build()
+    A = np.zeros((2, 2, 2))
+    A[1, 0, 1] = np.inf
+    with pytest.raises(ModelError, match=r"A\[1, 0, 1\] = inf is not finite"):
+        build(A=A)
+    with pytest.raises(ModelError, match=r"W\[0\] = nan is not finite"):
+        build(W=np.array([np.nan]))
+
+
 # ----------------------------------------------------------------------- range
 
 def test_range_of_disk_factor(disk_doc):

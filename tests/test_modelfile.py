@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -84,6 +85,8 @@ BAD_CASES = [
      "const sin 3\nf1 = x1\nh1 = x1\n", "sin"),
     ("format_version 1\nnx 1\nnu 1\nny 1\ntime continuous\n"
      "f1 = x1\nh1 = x1\nbox x1 2 1\n", "box"),
+    ("format_version 1\nnx 1\nnu 1\nny 1\ntime continuous\n"
+     "f1 = x1\nh1 = x1\nbox x1 -1e309 1\n", "finite"),
     ("format_version 1\nnx 1\nnu 1\nny 1\ntime discrete -3\n"
      "f1 = x1\nh1 = x1\n", "discrete"),
     ("format_version 1\nnx 1\nnu 1\nny 1\ntime continuous\n"
@@ -199,6 +202,9 @@ def test_artifact_rejects_corrupt_documents(tmp_path, disk_doc):
         (lambda d: d.update(format_version=99), "format_version"),
         (lambda d: d.update(np=3), "scheduling"),
         (lambda d: d.pop("matrices"), "matrices"),
+        # json.dump's default writes this as the non-standard Infinity
+        (lambda d: d["matrices"]["B"][0][1].__setitem__(0, float("inf")),
+         "B[0, 1, 0] = inf is not finite"),
     ]:
         doc = json.loads(json.dumps(good))
         mutate(doc)
@@ -215,3 +221,13 @@ def test_artifact_not_json(tmp_path):
     path.write_text("not json at all {")
     with pytest.raises(ModelFileError):
         load_artifact(str(path))
+
+
+def test_failed_save_leaves_no_partial_artifact(tmp_path, disk_doc):
+    m, sm, _rep, path = make_artifact(disk_doc, tmp_path)
+    before = open(path).read()
+    m.A[0, 1, 0] = np.nan   # edited in place, after the model was checked
+    with pytest.raises(ValueError):
+        save_artifact(path, m, sm)
+    assert open(path).read() == before
+    assert sorted(os.listdir(tmp_path)) == ["a.json"]
