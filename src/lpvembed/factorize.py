@@ -18,6 +18,13 @@ Integration over lam is either symbolic through a closed rule table
 (see :func:`integrate_analytic`) or numeric through adaptive quadrature.
 In analytic mode, an entry the rule table cannot discharge degrades to a
 deferred-quadrature node for that entry alone and a warning is recorded.
+
+Cost follows each equation's footprint, the variables it uses: only
+those are differentiated and mapped onto the integration line, and every
+other Jacobian entry is a structural zero that passes through at constant
+cost.  A model whose equations each touch a few variables (a chain of
+coupled pendulums, say) factorizes in time about linear in its size,
+although the matrices hold (nx + nu) * (nx + ny) entries.
 """
 
 from __future__ import annotations
@@ -98,6 +105,8 @@ class NlssModel:
             raise ModelError(f"expected {self.nx} state equations, got {len(self.f)}")
         if len(self.h) != self.ny:
             raise ModelError(f"expected {self.ny} output equations, got {len(self.h)}")
+        if not math.isfinite(self.sample_time):
+            raise ModelError(f"sample_time must be finite, got {self.sample_time!r}")
         if self.sample_time < 0.0 and self.sample_time != -1.0:
             raise ModelError("sample_time must be 0 (continuous), > 0, or -1")
         allowed = set(self.var_names)
@@ -240,8 +249,17 @@ class DeferredIntegral(Expr):
 # ---------------------------------------------------------------------------
 
 def jacobian(fvec: Sequence[Expr], wrt: Sequence[str]) -> list[list[Expr]]:
-    """Matrix of simplified partial derivatives, entry (i,j) = d fvec[i] / d wrt[j]."""
-    return [[simplify(e.diff(v)) for v in wrt] for e in fvec]
+    """Matrix of simplified partial derivatives, entry (i,j) = d fvec[i] / d wrt[j].
+
+    Only variables in an equation's own footprint (``free_vars()``) are
+    differentiated; every other entry is a structural ``ZERO``.
+    """
+    rows = []
+    for e in fvec:
+        footprint = e.free_vars()
+        rows.append([simplify(e.diff(v)) if v in footprint else ZERO
+                     for v in wrt])
+    return rows
 
 
 def line_substitute(e: Expr, anchor: Anchor) -> Expr:
@@ -249,14 +267,23 @@ def line_substitute(e: Expr, anchor: Anchor) -> Expr:
 
     With the origin anchor every variable v becomes lam*v; generally v
     becomes v_bar + lam*(v - v_bar).  ``e`` must not already use the
-    integration variable.
+    integration variable.  Only the variables ``e`` uses are mapped, so
+    a structural zero costs the same whatever the model's size.
     """
-    if LAMBDA in e.free_vars():
+    footprint = e.free_vars()
+    if LAMBDA in footprint:
         raise ModelError(f"'{LAMBDA}' is reserved for the integration variable")
     lam = Var(LAMBDA)
     mapping: dict[str, Expr] = {}
-    names = state_names(len(anchor.x_bar)) + input_names(len(anchor.u_bar))
-    for name, ref in zip(names, anchor.x_bar + anchor.u_bar):
+    for name in footprint:
+        m = _VAR_PAT.match(name)
+        if m is None:
+            continue
+        refs = anchor.x_bar if m.group(1) == "x" else anchor.u_bar
+        k = int(m.group(2))
+        if k > len(refs):
+            continue  # not a variable of the anchor: left as is
+        ref = refs[k - 1]
         v = Var(name)
         if ref == 0.0:
             mapping[name] = mul(lam, v)

@@ -313,6 +313,16 @@ def _widen(lo: float, hi: float) -> tuple[float, float]:
     return lo - 0.005 * abs(lo), hi + 0.005 * abs(hi)
 
 
+def _check_interval(name: str, lo: float, hi: float) -> None:
+    """Reject a box interval that is non-finite, reversed, or too wide for
+    ``hi - lo`` to be finite (grids and samples are formed from it)."""
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+        raise ModelError(f"invalid box for {name}: [{lo}, {hi}]")
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ModelError(
+            f"invalid box for {name}: width {hi} - ({lo}) overflows")
+
+
 def estimate_range(sm: SchedulingMap, box: Mapping[str, tuple[float, float]],
                    grid_per_dim: int = 10001,
                    budget: int = RANGE_GRID_BUDGET) -> RangeBox:
@@ -343,8 +353,7 @@ def estimate_range(sm: SchedulingMap, box: Mapping[str, tuple[float, float]],
         axes = []
         for n in fp:
             lo, hi = box[n]
-            if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-                raise ModelError(f"invalid box for {n}: [{lo}, {hi}]")
+            _check_interval(n, lo, hi)
             axes.append(np.linspace(lo, hi, grid_per_dim))
         fn = compile_scalar(e, fp)
         lo = hi = None
@@ -432,6 +441,8 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
         box = default_box(model)
     rng = np.random.default_rng(seed)
     names = model.var_names
+    for n in names:
+        _check_interval(n, *box[n])
     lo = np.array([box[n][0] for n in names])
     hi = np.array([box[n][1] for n in names])
     pts = lo + (hi - lo) * rng.random((samples, len(names)))

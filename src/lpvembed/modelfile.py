@@ -139,6 +139,10 @@ def load_model_file(path: str) -> ModelDocument:
                     sample_time = -1.0
                 elif len(parts) == 2:
                     sample_time = _eval_const_expr(parts[1], constants, path, no)
+                    if not np.isfinite(sample_time):
+                        raise ModelFileError(
+                            f"time: discrete sample time must be finite, "
+                            f"got {sample_time!r}", path, no)
                     if sample_time <= 0 and sample_time != -1.0:
                         raise ModelFileError(
                             "discrete sample time must be > 0 or -1", path, no)
@@ -197,6 +201,9 @@ def load_model_file(path: str) -> ModelDocument:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
                 raise ModelFileError(
                     f"box for {name} needs finite bounds with lo <= hi", path, no)
+            if not np.isfinite(hi - lo):
+                raise ModelFileError(
+                    f"box for {name}: width {hi!r} - ({lo!r}) overflows", path, no)
             box[name] = (lo, hi)
         else:
             raise ModelFileError(f"unrecognized line '{text}'", path, no)

@@ -196,6 +196,37 @@ def test_loading_a_non_finite_artifact_exits_2(tmp_path, disk_artifact,
     assert "A[1, 1, 0] = -inf is not finite" in err
 
 
+def test_convert_with_non_finite_sample_time_exits_2(tmp_path, capsys):
+    path = tmp_path / "m.nlss"
+    path.write_text("format_version 1\nnx 1\nnu 1\nny 1\n"
+                    "time discrete 1e309\nf1 = 0.5*x1 + u1\nh1 = x1\n")
+    out = tmp_path / "x.json"
+    code, _, err = run(["convert", str(path), "-o", str(out)], capsys)
+    assert code == 2
+    assert f"{path}:5: time: discrete sample time must be finite" in err
+    assert not out.exists()
+
+
+def test_box_whose_width_overflows_exits_cleanly(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        path = _model_file(tmp_path, "-x1 + 0.1*sin(x1) + u1",
+                           box="box x1 -1e308 1e308\n")
+        code, _, err = run(["convert", path, "-o", str(out),
+                            "--grid", "101"], capsys)
+        assert code == 2
+        assert "box for x1: width" in err
+        assert not out.exists()
+        path = _model_file(tmp_path, "-x1 + 0.1*sin(x1) + u1")
+        code, _, err = run(["range", path, "--box", "x1=-1e308:1e308",
+                            "--grid", "101"], capsys)
+        assert code == 3
+        assert "invalid box for x1: width" in err
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in err
+
+
 def test_convert_bad_anchor_name_exits_2(tmp_path, capsys):
     code, _, err = run(["convert", "unbalanced_disk", "--anchor", "q=1",
                         "-o", str(tmp_path / "x.json")], capsys)

@@ -2,6 +2,7 @@
 the closed-form rule table, quadrature fallback, and exactness of the
 resulting matrix functions."""
 
+import importlib
 import math
 import random
 
@@ -9,14 +10,20 @@ import numpy as np
 import pytest
 
 from lpvembed.expr import (
-    Const, NonDifferentiableError, UnboundVariableError, Var, to_string,
+    Add, Call, Const, Div, Mul, NonDifferentiableError, Pow,
+    UnboundVariableError, Var, add, mul, neg, simplify, substitute, to_string,
 )
 from lpvembed.factorize import (
-    Anchor, DeferredIntegral, ModelError, NlssModel, factorize,
+    DEFAULT_QUAD_ABS_TOL, DEFAULT_QUAD_MAX_SUBDIVISIONS, DEFAULT_QUAD_REL_TOL,
+    LAMBDA, Anchor, DeferredIntegral, FactorizedSystem, MatrixFunction,
+    ModelError, NlssModel, _integrate_entry, factorize, input_names,
     integrate_analytic, integrate_numeric, jacobian, line_substitute,
+    state_names,
 )
+from lpvembed.models import BUNDLED, load_bundled
 from lpvembed.parser import parse_expr
 from lpvembed.quadrature import integrate
+from lpvembed.synthetic import corpus_models, random_model
 
 MGL_OVER_J = 0.07 * 9.8 * 0.042 / 2.2e-4
 
@@ -66,6 +73,9 @@ def test_line_substitute_origin():
     assert to_string(on_line) == "sin(lam*x1) + lam*x2"
     env = {"x1": 1.3, "x2": -0.4, "lam": 0.6}
     assert on_line.eval(env) == pytest.approx(math.sin(0.6 * 1.3) - 0.24)
+    # names that are not variables of the anchor stay as they are
+    e = pe("x3*y + u1", ("x3", "y", "u1"))
+    assert to_string(line_substitute(e, Anchor.origin(2, 0))) == "x3*y + u1"
 
 
 def test_line_substitute_general_anchor():
@@ -319,6 +329,9 @@ def test_model_validation_errors():
                   h=good_h)                                  # undeclared var
     with pytest.raises(ModelError):
         NlssModel(nx=1, nu=1, ny=1, f=good_f, h=good_h, sample_time=-0.5)
+    with pytest.raises(ModelError, match="finite"):
+        NlssModel(nx=1, nu=1, ny=1, f=good_f, h=good_h,
+                  sample_time=float("inf"))
     with pytest.raises(ModelError):
         NlssModel(nx=1, nu=1, ny=1, f=(pe("abs(x1)", names),), h=good_h)
 
@@ -333,3 +346,148 @@ def test_anchor_validation():
 def test_factorize_rejects_unknown_mode(disk_doc):
     with pytest.raises(ModelError):
         factorize(disk_doc.model, mode="symbolic")
+
+
+# ------------------------------------- footprint factorization against a dense oracle
+# The reference below differentiates every equation by every variable
+# and maps all nx + nu variables onto the line for every entry, zeros
+# included.  factorize does work only inside each equation's footprint;
+# the two must agree to the byte.
+
+def reference_jacobian(fvec, wrt):
+    return [[simplify(e.diff(v)) for v in wrt] for e in fvec]
+
+
+def reference_line_substitute(e, anchor):
+    if LAMBDA in e.free_vars():
+        raise ModelError(f"'{LAMBDA}' is reserved for the integration variable")
+    lam = Var(LAMBDA)
+    mapping = {}
+    names = state_names(len(anchor.x_bar)) + input_names(len(anchor.u_bar))
+    for name, ref in zip(names, anchor.x_bar + anchor.u_bar):
+        v = Var(name)
+        if ref == 0.0:
+            mapping[name] = mul(lam, v)
+        else:
+            c = Const(ref)
+            mapping[name] = add(c, mul(lam, add(v, neg(c))))
+    return substitute(e, mapping)
+
+
+def reference_factorize(model, anchor, mode):
+    at = anchor.bindings(model.nx, model.nu)
+    quad_tols = (DEFAULT_QUAD_ABS_TOL, DEFAULT_QUAD_REL_TOL,
+                 DEFAULT_QUAD_MAX_SUBDIVISIONS)
+    warnings = []
+    blocks = {}
+    for tag, fvec, wrt in (("A", model.f, model.x_names),
+                           ("B", model.f, model.u_names),
+                           ("C", model.h, model.x_names),
+                           ("D", model.h, model.u_names)):
+        jac = reference_jacobian(fvec, wrt)
+        rows = tuple(
+            tuple(_integrate_entry(reference_line_substitute(jac[i][j], anchor),
+                                   mode, tag, i, j, quad_tols, warnings)
+                  for j in range(len(wrt)))
+            for i in range(len(fvec)))
+        blocks[tag] = MatrixFunction(rows, tag, model.var_names)
+    V = np.array([e.eval(at) for e in model.f])
+    W = np.array([e.eval(at) for e in model.h])
+    return FactorizedSystem(model, anchor, blocks["A"], blocks["B"],
+                            blocks["C"], blocks["D"], V, W, tuple(warnings))
+
+
+def chain_model(n):
+    """``n`` coupled pendulums: sin self terms, sin(x_j - x_i) couplings."""
+    nx = 2 * n
+    names = state_names(nx) + ("u1",)
+    f = []
+    for i in range(n):
+        th, om = f"x{2 * i + 1}", f"x{2 * i + 2}"
+        rhs = f"-{4.0 + 0.01 * i!r}*sin({th}) - 0.5*{om}"
+        for j in (i - 1, i + 1):
+            if 0 <= j < n:
+                rhs += f" + {1.0 + 0.001 * (i + j)!r}*sin(x{2 * j + 1} - {th})"
+        if i == 0:
+            rhs += " + u1"
+        f += [pe(om, names), pe(rhs, names)]
+    return NlssModel(nx=nx, nu=1, ny=1, f=tuple(f),
+                     h=(pe(f"x{nx - 1}", names),), name=f"chain{n}")
+
+
+def oracle_model(source):
+    kind, _, key = source.partition(":")
+    if kind == "bundled":
+        return load_bundled(key).model
+    if kind == "corpus":
+        return corpus_models()[int(key)]
+    return random_model(int(key))
+
+
+def signature(fs):
+    return ([getattr(fs, t).entry_strings()
+             for t in ("A_bar", "B_bar", "C_bar", "D_bar")],
+            fs.warnings, fs.V.tobytes(), fs.W.tobytes())
+
+
+def seeded_anchor(model, seed):
+    rng = random.Random(seed)
+    return Anchor(tuple(round(rng.uniform(-1.0, 1.0), 3) for _ in range(model.nx)),
+                  tuple(round(rng.uniform(-1.0, 1.0), 3) for _ in range(model.nu)))
+
+
+@pytest.mark.parametrize("source",
+                         [f"bundled:{b}" for b in BUNDLED]
+                         + [f"corpus:{k}" for k in range(3)]
+                         + [f"random:{k}" for k in range(30)])
+def test_factorize_matches_dense_oracle(source):
+    model = oracle_model(source)
+    anchors = (Anchor.origin(model.nx, model.nu), seeded_anchor(model, 7))
+    for anchor in anchors:
+        for mode in ("analytic", "numeric"):
+            assert (signature(factorize(model, anchor, mode=mode))
+                    == signature(reference_factorize(model, anchor, mode))), (
+                        anchor, mode)
+
+
+def test_factorize_matches_dense_oracle_on_chain():
+    model = chain_model(30)
+    anchor = Anchor.origin(model.nx, model.nu)
+    assert (signature(factorize(model, anchor))
+            == signature(reference_factorize(model, anchor, "analytic")))
+
+
+def test_factorize_work_follows_the_footprint(monkeypatch):
+    """Counts, not times: on an 80-pendulum chain, factorize differentiates
+    each equation once per variable in its footprint, and the line maps
+    hold no more entries than the footprints allow."""
+    model = chain_model(80)
+    footprints = [e.free_vars() for e in model.f + model.h]
+    pairs = sum(len(fp) for fp in footprints)
+
+    calls = {"diff": 0, "depth": 0, "map_entries": 0}
+
+    def counted(orig):
+        def diff(self, var):
+            if calls["depth"] == 0:
+                calls["diff"] += 1
+            calls["depth"] += 1
+            try:
+                return orig(self, var)
+            finally:
+                calls["depth"] -= 1
+        return diff
+
+    for cls in (Const, Var, Add, Mul, Div, Pow, Call):
+        monkeypatch.setattr(cls, "diff", counted(cls.diff))
+
+    def counting_substitute(e, mapping):
+        calls["map_entries"] += len(mapping)
+        return substitute(e, mapping)
+
+    # the package re-exports the function factorize under the module's name
+    monkeypatch.setattr(importlib.import_module("lpvembed.factorize"),
+                        "substitute", counting_substitute)
+    factorize(model)
+    assert calls["diff"] == pairs
+    assert calls["map_entries"] <= sum(len(fp) ** 2 for fp in footprints)

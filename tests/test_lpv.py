@@ -3,6 +3,7 @@ verification."""
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,19 @@ def test_range_budget_exceeded():
         estimate_range(sm, box, grid_per_dim=11, budget=1000)
     rb = estimate_range(sm, box, grid_per_dim=11, budget=2000)
     assert rb.raw[0] == (-1.0, 1.0)
+
+
+def test_box_whose_width_overflows_is_rejected(disk_doc):
+    # 1e308 - (-1e308) is inf: grid and samples built from it would be nan
+    m, sm = extract_factor(factorize(disk_doc.model))
+    box = {"x1": (-1e308, 1e308), "x2": (-1.0, 1.0), "u1": (-1.0, 1.0)}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ModelError, match="box for x1: width"):
+            estimate_range(sm, box, grid_per_dim=11)
+        with pytest.raises(ModelError, match="box for x1: width"):
+            verify_embedding(disk_doc.model, m, sm, samples=10, box=box)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_range_reports_domain_errors_per_entry():

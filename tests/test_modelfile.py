@@ -87,8 +87,12 @@ BAD_CASES = [
      "f1 = x1\nh1 = x1\nbox x1 2 1\n", "box"),
     ("format_version 1\nnx 1\nnu 1\nny 1\ntime continuous\n"
      "f1 = x1\nh1 = x1\nbox x1 -1e309 1\n", "finite"),
+    ("format_version 1\nnx 1\nnu 1\nny 1\ntime continuous\n"
+     "f1 = x1\nh1 = x1\nbox x1 -1e308 1e308\n", "box for x1: width"),
     ("format_version 1\nnx 1\nnu 1\nny 1\ntime discrete -3\n"
      "f1 = x1\nh1 = x1\n", "discrete"),
+    ("format_version 1\nnx 1\nnu 1\nny 1\ntime discrete 1e309\n"
+     "f1 = x1\nh1 = x1\n", ":5: time: discrete sample time must be finite"),
     ("format_version 1\nnx 1\nnu 1\nny 1\ntime continuous\n"
      "orbit x1\nf1 = x1\nh1 = x1\n", "orbit"),
     ("format_version 1\nf1 = x1\n", "declared before"),
