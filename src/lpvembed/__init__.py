@@ -25,9 +25,9 @@ from .factorize import (                               # noqa: F401
     line_substitute,
 )
 from .lpv import (                                     # noqa: F401
-    LpvssModel, RangeBox, RangeGridError, SchedulingError, SchedulingMap,
-    VerifyReport, default_box, estimate_range, extract_element,
-    extract_factor, verify_embedding,
+    CoeffFamily, LpvssModel, RangeBox, RangeGridError, SchedulingError,
+    SchedulingMap, VerifyReport, default_box, estimate_range,
+    extract_element, extract_factor, verify_embedding,
 )
 from .sim import (                                     # noqa: F401
     GridMismatchError, InputSignal, SolverConfig, SolverError, Trajectory,

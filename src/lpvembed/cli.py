@@ -23,8 +23,8 @@ from . import __version__
 from .expr import ExprError
 from .factorize import Anchor, ModelError, factorize
 from .lpv import (
-    RangeGridError, SchedulingError, default_box, estimate_range,
-    extract_element, extract_factor, verify_embedding,
+    RangeGridError, SchedulingError, _check_interval, default_box,
+    estimate_range, extract_element, extract_factor, verify_embedding,
 )
 from .modelfile import (
     ModelDocument, ModelFileError, load_artifact, load_model_file,
@@ -82,7 +82,12 @@ def _parse_box_flag(flag: str) -> dict[str, tuple[float, float]]:
         lo, sep2, hi = value.partition(":")
         if not sep or not sep2:
             raise ValueError(f"bad box entry '{item}', expected name=lo:hi")
-        out[name.strip()] = (_scalar(lo), _scalar(hi))
+        name, lo, hi = name.strip(), _scalar(lo), _scalar(hi)
+        try:
+            _check_interval(name, lo, hi)
+        except ModelError as exc:
+            raise ValueError(str(exc)) from None
+        out[name] = (lo, hi)
     return out
 
 
@@ -280,6 +285,9 @@ def cmd_info(args) -> int:
               f"sample_time={m.sample_time:g}")
         print(f"  mode={doc.get('integration_mode', '?')} "
               f"extraction={doc.get('extraction', '?')}")
+        print(f"  format_version {doc['format_version']}")
+        print("  coefficients: " + ", ".join(
+            f"{t} {m.coeffs[t].c.size}" for t in "ABCD") + " nonzero")
         _print_sched(sm, m.range_box)
         rep = doc.get("report", {})
         for w in rep.get("warnings", ()):

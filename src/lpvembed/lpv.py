@@ -127,90 +127,163 @@ class RangeBox:
 
 
 @dataclass
+class CoeffFamily:
+    """One affine coefficient family, stored as summed sparse triplets.
+
+    ``shape`` is (np + 1, rows, cols).  Entry n is the coefficient
+    ``c[n]`` at ``[k[n], i[n], j[n]]``; every other coefficient is zero.
+    Entries are unique and in row-major (k, i, j) order, and exact zeros
+    are dropped, so the triplets are exactly the nonzeros of the dense
+    array that :meth:`dense` builds.
+    """
+
+    shape: tuple[int, int, int]
+    k: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    c: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """A fresh read-only dense array of the family."""
+        out = np.zeros(self.shape)
+        out[self.k, self.i, self.j] = self.c
+        out.flags.writeable = False
+        return out
+
+    def check(self, name: str, shape: tuple[int, int, int]) -> None:
+        """Raise ModelError unless the triplets are well formed for ``shape``."""
+        if tuple(self.shape) != shape:
+            raise ModelError(
+                f"{name} has shape {tuple(self.shape)}, expected {shape}")
+        k, i, j, c = self.k, self.i, self.j, self.c
+        if not all(a.ndim == 1 and a.size == c.size for a in (k, i, j, c)):
+            raise ModelError(f"{name}: k, i, j and c need equal lengths")
+        if any(a.dtype.kind not in "iu" for a in (k, i, j)) \
+                or c.dtype.kind != "f":
+            raise ModelError(f"{name}: k, i, j must be integers and c floats")
+        for axis, a, n in zip("kij", (k, i, j), shape):
+            if a.size and (a.min() < 0 or a.max() >= n):
+                raise ModelError(
+                    f"{name}: index {axis} outside 0..{n - 1}")
+        flat = (k * shape[1] + i) * shape[2] + j
+        if np.any(flat[1:] <= flat[:-1]):
+            raise ModelError(f"{name}: entries must be unique and in "
+                             f"row-major (k, i, j) order")
+        bad = np.flatnonzero(~np.isfinite(c) | (c == 0.0))
+        if bad.size:
+            n = bad[0]
+            what = "is stored" if c[n] == 0.0 else "is not finite"
+            raise ModelError(f"{name}[{k[n]}, {i[n]}, {j[n]}] = {c[n]} {what}")
+
+
+def _dense_view(tag: str) -> property:
+    return property(lambda self: self.coeffs[tag].dense(),
+                    doc=f"{tag} as a fresh read-only dense array.")
+
+
+@dataclass
 class LpvssModel:
     """Affine LPV state-space model.
 
-    Coefficient families are stacked arrays: ``A[0]`` is the constant
-    part and ``A[1 + i]`` the coefficient of p_{i+1}; likewise B, C, D.
-    The realization identity, with (dx, du) = (x - x_bar, u - u_bar):
+    Coefficient families are stacked: ``A[0]`` is the constant part and
+    ``A[1 + i]`` the coefficient of p_{i+1}; likewise B, C, D.  The
+    realization identity, with (dx, du) = (x - x_bar, u - u_bar):
 
         f(x, u) = A(p) dx + B(p) du + V,   p = eta(x, u)
 
     and the output analogue with C, D, W.  For the default origin
     anchor dx = x and du = u.
 
-    Every coefficient and offset must be finite.  The dense arrays are
-    the only stored form: the artifact holds them, :meth:`matrices` and
-    :func:`verify_embedding` contract them, and edits to them take
-    effect on the next call.  Most of their entries are zero (a
-    30-pendulum chain keeps 206 of 320,400 entries of A), so simulation
-    evaluates the realization through :meth:`affine_maps`, which
-    gathers the nonzeros afresh on every call.
+    The families are stored as :class:`CoeffFamily` triplets in
+    ``coeffs`` (keys "A" to "D"): most coefficients are zero (a
+    30-pendulum chain keeps 206 of 320,400 entries of A), so extraction,
+    verification, simulation and the artifact all work on the nonzeros.
+    ``A`` to ``D`` build fresh read-only dense arrays on each access, for
+    inspection; edit the triplets instead.  Every coefficient and offset
+    must be finite.  :meth:`from_dense` builds a model from dense arrays.
     """
 
     nx: int
     nu: int
     ny: int
     np: int
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
+    coeffs: dict[str, CoeffFamily]
     V: np.ndarray
     W: np.ndarray
     anchor: Anchor
     sample_time: float = 0.0
     range_box: RangeBox | None = None
 
+    A = _dense_view("A")
+    B = _dense_view("B")
+    C = _dense_view("C")
+    D = _dense_view("D")
+
     def __post_init__(self):
-        expected = {
-            "A": (self.np + 1, self.nx, self.nx),
-            "B": (self.np + 1, self.nx, self.nu),
-            "C": (self.np + 1, self.ny, self.nx),
-            "D": (self.np + 1, self.ny, self.nu),
-            "V": (self.nx,),
-            "W": (self.ny,),
-        }
-        for name, shape in expected.items():
+        n = self.np + 1
+        for name, shape in (("A", (n, self.nx, self.nx)),
+                            ("B", (n, self.nx, self.nu)),
+                            ("C", (n, self.ny, self.nx)),
+                            ("D", (n, self.ny, self.nu))):
+            self.coeffs[name].check(name, shape)
+        for name, shape in (("V", (self.nx,)), ("W", (self.ny,))):
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ModelError(f"{name} has shape {arr.shape}, expected {shape}")
-            # min and max see any inf or NaN without a full-size mask
-            if not np.isfinite([arr.min(initial=0), arr.max(initial=0)]).all():
+            if not np.isfinite(arr).all():
                 at = np.argwhere(~np.isfinite(arr))[0].tolist()
                 raise ModelError(f"{name}{at} = {arr[tuple(at)]} is not finite")
 
+    @classmethod
+    def from_dense(cls, A, B, C, D, **fields) -> LpvssModel:
+        """A model from dense (np + 1, rows, cols) arrays A, B, C, D; the
+        other fields are passed on as they are."""
+        coeffs = {}
+        for tag, arr in zip("ABCD", (A, B, C, D)):
+            arr = np.asarray(arr, dtype=float)
+            if arr.ndim != 3:
+                raise ModelError(f"{tag} has shape {arr.shape}, expected 3 axes")
+            k, i, j = np.nonzero(arr)
+            coeffs[tag] = CoeffFamily(arr.shape, k, i, j, arr[k, i, j])
+        return cls(coeffs=coeffs, **fields)
+
     def matrices(self, p: Sequence[float]):
+        """(A(p), B(p), C(p), D(p)) as dense matrices."""
         p = np.asarray(p, dtype=float)
         if p.shape != (self.np,):
             raise ModelError(f"expected {self.np} scheduling values, got {p.shape}")
         w = np.concatenate(((1.0,), p))
-        return (np.tensordot(w, self.A, axes=1),
-                np.tensordot(w, self.B, axes=1),
-                np.tensordot(w, self.C, axes=1),
-                np.tensordot(w, self.D, axes=1))
+        out = []
+        for tag in "ABCD":
+            f = self.coeffs[tag]
+            rows, cols = f.shape[1:]
+            out.append(np.bincount(f.i * cols + f.j, weights=f.c * w[f.k],
+                                   minlength=rows * cols).reshape(rows, cols))
+        return tuple(out)
 
     def affine_maps(self):
         """The realization as a sparse state map and output map.
 
         Returns ``(state, output)``: ``state(p, x, u)`` is
         ``A(p)(x - x_bar) + B(p)(u - u_bar) + V`` and ``output(p, x, u)``
-        its analogue with C, D, W.  Each map keeps the nonzero
-        coefficients of ``[X | U]`` as triplets (k, i, j, c) and sums
-        ``c * w[k] * z[j]`` into row i, with ``w = [1, p]`` and
-        ``z = [x - x_bar, u - u_bar]``, so its cost follows the nonzero
-        count rather than ``np * nx^2``.  The maps copy the current
-        coefficients; build them again after editing the arrays.  They
-        sum in another order than :meth:`matrices` and agree with it to
-        rounding, not bit for bit.
+        its analogue with C, D, W.  Each map merges the triplets of its
+        two families into those of ``[X | U]`` (U's columns shifted by
+        nx), in row-major (k, i, j) order, and sums ``c * w[k] * z[j]``
+        into row i, with ``w = [1, p]`` and ``z = [x - x_bar, u - u_bar]``,
+        so its cost follows the nonzero count rather than ``np * nx^2``.
+        The maps copy the current triplets; build them again after
+        editing them.  They sum in another order than :meth:`matrices`
+        and agree with it to rounding, not bit for bit.
         """
         bar = np.concatenate((self.anchor.x_bar, self.anchor.u_bar))
 
-        def sparse(X, U, offset):
-            XU = np.concatenate((X, U), axis=2)
-            k, i, j = np.nonzero(XU)
-            c = XU[k, i, j]
-            rows = XU.shape[1]
+        def sparse(X: CoeffFamily, U: CoeffFamily, offset):
+            _, rows, nx = X.shape
+            cols = nx + U.shape[2]
+            k, i, j, c = (np.concatenate(pair) for pair in (
+                (X.k, U.k), (X.i, U.i), (X.j, U.j + nx), (X.c, U.c)))
+            order = np.argsort((k * rows + i) * cols + j)
+            k, i, j, c = k[order], i[order], j[order], c[order]
 
             def apply(p, x, u):
                 w = np.concatenate(((1.0,), p))
@@ -219,7 +292,9 @@ class LpvssModel:
                                    minlength=rows) + offset
             return apply
 
-        return sparse(self.A, self.B, self.V), sparse(self.C, self.D, self.W)
+        f = self.coeffs
+        return (sparse(f["A"], f["B"], self.V),
+                sparse(f["C"], f["D"], self.W))
 
 
 # ---------------------------------------------------------------------------
@@ -256,26 +331,38 @@ def _extract(fs: FactorizedSystem, split: bool):
     (coefficient, factor); without it every entry is its own factor.
     """
     blocks = {t: getattr(fs, f"{t}_bar") for t in "ABCD"}
-    # (tag, k, i, j, coeff): k = 0 for constant terms, else 1 + the index
-    # of the factor, numbered in discovery order
     index: dict[Expr, int] = {}
-    hits = []
+    # (tag, k, i, j) -> coefficient, with k = 0 for constant terms, else
+    # 1 + the index of the factor, numbered in discovery order.  The terms
+    # that meet at one key are summed in discovery order from 0.0, as a
+    # dense += fill would sum them; only nonzero sums are stored.
+    sums: dict[tuple, float] = {}
     for tag, block in blocks.items():
         for i, row in enumerate(block.entries):
             for j, e in enumerate(row):
                 terms = e.terms if split and isinstance(e, Add) else (e,)
                 for term in terms:
                     if not term.free_vars():
-                        hits.append((tag, 0, i, j, term.eval({})))
-                        continue
-                    coeff, factor = _split_term(term) if split else (1.0, term)
-                    k = index.setdefault(factor, len(index)) + 1
-                    hits.append((tag, k, i, j, coeff))
-    arrays = {t: np.zeros((len(index) + 1,) + b.shape) for t, b in blocks.items()}
-    for tag, k, i, j, coeff in hits:
-        arrays[tag][k, i, j] += coeff
+                        k, coeff = 0, term.eval({})
+                    else:
+                        coeff, factor = (_split_term(term) if split
+                                         else (1.0, term))
+                        k = index.setdefault(factor, len(index)) + 1
+                    key = (tag, k, i, j)
+                    sums[key] = sums.get(key, 0.0) + coeff
+    rows = {t: [] for t in blocks}
+    for (tag, k, i, j), c in sorted(sums.items()):
+        if c != 0.0:
+            rows[tag].append((k, i, j, c))
+    coeffs = {}
+    for tag, block in blocks.items():
+        k, i, j, c = zip(*rows[tag]) if rows[tag] else ((),) * 4
+        coeffs[tag] = CoeffFamily(
+            (len(index) + 1,) + block.shape, np.array(k, dtype=np.int64),
+            np.array(i, dtype=np.int64), np.array(j, dtype=np.int64),
+            np.array(c, dtype=float))
     m = fs.model
-    model = LpvssModel(nx=m.nx, nu=m.nu, ny=m.ny, np=len(index), **arrays,
+    model = LpvssModel(nx=m.nx, nu=m.nu, ny=m.ny, np=len(index), coeffs=coeffs,
                        V=fs.V.copy(), W=fs.W.copy(), anchor=fs.anchor,
                        sample_time=m.sample_time)
     return model, SchedulingMap(tuple(index), m.var_names)
@@ -432,8 +519,10 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
     """Sample the box and compare the LPV realization against f and h.
 
     At each point: p = eta(x, u), then A(p)(x - x_bar) + B(p)(u - u_bar)
-    + V is checked against f(x, u) entrywise (outputs likewise).  The
-    report carries per-equation worst residuals and where they occurred.
+    + V is checked against f(x, u) entrywise (outputs likewise), through
+    the sparse maps of :meth:`LpvssModel.affine_maps`, built once per
+    call.  The report carries per-equation worst residuals and where they
+    occurred.
     A non-finite residual (from a non-finite f or realization value)
     fails: the first one becomes its equation's worst point and stays.
     """
@@ -449,8 +538,7 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
 
     f_fns = [compile_scalar(e, names) for e in model.f]
     h_fns = [compile_scalar(e, names) for e in model.h]
-    x_bar = np.asarray(m.anchor.x_bar)
-    u_bar = np.asarray(m.anchor.u_bar)
+    state_map, output_map = m.affine_maps()
 
     f_max = np.zeros(model.nx)
     h_max = np.zeros(model.ny)
@@ -460,11 +548,8 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
         x = row[:model.nx]
         u = row[model.nx:]
         p = sm.evaluate(x, u)
-        A, B, C, D = m.matrices(p)
-        dx = x - x_bar
-        du = u - u_bar
-        f_lpv = A @ dx + B @ du + m.V
-        h_lpv = C @ dx + D @ du + m.W
+        f_lpv = state_map(p, x, u)
+        h_lpv = output_map(p, x, u)
         args = tuple(row)
         for lpv, fns, worst_r, worst_at in ((f_lpv, f_fns, f_max, f_worst),
                                             (h_lpv, h_fns, h_max, h_worst)):

@@ -19,12 +19,17 @@ Expressions follow the grammar in :mod:`lpvembed.parser`, over the
 variables x1..x_nx, u1..u_nu and the declared constants.  ``lam`` is
 reserved for the integration variable and cannot be declared.
 
-The JSON artifact written by the converter stores the affine coefficient
-matrices (row-major, constant part first), the offsets, the scheduling
-map (plain grammar strings; entries kept under quadrature serialize as
-``{"kind": "integral01", ...}`` objects), optional range boxes, and the
-conversion report.  :func:`load_artifact` reconstructs the model and map
-exactly, so verification results are reproducible from the file alone.
+The JSON artifact written by the converter (``format_version`` 2)
+stores each affine coefficient family A, B, C, D as its nonzero
+triplets, ``{"shape": [np + 1, rows, cols], "k": [...], "i": [...],
+"j": [...], "c": [...]}`` in row-major (k, i, j) order (k = 0 is the
+constant part), so its size follows the nonzero count.  It also stores
+the offsets, the scheduling map (plain grammar strings; entries kept
+under quadrature serialize as ``{"kind": "integral01", ...}`` objects),
+optional range boxes, and the conversion report.  :func:`load_artifact`
+reconstructs the model and map exactly, so verification results are
+reproducible from the file alone.  It also reads version 1 artifacts,
+which store each family as a dense nested list.
 """
 
 from __future__ import annotations
@@ -43,11 +48,11 @@ from .factorize import (
     Anchor, DeferredIntegral, LAMBDA, ModelError, NlssModel,
     input_names, state_names,
 )
-from .lpv import LpvssModel, RangeBox, SchedulingMap
+from .lpv import CoeffFamily, LpvssModel, RangeBox, SchedulingMap
 from .parser import BUILTIN_CONSTANTS, FUNCTIONS, ParseError, parse_expr
 
 MODEL_FORMAT_VERSION = 1
-ARTIFACT_FORMAT_VERSION = 1
+ARTIFACT_FORMAT_VERSION = 2
 
 
 class ModelFileError(Exception):
@@ -278,6 +283,33 @@ def _sched_entry_from_json(obj, names: tuple[str, ...], path: str) -> Expr:
     raise ModelFileError(f"bad scheduling entry {obj!r}", path)
 
 
+def _family_to_json(f: CoeffFamily) -> dict:
+    return {"shape": list(f.shape), "k": f.k.tolist(), "i": f.i.tolist(),
+            "j": f.j.tolist(), "c": f.c.tolist()}
+
+
+def _family_from_json(tag: str, obj, path: str) -> CoeffFamily:
+    """A version 2 family; the model checks bounds, order and values."""
+    try:
+        lists = {n: obj[n] for n in ("shape", "k", "i", "j", "c")}
+        for n, values in lists.items():
+            kinds = (int,) if n != "c" else (int, float)
+            if not (isinstance(values, list)
+                    and all(type(v) in kinds for v in values)):
+                raise ValueError(f"{n} must be a list of "
+                                 f"{'integers' if n != 'c' else 'numbers'}")
+        if len(lists["shape"]) != 3:
+            raise ValueError("shape needs 3 entries")
+        return CoeffFamily(tuple(lists["shape"]),
+                           *(np.array(lists[n], dtype=np.int64) for n in "kij"),
+                           np.array(lists["c"], dtype=float))
+    except KeyError as exc:
+        raise ModelFileError(f"coefficient family {tag}: missing {exc}",
+                             path) from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelFileError(f"coefficient family {tag}: {exc}", path) from None
+
+
 def artifact_dict(m: LpvssModel, sm: SchedulingMap, meta: dict | None = None) -> dict:
     out = {
         "format_version": ARTIFACT_FORMAT_VERSION,
@@ -286,7 +318,7 @@ def artifact_dict(m: LpvssModel, sm: SchedulingMap, meta: dict | None = None) ->
         "nx": m.nx, "nu": m.nu, "ny": m.ny, "np": m.np,
         "sample_time": m.sample_time,
         "anchor": {"x": list(m.anchor.x_bar), "u": list(m.anchor.u_bar)},
-        "matrices": {t: getattr(m, t).tolist() for t in "ABCD"},
+        "matrices": {t: _family_to_json(m.coeffs[t]) for t in "ABCD"},
         "offsets": {"V": m.V.tolist(), "W": m.W.tolist()},
         "scheduling": [_sched_entry_to_json(e) for e in sm.entries],
         "footprints": [list(fp) for fp in sm.footprints],
@@ -303,8 +335,6 @@ def save_artifact(path: str, m: LpvssModel, sm: SchedulingMap,
     A failure leaves no partial artifact: the text goes to a sibling
     ``.tmp`` file that replaces ``path`` only when complete.
     """
-    # streamed rather than json.dumps'd first: with indent, dumps holds
-    # one string per number (+30 MB peak for a 5 MB chain artifact)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -317,7 +347,8 @@ def save_artifact(path: str, m: LpvssModel, sm: SchedulingMap,
 
 
 def load_artifact(path: str):
-    """Read an artifact back as (LpvssModel, SchedulingMap, full dict)."""
+    """Read an artifact of version 1 or 2 back as (LpvssModel,
+    SchedulingMap, full dict)."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -328,14 +359,17 @@ def load_artifact(path: str):
 
     if doc.get("kind") != "lpv_model":
         raise ModelFileError("not an LPV model artifact", path)
-    if doc.get("format_version") != ARTIFACT_FORMAT_VERSION:
+    version = doc.get("format_version")
+    if version not in (1, ARTIFACT_FORMAT_VERSION):
         raise ModelFileError(
             f"unsupported format_version {doc.get('format_version')!r}", path)
     try:
         nx, nu, ny, n_p = (int(doc[k]) for k in ("nx", "nu", "ny", "np"))
         anchor = Anchor(tuple(map(float, doc["anchor"]["x"])),
                         tuple(map(float, doc["anchor"]["u"])))
-        mats = {t: np.array(doc["matrices"][t], dtype=float) for t in "ABCD"}
+        mats = {t: doc["matrices"][t] for t in "ABCD"}
+        if version == 1:
+            mats = {t: np.array(v, dtype=float) for t, v in mats.items()}
         V = np.array(doc["offsets"]["V"], dtype=float)
         W = np.array(doc["offsets"]["W"], dtype=float)
         sample_time = float(doc.get("sample_time", 0.0))
@@ -358,11 +392,14 @@ def load_artifact(path: str):
             grid_per_dim=int(rb["grid_per_dim"]),
             box={k: (float(v[0]), float(v[1])) for k, v in rb["box"].items()},
         )
+    fields = dict(nx=nx, nu=nu, ny=ny, np=n_p, V=V, W=W, anchor=anchor,
+                  sample_time=sample_time, range_box=range_box)
     try:
-        model = LpvssModel(nx=nx, nu=nu, ny=ny, np=n_p,
-                           A=mats["A"], B=mats["B"], C=mats["C"], D=mats["D"],
-                           V=V, W=W, anchor=anchor, sample_time=sample_time,
-                           range_box=range_box)
+        if version == 1:
+            model = LpvssModel.from_dense(**mats, **fields)
+        else:
+            model = LpvssModel(coeffs={t: _family_from_json(t, v, path)
+                                       for t, v in mats.items()}, **fields)
     except ModelError as exc:
         raise ModelFileError(str(exc), path) from None
     return model, SchedulingMap(entries, names), doc

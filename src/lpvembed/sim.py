@@ -16,9 +16,9 @@ scheduling map at every evaluation: p = eta(x, u(t)), then
 xi(x) = A(p)(x - x_bar) + B(p)(u - u_bar) + V, and likewise for y.
 It evaluates that realization through the sparse maps of
 :meth:`LpvssModel.affine_maps`, built once per run from the model's
-dense arrays, so a rhs call costs about the number of nonzero
-coefficients rather than np * nx^2, and the state map builds no C(p)
-or D(p).  The maps agree with :meth:`LpvssModel.matrices` to rounding,
+stored coefficient triplets, so a rhs call costs about the number of
+nonzero coefficients rather than np * nx^2, and the state map builds no
+C(p) or D(p).  The maps agree with :meth:`LpvssModel.matrices` to rounding,
 not bit for bit.
 
 Everything here is deterministic: identical inputs and configuration
@@ -414,7 +414,7 @@ def simulate_lpv_self_scheduled(m: LpvssModel, sm: SchedulingMap,
     Every derivative (or step map) evaluation recomputes
     p = eta(x, u(t)) and applies the sparse state map; every output
     sample does too, applies the output map and records p alongside y.
-    The maps are built from the model's arrays once per run.
+    The maps are built from the model's triplets once per run.
     """
     if sm.np != m.np:
         raise ModelError(f"the scheduling map has {sm.np} entries, "

@@ -11,3 +11,17 @@ def disk_doc():
 @pytest.fixture(scope="session")
 def tanh_doc():
     return load_bundled("tanh_example")
+
+
+@pytest.fixture(scope="session")
+def coeff_pos():
+    """``find(family, k, i, j)``: the position of the stored coefficient at
+    [k, i, j] in a family's triplets, for a model's ``CoeffFamily`` or an
+    artifact's JSON family alike."""
+    def find(family, k, i, j):
+        if isinstance(family, dict):
+            keys = zip(family["k"], family["i"], family["j"])
+        else:
+            keys = zip(family.k, family.i, family.j)
+        return list(keys).index((k, i, j))
+    return find

@@ -180,10 +180,11 @@ def test_criterion_8_solver_accuracy_and_order():
                   f"RK4 halving ratio {ratio:.2f} (want in [12, 20])")
 
 
-def test_criterion_9_corruption_is_detected(tmp_path, disk_doc, capsys):
+def test_criterion_9_corruption_is_detected(tmp_path, disk_doc, capsys,
+                                            coeff_pos):
     # a) library-level: verification residual jumps past 0.09
     m, sm = extract_factor(factorize(disk_doc.model))
-    m.A[0][1, 1] += 0.1
+    m.coeffs["A"].c[coeff_pos(m.coeffs["A"], 0, 1, 1)] += 0.1
     rep = verify_embedding(disk_doc.model, m, sm, samples=1000,
                            box=disk_doc.box, seed=0)
 
@@ -191,7 +192,8 @@ def test_criterion_9_corruption_is_detected(tmp_path, disk_doc, capsys):
     clean = str(tmp_path / "disk.json")
     assert main(["convert", "unbalanced_disk", "-o", clean]) == 0
     doc = json.load(open(clean))
-    doc["matrices"]["A"][0][1][1] += 0.1
+    family = doc["matrices"]["A"]
+    family["c"][coeff_pos(family, 0, 1, 1)] += 0.1
     corrupt = str(tmp_path / "corrupt.json")
     json.dump(doc, open(corrupt, "w"))
     code = main(["compare", "unbalanced_disk", corrupt,

@@ -14,6 +14,7 @@ import pytest
 
 import lpvembed
 from lpvembed.cli import main
+from lpvembed.lpv import CoeffFamily, LpvssModel
 
 DISK_SCENARIO = ["--input", "2*sin(0.2*pi*t)", "--x0", "0,0", "--t-end", "5"]
 
@@ -186,9 +187,10 @@ def test_convert_with_non_finite_coefficient_exits_3(tmp_path, capsys):
 
 
 def test_loading_a_non_finite_artifact_exits_2(tmp_path, disk_artifact,
-                                               capsys):
+                                               capsys, coeff_pos):
     doc = json.load(open(disk_artifact))
-    doc["matrices"]["A"][1][1][0] = float("-inf")
+    family = doc["matrices"]["A"]
+    family["c"][coeff_pos(family, 1, 1, 0)] = float("-inf")
     bad = str(tmp_path / "bad.json")
     json.dump(doc, open(bad, "w"))
     code, _, err = run(["info", bad], capsys)
@@ -221,10 +223,26 @@ def test_box_whose_width_overflows_exits_cleanly(tmp_path, capsys):
         path = _model_file(tmp_path, "-x1 + 0.1*sin(x1) + u1")
         code, _, err = run(["range", path, "--box", "x1=-1e308:1e308",
                             "--grid", "101"], capsys)
-        assert code == 3
+        assert code == 2
         assert "invalid box for x1: width" in err
     assert [str(w.message) for w in caught] == []
     assert "Warning" not in err
+
+
+def test_invalid_box_flag_exits_2_like_the_same_box_in_a_model_file(
+        tmp_path, capsys):
+    path = _model_file(tmp_path, "-x1 + 0.1*sin(x1) + u1")
+    code, _, err = run(["range", path, "--box", "x1=2:1"], capsys)
+    assert code == 2
+    assert "error: invalid box for x1: [2.0, 1.0]" in err
+    code, _, err = run(["range", path, "--box", "x1=-1e309:1"], capsys)
+    assert code == 2
+    assert "error: invalid box for x1: [-inf, 1.0]" in err
+    reversed_in_file = _model_file(tmp_path, "-x1 + 0.1*sin(x1) + u1",
+                                   box="box x1 2 1\n")
+    code, _, err = run(["range", reversed_in_file], capsys)
+    assert code == 2
+    assert "box for x1 needs finite bounds with lo <= hi" in err
 
 
 def test_convert_bad_anchor_name_exits_2(tmp_path, capsys):
@@ -232,6 +250,24 @@ def test_convert_bad_anchor_name_exits_2(tmp_path, capsys):
                         "-o", str(tmp_path / "x.json")], capsys)
     assert code == 2
     assert "anchor" in err
+
+
+def test_cli_verbs_never_build_dense_coefficients(tmp_path, capsys,
+                                                  monkeypatch):
+    # the dense views and matrices(p) are for inspection; convert,
+    # simulate, compare and info work on the stored triplets alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense coefficients built")
+    monkeypatch.setattr(CoeffFamily, "dense", refuse)
+    monkeypatch.setattr(LpvssModel, "matrices", refuse)
+    out = str(tmp_path / "disk.json")
+    for argv in (["convert", "unbalanced_disk", "-o", out],
+                 ["simulate", out, *DISK_SCENARIO, "-o",
+                  str(tmp_path / "t.csv")],
+                 ["compare", "unbalanced_disk", out, *DISK_SCENARIO],
+                 ["info", out], ["range", out]):
+        code, _, err = run(argv, capsys)
+        assert code == 0, (argv, err)
 
 
 # ----------------------------------------------------------------------- range
@@ -378,9 +414,11 @@ def test_compare_clean(disk_artifact, capsys):
     assert "x1:" in text and "x2:" in text
 
 
-def test_compare_detects_corruption(tmp_path, disk_artifact, capsys):
+def test_compare_detects_corruption(tmp_path, disk_artifact, capsys,
+                                   coeff_pos):
     doc = json.load(open(disk_artifact))
-    doc["matrices"]["A"][0][1][1] += 0.1
+    family = doc["matrices"]["A"]
+    family["c"][coeff_pos(family, 0, 1, 1)] += 0.1
     bad = str(tmp_path / "corrupt.json")
     json.dump(doc, open(bad, "w"))
     code, text, _ = run(["compare", "unbalanced_disk", bad,
@@ -410,6 +448,16 @@ def test_info_artifact(disk_artifact, capsys):
     code, text, _ = run(["info", disk_artifact], capsys)
     assert code == 0
     assert "np=1" in text and "p1 = sinc(x1)" in text
+    assert "  format_version 2\n" in text
+    assert "  coefficients: A 3, B 1, C 1, D 0 nonzero\n" in text
+
+
+def test_info_reads_a_version_1_artifact(capsys):
+    v1 = str(Path(__file__).parent / "data" / "unbalanced_disk_v1.json")
+    code, text, _ = run(["info", v1], capsys)
+    assert code == 0
+    assert "  format_version 1\n" in text
+    assert "  coefficients: A 3, B 1, C 1, D 0 nonzero\n" in text
 
 
 # -------------------------------------------------------------- console script

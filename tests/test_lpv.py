@@ -8,15 +8,18 @@ import warnings
 import numpy as np
 import pytest
 
-from lpvembed.factorize import Anchor, ModelError, NlssModel, factorize
+from lpvembed.expr import Add
+from lpvembed.factorize import (
+    Anchor, ModelError, NlssModel, factorize, state_names,
+)
 from lpvembed.lpv import (
     LpvssModel, RangeBox, RangeGridError, SchedulingError, SchedulingMap,
-    default_box, estimate_range, extract_element, extract_factor,
+    _split_term, default_box, estimate_range, extract_element, extract_factor,
     verify_embedding,
 )
-from lpvembed.models import corpus, load_bundled
+from lpvembed.models import BUNDLED, corpus, load_bundled
 from lpvembed.parser import parse_expr
-from lpvembed.synthetic import random_model
+from lpvembed.synthetic import corpus_models, random_model
 
 
 def pe(text, names):
@@ -81,6 +84,92 @@ def test_factor_mode_dedupes_shared_factors():
     assert m_f.A[1][0, 0] == 1.0 and m_f.A[1][1, 0] == 3.0
     m_e, sm_e = extract_element(factorize(model))
     assert sm_e.entry_strings() == ["sinc(x1)", "3*sinc(x1)"]
+
+
+# ------------------------------------------- dense reference of the extraction
+
+def reference_extract(fs, split):
+    """The dense fill the stored triplets replaced: every (coefficient,
+    factor) hit is added with += into zeroed (np + 1, rows, cols) arrays."""
+    blocks = {t: getattr(fs, f"{t}_bar") for t in "ABCD"}
+    index = {}
+    hits = []
+    for tag, block in blocks.items():
+        for i, row in enumerate(block.entries):
+            for j, e in enumerate(row):
+                terms = e.terms if split and isinstance(e, Add) else (e,)
+                for term in terms:
+                    if not term.free_vars():
+                        hits.append((tag, 0, i, j, term.eval({})))
+                        continue
+                    coeff, factor = _split_term(term) if split else (1.0, term)
+                    k = index.setdefault(factor, len(index)) + 1
+                    hits.append((tag, k, i, j, coeff))
+    arrays = {t: np.zeros((len(index) + 1,) + b.shape)
+              for t, b in blocks.items()}
+    for tag, k, i, j, coeff in hits:
+        arrays[tag][k, i, j] += coeff
+    return arrays, tuple(index)
+
+
+def chain_model(n):
+    """``n`` coupled pendulums: sin self terms, sin(x_j - x_i) couplings."""
+    nx = 2 * n
+    names = state_names(nx) + ("u1",)
+    f = []
+    for i in range(n):
+        th, om = f"x{2 * i + 1}", f"x{2 * i + 2}"
+        rhs = f"-{4.0 + 0.01 * i!r}*sin({th}) - 0.5*{om}"
+        for j in (i - 1, i + 1):
+            if 0 <= j < n:
+                rhs += f" + {1.0 + 0.001 * (i + j)!r}*sin(x{2 * j + 1} - {th})"
+        if i == 0:
+            rhs += " + u1"
+        f += [pe(om, names), pe(rhs, names)]
+    return NlssModel(nx=nx, nu=1, ny=1, f=tuple(f),
+                     h=(pe(f"x{nx - 1}", names),), name=f"chain{n}")
+
+
+def oracle_model(source):
+    kind, _, key = source.partition(":")
+    if kind == "bundled":
+        return load_bundled(key).model
+    if kind == "corpus":
+        return corpus_models()[int(key)]
+    if kind == "chain":
+        return chain_model(int(key))
+    return random_model(int(key))
+
+
+@pytest.mark.parametrize("source",
+                         [f"bundled:{b}" for b in BUNDLED]
+                         + [f"corpus:{k}" for k in range(3)]
+                         + [f"random:{k}" for k in range(30)]
+                         + ["chain:30"])
+def test_triplets_are_the_nonzeros_of_the_dense_fill(source):
+    fs = factorize(oracle_model(source))
+    for extract, split in ((extract_element, False), (extract_factor, True)):
+        m, sm = extract(fs)
+        arrays, entries = reference_extract(fs, split)
+        assert sm.entries == entries
+        for t in "ABCD":
+            f, want = m.coeffs[t], arrays[t]
+            k, i, j = np.nonzero(want)
+            assert f.shape == want.shape, (split, t)
+            for got, ref in ((f.k, k), (f.i, i), (f.j, j)):
+                assert np.array_equal(got, ref), (split, t)
+            assert f.c.tobytes() == want[k, i, j].tobytes(), (split, t)
+            assert getattr(m, t).tobytes() == want.tobytes(), (split, t)
+
+
+def test_dense_views_are_read_only_and_fresh(disk_doc):
+    m, _sm = extract_factor(factorize(disk_doc.model))
+    for t in "ABCD":
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(m, t)[0, 0, 0] = 1.0
+    assert m.A is not m.A
+    m.coeffs["A"].c[0] = 2.0           # an edit to the triplets shows
+    assert m.A[0, 0, 1] == 2.0
 
 
 def test_extraction_modes_build_the_same_matrices():
@@ -173,6 +262,40 @@ def test_affine_maps_agree_with_dense_matrices(extract):
         _assert_maps_match_dense(m, points, label)
 
 
+def _dense_gather_map(X, U, offset, bar):
+    """The map as it was built from the dense arrays: the nonzeros of
+    [X | U] in np.nonzero's row-major order, summed by np.bincount."""
+    XU = np.concatenate((X, U), axis=2)
+    k, i, j = np.nonzero(XU)
+    c = XU[k, i, j]
+
+    def apply(p, x, u):
+        w = np.concatenate(((1.0,), p))
+        z = np.concatenate((x, u)) - bar
+        return np.bincount(i, weights=c * w[k] * z[j],
+                           minlength=XU.shape[1]) + offset
+    return apply
+
+
+@pytest.mark.parametrize("extract", [extract_element, extract_factor])
+def test_affine_maps_sum_bit_for_bit_like_the_dense_gather(extract):
+    # merging the triplets of X and U must reproduce the dense gather's
+    # summation order, so that trajectories stay bit-identical
+    rng = np.random.default_rng(13)
+    for label, model, anchor in _map_cases():
+        m, sm = extract(factorize(model, anchor))
+        bar = np.concatenate((m.anchor.x_bar, m.anchor.u_bar))
+        maps = m.affine_maps()
+        refs = (_dense_gather_map(m.A, m.B, m.V, bar),
+                _dense_gather_map(m.C, m.D, m.W, bar))
+        for _ in range(3):
+            x = rng.uniform(-1.5, 1.5, model.nx)
+            u = rng.uniform(-1.5, 1.5, model.nu)
+            p = sm.evaluate(x, u)
+            for got, ref in zip(maps, refs):
+                assert got(p, x, u).tobytes() == ref(p, x, u).tobytes(), label
+
+
 def test_affine_maps_edge_shapes():
     rng = np.random.default_rng(5)
     # np = 0: an LTI model
@@ -184,21 +307,23 @@ def test_affine_maps_edge_shapes():
     # nu = 0, which model files cannot declare but the array form allows
     A = rng.uniform(-1, 1, (3, 2, 2))
     A[1, 0, 1] = 0.0
-    m = LpvssModel(nx=2, nu=0, ny=1, np=2,
-                   A=A, B=np.zeros((3, 2, 0)),
-                   C=rng.uniform(-1, 1, (3, 1, 2)), D=np.zeros((3, 1, 0)),
-                   V=np.array([0.1, -0.2]), W=np.array([0.3]),
-                   anchor=Anchor((0.5, -0.5), ()))
+    m = LpvssModel.from_dense(nx=2, nu=0, ny=1, np=2,
+                              A=A, B=np.zeros((3, 2, 0)),
+                              C=rng.uniform(-1, 1, (3, 1, 2)),
+                              D=np.zeros((3, 1, 0)),
+                              V=np.array([0.1, -0.2]), W=np.array([0.3]),
+                              anchor=Anchor((0.5, -0.5), ()))
     _assert_maps_match_dense(m, [(rng.uniform(-2, 2, 2), rng.uniform(-1, 1, 2),
                                   np.zeros(0)) for _ in range(5)])
 
 
 def test_lpvss_shape_validation():
     with pytest.raises(ModelError):
-        LpvssModel(nx=2, nu=1, ny=1, np=1,
-                   A=np.zeros((2, 2, 2)), B=np.zeros((2, 2, 1)),
-                   C=np.zeros((1, 1, 2)), D=np.zeros((2, 1, 1)),  # C np+1 wrong
-                   V=np.zeros(2), W=np.zeros(1), anchor=None)
+        LpvssModel.from_dense(
+            nx=2, nu=1, ny=1, np=1,
+            A=np.zeros((2, 2, 2)), B=np.zeros((2, 2, 1)),
+            C=np.zeros((1, 1, 2)), D=np.zeros((2, 1, 1)),  # C np+1 wrong
+            V=np.zeros(2), W=np.zeros(1), anchor=None)
 
 
 def test_lpvss_rejects_non_finite_coefficients():
@@ -207,8 +332,8 @@ def test_lpvss_rejects_non_finite_coefficients():
                       C=np.zeros((2, 1, 2)), D=np.zeros((2, 1, 1)),
                       V=np.zeros(2), W=np.zeros(1))
         arrays.update(bad)
-        return LpvssModel(nx=2, nu=1, ny=1, np=1, **arrays,
-                          anchor=Anchor.origin(2, 1))
+        return LpvssModel.from_dense(nx=2, nu=1, ny=1, np=1, **arrays,
+                                     anchor=Anchor.origin(2, 1))
 
     build()
     A = np.zeros((2, 2, 2))
@@ -375,26 +500,28 @@ def test_verify_uses_unit_box_by_default():
     assert default_box(model) == {"x1": (-1.0, 1.0), "u1": (-1.0, 1.0)}
 
 
-def test_corrupted_coefficient_is_detected(disk_doc):
+def test_corrupted_coefficient_is_detected(disk_doc, coeff_pos):
     m, sm = extract_factor(factorize(disk_doc.model))
-    m.A[0][1, 1] += 0.1            # damping coefficient off by 0.1
+    # damping coefficient off by 0.1
+    m.coeffs["A"].c[coeff_pos(m.coeffs["A"], 0, 1, 1)] += 0.1
     rep = verify_embedding(disk_doc.model, m, sm, samples=1000,
                            box=disk_doc.box, seed=0)
     # residual is |0.1 * x2| at the worst sample, x2 ~ U(-10, 10)
     assert rep.max_residual >= 0.09
 
 
-def test_corrupted_scheduling_coefficient_is_detected(disk_doc):
+def test_corrupted_scheduling_coefficient_is_detected(disk_doc, coeff_pos):
     m, sm = extract_factor(factorize(disk_doc.model))
-    m.A[1][1, 0] *= 1.001          # 0.1% error on the nonlinear term
+    # 0.1% error on the nonlinear term
+    m.coeffs["A"].c[coeff_pos(m.coeffs["A"], 1, 1, 0)] *= 1.001
     rep = verify_embedding(disk_doc.model, m, sm, samples=1000,
                            box=disk_doc.box, seed=0)
     assert rep.max_residual > 1e-3
 
 
-def test_verify_report_locates_worst_point(disk_doc):
+def test_verify_report_locates_worst_point(disk_doc, coeff_pos):
     m, sm = extract_factor(factorize(disk_doc.model))
-    m.A[0][1, 1] += 0.1
+    m.coeffs["A"].c[coeff_pos(m.coeffs["A"], 0, 1, 1)] += 0.1
     rep = verify_embedding(disk_doc.model, m, sm, samples=200,
                            box=disk_doc.box, seed=3)
     x, u = rep.f_worst[1]

@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lpvembed.cli import main
 from lpvembed.expr import to_string
 from lpvembed.factorize import DeferredIntegral, factorize
 from lpvembed.lpv import estimate_range, extract_factor, verify_embedding
@@ -145,7 +148,7 @@ def make_artifact(doc, tmp_path, name="a.json", with_range=True):
 def test_artifact_roundtrip_disk(tmp_path, disk_doc):
     m, sm, rep, path = make_artifact(disk_doc, tmp_path)
     m2, sm2, doc = load_artifact(path)
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert doc["kind"] == "lpv_model"
     assert (m2.nx, m2.nu, m2.ny, m2.np) == (m.nx, m.nu, m.ny, m.np)
     assert np.array_equal(m2.A, m.A)
@@ -187,13 +190,14 @@ def test_deferred_entries_serialize_structurally(tmp_path, tanh_doc):
         assert sm2.evaluate([x], [0.0])[0] == sm.evaluate([x], [0.0])[0]
 
 
-def test_artifact_dict_carries_footprints(disk_doc):
+def test_artifact_dict_carries_footprints(disk_doc, coeff_pos):
     fs = factorize(disk_doc.model)
     m, sm = extract_factor(fs)
     d = artifact_dict(m, sm, {})
     assert d["footprints"] == [["x1"]]
     assert d["np"] == 1
-    assert d["matrices"]["A"][1][1][0] == 130.9636363636364
+    family = d["matrices"]["A"]
+    assert family["c"][coeff_pos(family, 1, 1, 0)] == 130.9636363636364
     assert d["generator"].startswith("lpvembed ")
 
 
@@ -207,7 +211,7 @@ def test_artifact_rejects_corrupt_documents(tmp_path, disk_doc):
         (lambda d: d.update(np=3), "scheduling"),
         (lambda d: d.pop("matrices"), "matrices"),
         # json.dump's default writes this as the non-standard Infinity
-        (lambda d: d["matrices"]["B"][0][1].__setitem__(0, float("inf")),
+        (lambda d: d["matrices"]["B"]["c"].__setitem__(0, float("inf")),
          "B[0, 1, 0] = inf is not finite"),
     ]:
         doc = json.loads(json.dumps(good))
@@ -220,6 +224,92 @@ def test_artifact_rejects_corrupt_documents(tmp_path, disk_doc):
         assert needle in str(ei.value)
 
 
+# version 2 families of the disk artifact: A holds (0, 0, 1), (0, 1, 1)
+# and (1, 1, 0), B (0, 1, 0), C (0, 0, 0); D is empty
+def _set(family, field, pos, value):
+    return lambda d: d["matrices"][family][field].__setitem__(pos, value)
+
+
+def _swap_first_two(d):
+    a = d["matrices"]["A"]
+    for field in "kijc":
+        a[field][0], a[field][1] = a[field][1], a[field][0]
+
+
+def _repeat_first(d):
+    a = d["matrices"]["A"]
+    for field in "kijc":
+        a[field][1] = a[field][0]
+
+
+ARTIFACT_BAD_CASES = [
+    (_set("A", "i", 0, 2), "A: index i outside 0..1"),
+    (_set("A", "k", 2, -1), "A: index k outside 0..1"),
+    (_set("D", "shape", 2, 2), "D has shape (2, 1, 2), expected (2, 1, 1)"),
+    (lambda d: d["matrices"]["C"]["shape"].pop(), "family C: shape needs 3"),
+    (_repeat_first, "A: entries must be unique and in row-major"),
+    (_swap_first_two, "A: entries must be unique and in row-major"),
+    (lambda d: d["matrices"]["A"]["c"].pop(), "A: k, i, j and c need equal"),
+    (lambda d: d["matrices"]["B"]["j"].append(0),
+     "B: k, i, j and c need equal"),
+    (_set("A", "j", 0, 1.0), "family A: j must be a list of integers"),
+    (_set("A", "k", 0, "0"), "family A: k must be a list of integers"),
+    (_set("A", "i", 0, True), "family A: i must be a list of integers"),
+    (_set("A", "c", 0, float("nan")), "A[0, 0, 1] = nan is not finite"),
+    (_set("C", "c", 0, float("-inf")), "C[0, 0, 0] = -inf is not finite"),
+    (_set("A", "c", 0, "1.0"), "family A: c must be a list of numbers"),
+    (_set("A", "c", 0, 0.0), "A[0, 0, 1] = 0.0 is stored"),
+    (lambda d: d["matrices"]["A"].pop("k"), "family A: missing 'k'"),
+    (lambda d: d["matrices"].update(A=[]), "family A:"),
+]
+
+
+@pytest.mark.parametrize("mutate,needle", ARTIFACT_BAD_CASES)
+def test_corrupt_coefficient_families_exit_2(tmp_path, disk_doc, capsys,
+                                             mutate, needle):
+    _m, _sm, _rep, path = make_artifact(disk_doc, tmp_path)
+    doc = json.loads(open(path).read())
+    mutate(doc)
+    bad_path = str(tmp_path / "bad.json")
+    with open(bad_path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ModelFileError, match="^" + re.escape(bad_path)):
+        load_artifact(bad_path)
+    assert main(["info", bad_path]) == 2
+    assert needle in capsys.readouterr().err
+
+
+V1_FIXTURE = Path(__file__).parent / "data" / "unbalanced_disk_v1.json"
+
+
+def test_version_1_artifact_survives_a_version_2_round_trip(tmp_path):
+    # the fixture is the bundled disk as the version 1 writer saved it,
+    # with every family a dense nested list
+    v1 = json.loads(V1_FIXTURE.read_text())
+    assert v1["format_version"] == 1
+    m1, sm1, _doc = load_artifact(str(V1_FIXTURE))
+    path = str(tmp_path / "v2.json")
+    save_artifact(path, m1, sm1, {"name": v1["name"]})
+    m2, sm2, doc2 = load_artifact(path)
+    assert doc2["format_version"] == 2
+    for m, sm in ((m1, sm1), (m2, sm2)):
+        for t in "ABCD":
+            want = np.array(v1["matrices"][t], dtype=float)
+            assert getattr(m, t).tobytes() == want.tobytes(), t
+        assert m.V.tobytes() == np.array(v1["offsets"]["V"]).tobytes()
+        assert m.W.tobytes() == np.array(v1["offsets"]["W"]).tobytes()
+        assert sm.entry_strings() == v1["scheduling"]
+        assert m.anchor.x_bar == tuple(v1["anchor"]["x"])
+        assert m.anchor.u_bar == tuple(v1["anchor"]["u"])
+        assert m.range_box.to_dict() == v1["range_box"]
+    assert doc2["matrices"]["A"] == {
+        "shape": [2, 2, 2], "k": [0, 0, 1], "i": [0, 1, 1], "j": [1, 1, 0],
+        "c": [1.0, -1.6747613465081226, 130.9636363636364]}
+    assert doc2["matrices"]["D"] == {
+        "shape": [2, 1, 1], "k": [], "i": [], "j": [], "c": []}
+    assert doc2["footprints"] == v1["footprints"]
+
+
 def test_artifact_not_json(tmp_path):
     path = tmp_path / "x.json"
     path.write_text("not json at all {")
@@ -227,10 +317,12 @@ def test_artifact_not_json(tmp_path):
         load_artifact(str(path))
 
 
-def test_failed_save_leaves_no_partial_artifact(tmp_path, disk_doc):
+def test_failed_save_leaves_no_partial_artifact(tmp_path, disk_doc,
+                                                coeff_pos):
     m, sm, _rep, path = make_artifact(disk_doc, tmp_path)
     before = open(path).read()
-    m.A[0, 1, 0] = np.nan   # edited in place, after the model was checked
+    # edited in place, after the model was checked
+    m.coeffs["A"].c[coeff_pos(m.coeffs["A"], 0, 1, 1)] = np.nan
     with pytest.raises(ValueError):
         save_artifact(path, m, sm)
     assert open(path).read() == before

@@ -334,16 +334,18 @@ def test_embedding_tracks_corpus_models_across_scenarios():
     assert worst < 1e-6
 
 
-def test_self_scheduled_run_sees_edits_to_the_arrays(disk_doc):
-    # the sparse maps are built per run, so an in-place edit of the dense
-    # arrays between runs must show in the next run
+def test_self_scheduled_run_sees_edits_to_the_arrays(disk_doc, coeff_pos):
+    # the sparse maps are built per run, so an in-place edit of the stored
+    # triplets between runs must show in the next run
     m, sm = extract_factor(factorize(disk_doc.model))
     u = InputSignal.from_exprs(["2*sin(0.2*pi*t)"], 1)
     a = simulate_lpv_self_scheduled(m, sm, [0.0, 0.0], u, 2.0)
-    m.A[0][1, 1] += 0.5
+    c = m.coeffs["A"].c
+    at = coeff_pos(m.coeffs["A"], 0, 1, 1)
+    c[at] += 0.5
     b = simulate_lpv_self_scheduled(m, sm, [0.0, 0.0], u, 2.0)
     assert np.max(np.abs(a.x - b.x)) > 1e-3
-    m.A[0][1, 1] -= 0.5
+    c[at] -= 0.5
     c = simulate_lpv_self_scheduled(m, sm, [0.0, 0.0], u, 2.0)
     assert np.array_equal(a.x, c.x)
 
