@@ -19,13 +19,19 @@ the origin and keep every produced matrix function evaluable at x = 0.
 The function table is the extension point for adding new primitives: an
 entry needs a numeric implementation and, if differentiable, a rule in
 the derivative table.
+
+Trees compile to plain Python through one code generator.
+:func:`compile_vector` turns a list of trees into one function that
+returns their values as a tuple, and :func:`compile_scalar` is its
+one-expression case.  A node the generator has no code for (a deferred
+integral) is called through its own ``eval``.  When a vector function
+raises, :func:`first_failure` finds the entry that failed.
 """
 
 from __future__ import annotations
 
 import math
-import re
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class ExprError(Exception):
@@ -599,51 +605,93 @@ def _negated(e: Expr) -> Expr | None:
 # ---------------------------------------------------------------------------
 # compilation to plain Python for tight numeric loops
 # ---------------------------------------------------------------------------
+# One code generator: a list of expressions compiles to one lambda that
+# returns their values as a tuple, a single expression to one that
+# returns its value.  Numpy scalar arguments keep numpy semantics
+# (1/np.float64(0) is inf), where Expr.eval converts them to float, so a
+# failing entry is found again by calling compiled code with the same
+# arguments, never by tree walking.
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# what compiled code raises on a domain or range violation: the math
+# errors of generated code and the EvalError of tree-walked nodes
+EVAL_ERRORS = (EvalError, ValueError, ZeroDivisionError, OverflowError)
 
-# the only names compiled code sees: math ops, and inf and nan, which
-# repr prints for folded non-finite constants
+# the only names compiled code sees besides its arguments: math ops, and
+# inf and nan, which repr prints for folded non-finite constants
 _CODEGEN_NS = {"__builtins__": {}, "_pow": math.pow, "inf": math.inf,
                "nan": math.nan,
                **{f"_fn_{fn}": impl for fn, impl in FUNCTIONS.items()}}
 
 
-def _pycode(e: Expr) -> str:
+def _pycode(e: Expr, bind: Callable[[Expr], str]) -> str:
     if isinstance(e, Const):
         return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
     if isinstance(e, Add):
-        return "(" + " + ".join(_pycode(t) for t in e.terms) + ")"
+        return "(" + " + ".join(_pycode(t, bind) for t in e.terms) + ")"
     if isinstance(e, Mul):
-        return "(" + " * ".join(_pycode(t) for t in e.terms) + ")"
+        return "(" + " * ".join(_pycode(t, bind) for t in e.terms) + ")"
     if isinstance(e, Div):
-        return f"({_pycode(e.num)} / {_pycode(e.den)})"
+        return f"({_pycode(e.num, bind)} / {_pycode(e.den, bind)})"
     if isinstance(e, Pow):
-        return f"_pow({_pycode(e.base)}, {_pycode(e.exponent)})"
+        return f"_pow({_pycode(e.base, bind)}, {_pycode(e.exponent, bind)})"
     if isinstance(e, Call):
-        return f"_fn_{e.fn}({_pycode(e.arg)})"
-    raise TypeError(f"cannot compile {type(e).__name__}")
+        return f"_fn_{e.fn}({_pycode(e.arg, bind)})"
+    return bind(e)
+
+
+def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], vector: bool):
+    # arguments are _a0, _a1, ... whatever the variable names are
+    params = [f"_a{i}" for i in range(len(names))]
+    args = dict(zip(names, params))
+    ns = dict(_CODEGEN_NS)
+
+    # a variable is its argument; any other node (a deferred integral, a
+    # variable that is no argument) joins the namespace and runs its own
+    # eval over its free variables
+    def bind(node: Expr) -> str:
+        if isinstance(node, Var) and node.name in args:
+            return args[node.name]
+        ns[f"_node{len(ns)}"] = node
+        used = ", ".join(f"{n!r}: {args[n]}" for n in node.free_vars()
+                         if n in args)
+        return f"_node{len(ns) - 1}.eval({{{used}}})"
+
+    def emit(parts: list[str]):
+        body = f"({''.join(p + ', ' for p in parts)})" if vector else parts[0]
+        return eval(f"lambda {', '.join(params)}: {body}", ns)
+
+    try:
+        return emit([_pycode(e, bind) for e in exprs])
+    except (SyntaxError, RecursionError):
+        # too deep for the Python compiler: every entry walks its tree
+        return emit([bind(e) for e in exprs])
+
+
+def compile_vector(exprs: Iterable[Expr],
+                   arg_names: Iterable[str]) -> Callable[..., tuple]:
+    """Compile ``exprs`` to one positional-argument Python function that
+    returns their values as a tuple, each entry evaluated in order as by
+    :func:`compile_scalar`.  Every entry walks its tree instead when the
+    code is nested too deeply for the Python compiler.
+    """
+    return _compile(tuple(exprs), tuple(arg_names), vector=True)
 
 
 def compile_scalar(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
-    """Compile ``e`` to a positional-argument Python function.
+    """The one-expression case of :func:`compile_vector`.  It evaluates
+    in the tree's order, so on float arguments it returns ``e.eval``'s
+    values bit for bit."""
+    return _compile((e,), tuple(arg_names), vector=False)
 
-    The compiled function mirrors the tree evaluation order exactly, so it
-    returns bit-identical values to ``e.eval``.  Falls back to tree
-    walking when a node or a variable name cannot be compiled (deferred
-    integral entries, exotic variable names) or the expression is nested
-    too deeply for the Python compiler.
-    """
-    names = list(arg_names)
-    try:
-        if not all(_IDENT.match(n) for n in names):
-            raise TypeError("non-identifier variable name")
-        body = _pycode(e)
-        src = f"lambda {', '.join(names)}: {body}" if names else f"lambda: {body}"
-        return eval(src, _CODEGEN_NS)
-    except (TypeError, SyntaxError, RecursionError):
-        def fallback(*args: float) -> float:
-            return e.eval(dict(zip(names, args)))
-        return fallback
+
+def first_failure(exprs: Sequence[Expr], arg_names: Sequence[str],
+                  args: Sequence, exc: Exception) -> tuple[int, Exception]:
+    """(index, exception) of the first of ``exprs`` whose own compiled
+    function raises at ``args`` as their vector function raised ``exc``;
+    re-raises ``exc`` if none does."""
+    for i, e in enumerate(exprs):
+        try:
+            compile_scalar(e, arg_names)(*args)
+        except type(exc) as cause:
+            return i, cause
+    raise exc

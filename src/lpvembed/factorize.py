@@ -32,6 +32,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,7 +41,7 @@ import numpy as np
 from .expr import (
     Add, Call, Const, Div, EvalError, Expr, Mul, NonDifferentiableError,
     Pow, UnboundVariableError, Var, ZERO,
-    add, call, compile_scalar, div, mul, neg,
+    add, call, compile_scalar, compile_vector, div, first_failure, mul, neg,
     simplify, substitute, to_string,
 )
 from .quadrature import integrate
@@ -448,31 +450,24 @@ class MatrixFunction:
     entries: tuple[tuple[Expr, ...], ...]
     tag: str                       # which of A, B, C, D this is
     var_names: tuple[str, ...]     # x names then u names
-    _compiled: list = field(default=None, repr=False, compare=False)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.entries), len(self.entries[0]) if self.entries else 0)
 
-    def _fns(self):
-        if self._compiled is None:
-            self._compiled = [
-                [compile_scalar(e, self.var_names) for e in row]
-                for row in self.entries
-            ]
-        return self._compiled
+    @cached_property
+    def _vector(self):
+        return compile_vector(chain(*self.entries), self.var_names)
 
     def evaluate(self, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
-        args = tuple(x) + tuple(u)
-        out = np.empty(self.shape)
-        for i, row in enumerate(self._fns()):
-            for j, fn in enumerate(row):
-                try:
-                    out[i, j] = fn(*args)
-                except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                    raise EvalError(
-                        f"{self.tag}({i + 1},{j + 1}): {exc}") from exc
-        return out
+        args = (*x, *u)
+        try:
+            return np.array(self._vector(*args), dtype=float).reshape(self.shape)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            n, cause = first_failure(tuple(chain(*self.entries)),
+                                     self.var_names, args, exc)
+            i, j = divmod(n, self.shape[1])
+            raise EvalError(f"{self.tag}({i + 1},{j + 1}): {cause}") from cause
 
     def entry_strings(self) -> list[list[str]]:
         return [[to_string(e) for e in row] for row in self.entries]

@@ -16,18 +16,24 @@ Substituting p = eta(x, u) back recovers the factorized matrices
 exactly; combined with the line-integral identity this makes the LPV
 model an exact global embedding of the nonlinear system, which
 :func:`verify_embedding` checks by direct sampling.
+
+The scheduling map is compiled once, into one function that returns all
+of p (see :func:`compile_vector`).  When it fails, the error names the
+entry that failed: ``p2: ln of non-positive value``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import Expr, Add, Mul, EvalError, compile_scalar, mul, to_string
+from .expr import (EVAL_ERRORS, Add, EvalError, Expr, Mul, compile_scalar,
+                   compile_vector, first_failure, mul, to_string)
 from .factorize import (
     Anchor, FactorizedSystem, ModelError, NlssModel, var_sort_key,
 )
@@ -59,7 +65,6 @@ class SchedulingMap:
 
     entries: tuple[Expr, ...]
     var_names: tuple[str, ...]     # x names then u names of the source model
-    _compiled: list = field(default=None, repr=False, compare=False)
 
     @property
     def np(self) -> int:
@@ -72,21 +77,17 @@ class SchedulingMap:
             tuple(sorted(e.free_vars(), key=var_sort_key)) for e in self.entries
         )
 
-    def _fns(self):
-        if self._compiled is None:
-            self._compiled = [compile_scalar(e, self.var_names)
-                              for e in self.entries]
-        return self._compiled
+    @cached_property
+    def _vector(self):
+        return compile_vector(self.entries, self.var_names)
 
     def evaluate(self, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
-        args = tuple(x) + tuple(u)
-        out = np.empty(len(self.entries))
-        for i, fn in enumerate(self._fns()):
-            try:
-                out[i] = fn(*args)
-            except (EvalError, ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise SchedulingError(i, exc) from exc
-        return out
+        args = (*x, *u)
+        try:
+            return np.array(self._vector(*args), dtype=float)
+        except EVAL_ERRORS as exc:
+            i, cause = first_failure(self.entries, self.var_names, args, exc)
+            raise SchedulingError(i, cause) from cause
 
     def entry_strings(self) -> list[str]:
         return [to_string(e) for e in self.entries]
@@ -233,6 +234,7 @@ class LpvssModel:
             if not np.isfinite(arr).all():
                 at = np.argwhere(~np.isfinite(arr))[0].tolist()
                 raise ModelError(f"{name}{at} = {arr[tuple(at)]} is not finite")
+        self.anchor.bindings(self.nx, self.nu)  # checks its dimensions
 
     @classmethod
     def from_dense(cls, A, B, C, D, **fields) -> LpvssModel:
@@ -447,8 +449,7 @@ def estimate_range(sm: SchedulingMap, box: Mapping[str, tuple[float, float]],
         for pt in itertools.product(*axes):
             try:
                 v = fn(*pt)
-            except (EvalError, ValueError, ZeroDivisionError,
-                    OverflowError) as exc:
+            except EVAL_ERRORS as exc:
                 raise SchedulingError(idx, exc) from exc
             if not math.isfinite(v):
                 where = ", ".join(f"{n}={float(c)!r}" for n, c in zip(fp, pt))
@@ -521,11 +522,14 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
     At each point: p = eta(x, u), then A(p)(x - x_bar) + B(p)(u - u_bar)
     + V is checked against f(x, u) entrywise (outputs likewise), through
     the sparse maps of :meth:`LpvssModel.affine_maps`, built once per
-    call.  The report carries per-equation worst residuals and where they
-    occurred.
-    A non-finite residual (from a non-finite f or realization value)
-    fails: the first one becomes its equation's worst point and stays.
+    call, and f and h compiled together by :func:`compile_vector`.  The
+    report carries per-equation worst residuals and where they occurred:
+    the first largest, or the first non-finite one (from a non-finite f
+    or realization value), which fails the check.  ``samples`` must be at
+    least 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if box is None:
         box = default_box(model)
     rng = np.random.default_rng(seed)
@@ -536,31 +540,21 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
     hi = np.array([box[n][1] for n in names])
     pts = lo + (hi - lo) * rng.random((samples, len(names)))
 
-    f_fns = [compile_scalar(e, names) for e in model.f]
-    h_fns = [compile_scalar(e, names) for e in model.h]
+    fh = compile_vector(model.f + model.h, names)
     state_map, output_map = m.affine_maps()
-
-    f_max = np.zeros(model.nx)
-    h_max = np.zeros(model.ny)
-    f_worst = [None] * model.nx
-    h_worst = [None] * model.ny
-    for row in pts:
-        x = row[:model.nx]
-        u = row[model.nx:]
+    res = np.empty((samples, model.nx + model.ny))
+    for n, row in enumerate(pts):
+        x, u = row[:model.nx], row[model.nx:]
         p = sm.evaluate(x, u)
-        f_lpv = state_map(p, x, u)
-        h_lpv = output_map(p, x, u)
-        args = tuple(row)
-        for lpv, fns, worst_r, worst_at in ((f_lpv, f_fns, f_max, f_worst),
-                                            (h_lpv, h_fns, h_max, h_worst)):
-            for i, fn in enumerate(fns):
-                r = abs(lpv[i] - fn(*args))
-                # "not r <= ..." also takes a NaN residual; a non-finite
-                # worst is never replaced
-                if worst_at[i] is None or (not r <= worst_r[i]
-                                           and math.isfinite(worst_r[i])):
-                    worst_r[i] = r
-                    worst_at[i] = (tuple(x), tuple(u))
-    return VerifyReport(f_max, h_max, f_worst, h_worst,
+        res[n] = np.abs(np.concatenate((state_map(p, x, u),
+                                        output_map(p, x, u))) - fh(*row))
+    # per equation, the first non-finite residual if any, else the first
+    # largest
+    bad = ~np.isfinite(res)
+    at = np.where(bad.any(axis=0), bad.argmax(axis=0), res.argmax(axis=0))
+    worst = res[at, np.arange(res.shape[1])]
+    where = [(tuple(pts[k, :model.nx]), tuple(pts[k, model.nx:])) for k in at]
+    return VerifyReport(worst[:model.nx], worst[model.nx:],
+                        where[:model.nx], where[model.nx:],
                         samples, seed, {k: (float(v[0]), float(v[1]))
                                         for k, v in box.items()})

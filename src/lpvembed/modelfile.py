@@ -310,6 +310,23 @@ def _family_from_json(tag: str, obj, path: str) -> CoeffFamily:
         raise ModelFileError(f"coefficient family {tag}: {exc}", path) from None
 
 
+def _range_box_from_json(rb, n_p: int, path: str) -> RangeBox:
+    try:
+        pairs = {}
+        for key in ("raw", "reported"):
+            if not (isinstance(rb[key], list) and len(rb[key]) == n_p):
+                raise ValueError(f"{key} must list one interval per "
+                                 f"scheduling entry ({n_p})")
+            pairs[key] = tuple((float(lo), float(hi)) for lo, hi in rb[key])
+        return RangeBox(
+            **pairs, grid_per_dim=int(rb["grid_per_dim"]),
+            box={k: (float(v[0]), float(v[1])) for k, v in rb["box"].items()})
+    except KeyError as exc:
+        raise ModelFileError(f"range_box: missing {exc}", path) from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ModelFileError(f"range_box: {exc}", path) from None
+
+
 def artifact_dict(m: LpvssModel, sm: SchedulingMap, meta: dict | None = None) -> dict:
     out = {
         "format_version": ARTIFACT_FORMAT_VERSION,
@@ -357,7 +374,7 @@ def load_artifact(path: str):
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"not valid JSON: {exc}", path) from None
 
-    if doc.get("kind") != "lpv_model":
+    if not isinstance(doc, dict) or doc.get("kind") != "lpv_model":
         raise ModelFileError("not an LPV model artifact", path)
     version = doc.get("format_version")
     if version not in (1, ARTIFACT_FORMAT_VERSION):
@@ -374,6 +391,8 @@ def load_artifact(path: str):
         W = np.array(doc["offsets"]["W"], dtype=float)
         sample_time = float(doc.get("sample_time", 0.0))
         sched_json = doc["scheduling"]
+        if not isinstance(sched_json, list):
+            raise TypeError("scheduling must be a list")
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"malformed artifact: {exc!r}", path) from None
 
@@ -383,15 +402,8 @@ def load_artifact(path: str):
         raise ModelFileError(f"np = {n_p} but {len(entries)} scheduling entries",
                              path)
 
-    range_box = None
     rb = doc.get("range_box")
-    if rb:
-        range_box = RangeBox(
-            raw=tuple((float(v[0]), float(v[1])) for v in rb["raw"]),
-            reported=tuple((float(v[0]), float(v[1])) for v in rb["reported"]),
-            grid_per_dim=int(rb["grid_per_dim"]),
-            box={k: (float(v[0]), float(v[1])) for k, v in rb["box"].items()},
-        )
+    range_box = _range_box_from_json(rb, n_p, path) if rb else None
     fields = dict(nx=nx, nu=nu, ny=ny, np=n_p, V=V, W=W, anchor=anchor,
                   sample_time=sample_time, range_box=range_box)
     try:

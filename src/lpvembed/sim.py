@@ -10,7 +10,11 @@ accepted steps, and one sampler fills the output grid from them by cubic
 Hermite interpolation.  Discrete-time models iterate the state map and
 stop at the first non-finite state.
 
-:func:`simulate_nl` hands the driver the compiled f and h.
+:func:`simulate_nl` hands the driver f and h, each compiled once into
+one function that returns the whole vector (see :func:`compile_vector`),
+as are the expressions of an input signal.  A domain error in either
+stops the run with a SolverError: "model evaluation failed" or "input
+evaluation failed", with the time.
 :func:`simulate_lpv_self_scheduled` hands it maps that close the
 scheduling map at every evaluation: p = eta(x, u(t)), then
 xi(x) = A(p)(x - x_bar) + B(p)(u - u_bar) + V, and likewise for y.
@@ -34,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import EvalError, Expr, compile_scalar
+from .expr import EVAL_ERRORS, Expr, compile_vector
 from .factorize import ModelError, NlssModel
 from .lpv import LpvssModel, SchedulingMap
 from .parser import parse_expr
@@ -67,7 +71,9 @@ class InputSignal:
         self.label = label
 
     def __call__(self, t: float) -> np.ndarray:
-        return self._fn(t)
+        # grid times are numpy scalars, for which 1/t at 0 is inf with a
+        # warning rather than an error
+        return self._fn(float(t))
 
     @classmethod
     def zero(cls, nu: int) -> "InputSignal":
@@ -81,12 +87,9 @@ class InputSignal:
             raise ValueError(f"expected {nu} input expressions, got {len(sources)}")
         exprs = [parse_expr(s, variables=("t",)) if isinstance(s, str) else s
                  for s in sources]
-        fns = [compile_scalar(e, ("t",)) for e in exprs]
-
-        def fn(t: float) -> np.ndarray:
-            return np.array([f(t) for f in fns])
-
-        return cls(nu, fn, "; ".join(str(e) for e in exprs))
+        vector = compile_vector(exprs, ("t",))
+        return cls(nu, lambda t: _evaluate("input", vector, t, t),
+                   "; ".join(str(e) for e in exprs))
 
     @classmethod
     def zoh(cls, times: Sequence[float], values: np.ndarray) -> "InputSignal":
@@ -381,28 +384,22 @@ def _simulate(step, output, nx: int, nu: int, sample_time: float,
     return grid, xs, ys, us
 
 
-def _eval_all(fns, args, t):
+def _evaluate(what: str, vector, t: float, *args) -> np.ndarray:
     try:
-        return [fn(*args) for fn in fns]
-    except (EvalError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise SolverError(f"model evaluation failed: {exc}", t) from exc
+        return np.array(vector(*args))
+    except EVAL_ERRORS as exc:
+        raise SolverError(f"{what} evaluation failed: {exc}", t) from exc
 
 
 def simulate_nl(model: NlssModel, x0: Sequence[float], u: InputSignal,
                 t_end: float, cfg: SolverConfig | None = None) -> Trajectory:
     """Simulate the nonlinear model itself."""
-    names = model.var_names
-    f_fns = [compile_scalar(e, names) for e in model.f]
-    h_fns = [compile_scalar(e, names) for e in model.h]
-
-    def step(t, x, uu):
-        return np.array(_eval_all(f_fns, tuple(x) + tuple(uu), t))
-
-    def output(t, x, uu):
-        return _eval_all(h_fns, tuple(x) + tuple(uu), t)
-
-    return Trajectory(*_simulate(step, output, model.nx, model.nu,
-                                 model.sample_time, x0, u, t_end, cfg))
+    f = compile_vector(model.f, model.var_names)
+    h = compile_vector(model.h, model.var_names)
+    return Trajectory(*_simulate(
+        lambda t, x, uu: _evaluate("model", f, t, *x, *uu),
+        lambda t, x, uu: _evaluate("model", h, t, *x, *uu),
+        model.nx, model.nu, model.sample_time, x0, u, t_end, cfg))
 
 
 def simulate_lpv_self_scheduled(m: LpvssModel, sm: SchedulingMap,

@@ -75,6 +75,16 @@ def test_convert_threshold_breach_exits_4(tmp_path, capsys):
     assert "ABOVE THRESHOLD" in text
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_convert_without_samples_exits_2(tmp_path, capsys, samples):
+    out = tmp_path / "disk.json"
+    code, _, err = run(["convert", "unbalanced_disk", "-o", str(out),
+                        "--samples", samples], capsys)
+    assert code == 2
+    assert err == f"error: samples must be at least 1, got {samples}\n"
+    assert not out.exists()
+
+
 def test_convert_missing_model_exits_2(tmp_path, capsys):
     code, _, err = run(["convert", "no_such_model", "-o",
                         str(tmp_path / "x.json")], capsys)
@@ -357,6 +367,28 @@ def test_simulate_non_finite_output_exits_3(tmp_path, capsys):
                             "--t-end", "1", "--x0=1e10"], capsys)
     assert code == 3
     assert "non-finite output (t = 0.0)" in err
+
+
+@pytest.mark.parametrize("expr", ["1/t", "ln(t)"])
+@pytest.mark.parametrize("discrete", [False, True], ids=["rk45", "discrete"])
+def test_simulate_input_evaluation_error_exits_3(tmp_path, capsys, expr,
+                                                 discrete):
+    # a discrete run samples the input at numpy grid times first, where
+    # 1/t would be inf with a warning
+    target = "unbalanced_disk"
+    if discrete:
+        target = tmp_path / "d.nlss"
+        target.write_text("format_version 1\nnx 1\nnu 1\nny 1\n"
+                          "time discrete 1\nf1 = 0.5*x1 + u1\nh1 = x1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(["simulate", str(target), "-o",
+                            str(tmp_path / "s.csv"), "--t-end", "2",
+                            "--input", expr], capsys)
+    assert code == 3
+    assert err.startswith("error: input evaluation failed: ")
+    assert err.endswith("(t = 0.0)\n")
+    assert "Traceback" not in err
 
 
 def test_simulate_reports_p_leaving_its_range_box(tmp_path, capsys):

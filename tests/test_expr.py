@@ -9,8 +9,8 @@ import pytest
 from lpvembed.expr import (
     Add, Call, Const, DomainError, EvalError, Mul, NonDifferentiableError,
     UnboundVariableError, Var,
-    add, call, compile_scalar, cosm1c, div, dsinc, expm1c, mul, neg, pow_,
-    simplify, sinc, substitute, to_string,
+    Div, Pow, add, call, compile_scalar, compile_vector, cosm1c, div, dsinc,
+    expm1c, mul, neg, pow_, simplify, sinc, substitute, to_string,
 )
 from lpvembed.parser import ParseError, parse_expr
 
@@ -284,6 +284,29 @@ def test_compiled_non_finite_constants_match_tree_eval(e):
     fn = compile_scalar(e, ("x",))
     got, want = fn(0.5), e.eval({"x": 0.5})
     assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_vector_with_a_deferred_entry_walks_no_tree(monkeypatch):
+    from lpvembed.factorize import DeferredIntegral
+    d = DeferredIntegral(mul(Var("lam"), X, Y))
+    exprs = (p("sin(x)*y + z^2"), d, add(X, mul(Y, d)), p("x/(y - z)"))
+    args = (0.3, 0.7, 1.1)
+    want = tuple(compile_scalar(e, ("x", "y", "z"))(*args) for e in exprs)
+
+    def walked(self, bindings):
+        raise AssertionError(f"tree walk of {self!r}")
+    for node in (Const, Var, Add, Mul, Div, Pow, Call):
+        monkeypatch.setattr(node, "eval", walked)
+    assert compile_vector(exprs, ("x", "y", "z"))(*args) == want
+
+
+def test_compiled_names_need_not_be_identifiers():
+    a, b = Var("a.b"), Var("lambda")
+    fn = compile_vector((add(a, b), mul(a, b)), ("a.b", "lambda"))
+    assert fn(2.0, 3.0) == (5.0, 6.0)
+    assert compile_vector((), ("x",))(1.0) == ()
+    with pytest.raises(UnboundVariableError, match="'z'"):
+        compile_scalar(add(X, Var("z")), ("x",))(1.0)
 
 
 def test_every_node_type_is_immutable():

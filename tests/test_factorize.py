@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lpvembed.expr import (
-    Add, Call, Const, Div, Mul, NonDifferentiableError, Pow,
+    Add, Call, Const, Div, EvalError, Mul, NonDifferentiableError, Pow,
     UnboundVariableError, Var, add, mul, neg, simplify, substitute, to_string,
 )
 from lpvembed.factorize import (
@@ -178,6 +178,23 @@ def test_integrate_numeric_against_simpson():
 
 
 # --------------------------------------------------------- deferred integrals
+
+def test_matrix_function_errors_name_the_entry():
+    names = ("x1", "x2", "u1")
+
+    def pe(text):
+        return parse_expr(text, variables=names + (LAMBDA,))
+    mf = MatrixFunction(((pe("1"), pe("x1")), (pe("ln(x1)"), pe("x2"))),
+                        "A", names)
+    with pytest.raises(EvalError, match=r"^A\(2,1\): ln of non-positive"):
+        mf.evaluate(np.array([-1.0, 0.0]), np.array([0.0]))
+    # the failure inside a deferred entry's quadrature is attributed too
+    mf = MatrixFunction(((pe("x2"), DeferredIntegral(pe("1/(x1 - lam)"))),),
+                        "C", names)
+    with pytest.raises(EvalError, match=r"^C\(1,2\): float division by zero"):
+        mf.evaluate([0.5, 1.0], [0.0])
+    assert mf.evaluate([2.0, 1.0], [0.0])[0, 0] == 1.0
+
 
 def test_deferred_integral_eval_and_errors():
     names = ("x", "lam")

@@ -4,11 +4,12 @@ verification."""
 import math
 import random
 import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
 
-from lpvembed.expr import Add
+from lpvembed.expr import Add, compile_scalar, compile_vector
 from lpvembed.factorize import (
     Anchor, ModelError, NlssModel, factorize, state_names,
 )
@@ -141,11 +142,13 @@ def oracle_model(source):
     return random_model(int(key))
 
 
-@pytest.mark.parametrize("source",
-                         [f"bundled:{b}" for b in BUNDLED]
-                         + [f"corpus:{k}" for k in range(3)]
-                         + [f"random:{k}" for k in range(30)]
-                         + ["chain:30"])
+ORACLE_SOURCES = ([f"bundled:{b}" for b in BUNDLED]
+                  + [f"corpus:{k}" for k in range(3)]
+                  + [f"random:{k}" for k in range(30)]
+                  + ["chain:30"])
+
+
+@pytest.mark.parametrize("source", ORACLE_SOURCES)
 def test_triplets_are_the_nonzeros_of_the_dense_fill(source):
     fs = factorize(oracle_model(source))
     for extract, split in ((extract_element, False), (extract_factor, True)):
@@ -160,6 +163,39 @@ def test_triplets_are_the_nonzeros_of_the_dense_fill(source):
                 assert np.array_equal(got, ref), (split, t)
             assert f.c.tobytes() == want[k, i, j].tobytes(), (split, t)
             assert getattr(m, t).tobytes() == want.tobytes(), (split, t)
+
+
+def _outcome(fn):
+    """The values ``fn()`` returns as bytes, or the type and text of what
+    it raises."""
+    try:
+        return np.array(fn(), dtype=float).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("source", ORACLE_SOURCES)
+def test_vector_functions_equal_the_per_entry_functions(source):
+    # f and h, the factor matrices and both scheduling maps, with every
+    # lam-dependent entry deferred in numeric mode; numpy and float
+    # arguments, as the callers pass them
+    model = oracle_model(source)
+    names = model.var_names
+    rng = np.random.default_rng(17)
+    points = [rng.uniform(-1.5, 1.5, len(names)) for _ in range(3)]
+    for mode in ("analytic", "numeric"):
+        fs = factorize(model, mode=mode)
+        lists = [model.f + model.h,
+                 *(tuple(chain(*getattr(fs, f"{t}_bar").entries))
+                   for t in "ABCD"),
+                 *(extract(fs)[1].entries
+                   for extract in (extract_element, extract_factor))]
+        for exprs in lists:
+            vector = compile_vector(exprs, names)
+            scalars = [compile_scalar(e, names) for e in exprs]
+            for args in chain(points, ([float(v) for v in x] for x in points)):
+                want = _outcome(lambda: [fn(*args) for fn in scalars])
+                assert _outcome(lambda: vector(*args)) == want, (mode, exprs)
 
 
 def test_dense_views_are_read_only_and_fresh(disk_doc):
@@ -469,6 +505,20 @@ def test_scheduling_error_carries_index():
     assert str(ei.value).startswith("p2:")
 
 
+def test_scheduling_error_blames_the_entry_the_vector_stopped_at():
+    # numpy arguments keep numpy semantics: 1/np.float64(0) is inf, so
+    # p2 fails, where tree evaluation would blame p1
+    x1 = ("x1",)
+    sm = SchedulingMap(entries=(pe("1/x1", x1), pe("ln(x1)", x1)),
+                       var_names=x1)
+    with np.errstate(divide="ignore"), pytest.raises(SchedulingError) as ei:
+        sm.evaluate(np.array([0.0]), np.array([]))
+    assert (ei.value.index, str(ei.value)) == (1, "p2: ln of non-positive value")
+    with pytest.raises(SchedulingError) as ei:
+        sm.evaluate([0.0], [])
+    assert (ei.value.index, str(ei.value)) == (0, "p1: float division by zero")
+
+
 # ---------------------------------------------------------------- verification
 
 def test_verify_lti_is_exact():
@@ -551,6 +601,71 @@ def test_verify_fails_on_non_finite_residuals():
     first = next(row for row in pts
                  if abs(row[0]) > math.sqrt(np.finfo(float).max))
     assert x1 == first[0]
+
+
+def _verify_per_entry(model, m, sm, samples, box, seed):
+    """verify_embedding's worst residuals as the per-entry loop found
+    them: a sample replaces the worst unless ``r <= worst``, and a
+    non-finite worst is never replaced."""
+    rng = np.random.default_rng(seed)
+    names = model.var_names
+    lo = np.array([box[n][0] for n in names])
+    hi = np.array([box[n][1] for n in names])
+    pts = lo + (hi - lo) * rng.random((samples, len(names)))
+    fns = [compile_scalar(e, names) for e in model.f + model.h]
+    state_map, output_map = m.affine_maps()
+    worst_r = np.zeros(len(fns))
+    worst_at = [None] * len(fns)
+    for row in pts:
+        x, u = row[:model.nx], row[model.nx:]
+        p = sm.evaluate(x, u)
+        lpv = np.concatenate((state_map(p, x, u), output_map(p, x, u)))
+        for i, fn in enumerate(fns):
+            r = abs(lpv[i] - fn(*row))
+            if worst_at[i] is None or (not r <= worst_r[i]
+                                       and math.isfinite(worst_r[i])):
+                worst_r[i] = r
+                worst_at[i] = (tuple(x), tuple(u))
+    return worst_r, worst_at
+
+
+def test_verify_reduces_residuals_like_the_per_entry_loop(disk_doc, coeff_pos):
+    # exact zeros tie everywhere; overflow gives inf and NaN residuals,
+    # with finite ones before them
+    m, sm = extract_factor(factorize(disk_doc.model))
+    m.coeffs["A"].c[coeff_pos(m.coeffs["A"], 0, 1, 1)] += 0.1
+    cases = [(disk_doc.model, m, sm, disk_doc.box)]
+    # 1e308*x1 + 1e308*u1 is inf where one term overflows and NaN where
+    # both do with opposite signs: the first non-finite residual is not
+    # always the first NaN
+    model = make_model(["-x1 + u1"], ["x1"], 1, 1)
+    m, sm = extract_factor(factorize(model))
+    for tag in "AB":
+        m.coeffs[tag].c[coeff_pos(m.coeffs[tag], 0, 0, 0)] = 1e308
+    cases.append((model, m, sm, {"x1": (-10.0, 10.0), "u1": (-10.0, 10.0)}))
+    for f1, box in (("-x1*x1 + u1", (-2e154, 2e154)),
+                    ("-x1 + 1e300*x1*x1*x1", (-1e3, 1e3)),
+                    ("-x1 + u1", (-1.0, 1.0))):
+        model = make_model([f1], ["x1"], 1, 1)
+        cases.append((model, *extract_factor(factorize(model)),
+                      {"x1": box, "u1": (-1.0, 1.0)}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for model, m, sm, box in cases:
+            for seed in range(3):
+                rep = verify_embedding(model, m, sm, samples=300, box=box,
+                                       seed=seed)
+                want_r, want_at = _verify_per_entry(model, m, sm, 300, box,
+                                                    seed)
+                got = np.concatenate((rep.f_max, rep.h_max))
+                assert got.tobytes() == want_r.tobytes()
+                assert rep.f_worst + rep.h_worst == want_at
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_verify_needs_a_sample(disk_doc, samples):
+    m, sm = extract_factor(factorize(disk_doc.model))
+    with pytest.raises(ValueError, match="^samples must be at least 1"):
+        verify_embedding(disk_doc.model, m, sm, samples=samples)
 
 
 def test_verify_max_residual_sees_a_non_finite_output_residual():

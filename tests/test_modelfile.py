@@ -279,6 +279,64 @@ def test_corrupt_coefficient_families_exit_2(tmp_path, disk_doc, capsys,
     assert needle in capsys.readouterr().err
 
 
+def _edit(*keys, value):
+    """Set the field at ``keys`` to ``value`` and return the document."""
+    def edit(d):
+        target = d
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = value
+        return d
+    return edit
+
+
+def _drop(*keys):
+    def drop(d):
+        target = d
+        for k in keys[:-1]:
+            target = target[k]
+        del target[keys[-1]]
+        return d
+    return drop
+
+
+# whole-document and field mutations of the disk artifact (np = 1); each
+# returns the document to write
+ARTIFACT_BAD_FIELD_CASES = [
+    (lambda d: [d], "not an LPV model artifact"),
+    (_edit("scheduling", value=5), "scheduling must be a list"),
+    (_edit("scheduling", value="sinc(x1)"), "scheduling must be a list"),
+    (_edit("range_box", "raw", value=5),
+     "range_box: raw must list one interval per scheduling entry (1)"),
+    (_drop("range_box", "grid_per_dim"), "range_box: missing 'grid_per_dim'"),
+    (_edit("range_box", "reported", value=[]),
+     "range_box: reported must list one interval per scheduling entry (1)"),
+    (_edit("anchor", "x", value=[0.0]),
+     "anchor has dimensions (1, 1), model needs (2, 1)"),
+    (_edit("anchor", "u", value=[0.0, 0.0]),
+     "anchor has dimensions (2, 2), model needs (2, 1)"),
+]
+
+
+@pytest.mark.parametrize("mutate,needle", ARTIFACT_BAD_FIELD_CASES)
+def test_corrupt_artifact_fields_exit_2(tmp_path, disk_doc, capsys, mutate,
+                                       needle):
+    _m, _sm, _rep, path = make_artifact(disk_doc, tmp_path)
+    doc = mutate(json.loads(open(path).read()))
+    bad_path = str(tmp_path / "bad.json")
+    with open(bad_path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ModelFileError, match="^" + re.escape(bad_path)):
+        load_artifact(bad_path)
+    for argv in (["info", bad_path],
+                 ["simulate", bad_path, "-o", str(tmp_path / "s.csv"),
+                  "--t-end", "0.1"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert "Traceback" not in err
+
+
 V1_FIXTURE = Path(__file__).parent / "data" / "unbalanced_disk_v1.json"
 
 

@@ -153,6 +153,36 @@ def test_input_from_expressions():
     assert got[1] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("text,t,cause", [
+    ("1/t", 0.0, "float division by zero"),
+    ("ln(t)", 0.0, "ln of non-positive value"),
+    ("sqrt(t - 1)", 0.5, "sqrt of negative value"),
+])
+def test_input_evaluation_errors_are_solver_errors(text, t, cause):
+    u = InputSignal.from_exprs(["1", text], 2)
+    with pytest.raises(SolverError) as ei:
+        u(t)
+    assert str(ei.value) == f"input evaluation failed: {cause} (t = {t!r})"
+    assert ei.value.t == t
+    # numpy scalar times, as the output grid passes them, print as floats
+    with pytest.raises(SolverError, match=r"\(t = 0.5\)$"):
+        InputSignal.from_exprs(["ln(t - 1)"], 1)(np.float64(0.5))
+
+
+def test_simulation_stops_at_an_input_evaluation_error():
+    with pytest.raises(SolverError, match="^input evaluation failed: float "
+                                          "division by zero"):
+        simulate_nl(DECAY, [1.0], InputSignal.from_exprs(["1/t"], 1), 1.0)
+
+
+def test_model_evaluation_errors_are_solver_errors():
+    model = make_model(["-x1", "ln(x1)"], ["x2"], 2, 1)
+    with pytest.raises(SolverError) as ei:
+        simulate_nl(model, [0.0, 1.0], InputSignal.zero(1), 1.0)
+    assert str(ei.value) == ("model evaluation failed: ln of non-positive "
+                             "value (t = 0.0)")
+
+
 def test_input_zero():
     assert InputSignal.zero(3)(1.7).tolist() == [0.0, 0.0, 0.0]
 
