@@ -20,18 +20,33 @@ The function table is the extension point for adding new primitives: an
 entry needs a numeric implementation and, if differentiable, a rule in
 the derivative table.
 
-Trees compile to plain Python through one code generator.
-:func:`compile_vector` turns a list of trees into one function that
-returns their values as a tuple, and :func:`compile_scalar` is its
-one-expression case.  A node the generator has no code for (a deferred
-integral) is called through its own ``eval``.  When a vector function
-raises, :func:`first_failure` finds the entry that failed.
+Compilation
+-----------
+Trees compile to plain Python through one code generator, which writes
+the same source for two function tables:
+
+* The scalar table maps the functions to :data:`FUNCTIONS`, on Python
+  floats.  :func:`compile_vector` turns a list of trees into one
+  function that returns their values as a tuple, and
+  :func:`compile_scalar` is its one-expression case.  A node the
+  generator has no code for (a deferred integral) is called through its
+  own ``eval``.  When a vector function raises, :func:`first_failure`
+  finds the entry that failed.
+* The numpy table maps them to ufuncs and :data:`ARRAY_FUNCTIONS`, so
+  :func:`compile_array` evaluates one tree at whole arrays of points.
+  It agrees with the scalar table to a few ulp (the transcendental
+  functions are other implementations; the arithmetic is the same).  A
+  node it has no code for makes the whole tree "no code": it returns
+  None, and the caller evaluates point by point.  Domain and range
+  violations raise only as numpy's ``errstate`` says.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class ExprError(Exception):
@@ -122,6 +137,54 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
     "cosm1c": cosm1c,
     "expm1c": expm1c,
     "dsinc": dsinc,
+}
+
+
+# the same family on whole arrays of points; the branch an element does
+# not take is never evaluated for it, so it raises no floating-point flag
+
+def _array_sinc(a):
+    a = np.asarray(a, dtype=float)
+    return np.divide(np.sin(a), a, out=np.ones_like(a), where=a != 0.0)
+
+
+def _array_cosm1c(a):
+    a = np.asarray(a, dtype=float)
+    s = np.sin(0.5 * a)
+    return np.divide(-2.0 * s * s, a, out=np.zeros_like(a), where=a != 0.0)
+
+
+def _array_expm1c(a):
+    a = np.asarray(a, dtype=float)
+    return np.divide(np.expm1(a), a, out=np.ones_like(a), where=a != 0.0)
+
+
+def _array_dsinc(a):
+    a = np.asarray(a, dtype=float)
+    small = np.abs(a) < 1e-4
+    out = np.empty_like(a)
+    t = a[small]
+    out[small] = t * (t * t / 30.0 - 1.0 / 3.0)
+    t = a[~small]
+    out[~small] = (t * np.cos(t) - np.sin(t)) / (t * t)
+    return out
+
+
+# name -> implementation on arrays, for the numpy table of the generator;
+# ln and sqrt outside their domain give numpy's flags, not ValueError
+ARRAY_FUNCTIONS: dict[str, Callable] = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "tanh": np.tanh,
+    "exp": np.exp,
+    "ln": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "sinc": _array_sinc,
+    "cosm1c": _array_cosm1c,
+    "expm1c": _array_expm1c,
+    "dsinc": _array_dsinc,
 }
 
 
@@ -610,17 +673,25 @@ def _negated(e: Expr) -> Expr | None:
 # returns its value.  Numpy scalar arguments keep numpy semantics
 # (1/np.float64(0) is inf), where Expr.eval converts them to float, so a
 # failing entry is found again by calling compiled code with the same
-# arguments, never by tree walking.
+# arguments, never by tree walking.  The generated source is the same for
+# both function tables; only the namespace it runs in differs.
 
 # what compiled code raises on a domain or range violation: the math
 # errors of generated code and the EvalError of tree-walked nodes
 EVAL_ERRORS = (EvalError, ValueError, ZeroDivisionError, OverflowError)
 
-# the only names compiled code sees besides its arguments: math ops, and
-# inf and nan, which repr prints for folded non-finite constants
-_CODEGEN_NS = {"__builtins__": {}, "_pow": math.pow, "inf": math.inf,
-               "nan": math.nan,
-               **{f"_fn_{fn}": impl for fn, impl in FUNCTIONS.items()}}
+# the only names compiled code sees besides its arguments: the function
+# table, and inf and nan, which repr prints for folded non-finite constants
+_TABLES = {
+    "scalar": {"_pow": math.pow,
+               **{f"_fn_{fn}": impl for fn, impl in FUNCTIONS.items()}},
+    "numpy": {"_pow": np.power,
+              **{f"_fn_{fn}": impl for fn, impl in ARRAY_FUNCTIONS.items()}},
+}
+
+
+class _NoCode(Exception):
+    """The numpy table has no code for a node."""
 
 
 def _pycode(e: Expr, bind: Callable[[Expr], str]) -> str:
@@ -639,18 +710,22 @@ def _pycode(e: Expr, bind: Callable[[Expr], str]) -> str:
     return bind(e)
 
 
-def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], vector: bool):
+def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], vector: bool,
+             table: str = "scalar"):
     # arguments are _a0, _a1, ... whatever the variable names are
     params = [f"_a{i}" for i in range(len(names))]
     args = dict(zip(names, params))
-    ns = dict(_CODEGEN_NS)
+    ns = {"__builtins__": {}, "inf": math.inf, "nan": math.nan,
+          **_TABLES[table]}
 
-    # a variable is its argument; any other node (a deferred integral, a
-    # variable that is no argument) joins the namespace and runs its own
-    # eval over its free variables
+    # a variable is its argument; in the scalar table any other node (a
+    # deferred integral, a variable that is no argument) joins the
+    # namespace and runs its own eval over its free variables
     def bind(node: Expr) -> str:
         if isinstance(node, Var) and node.name in args:
             return args[node.name]
+        if table == "numpy":
+            raise _NoCode
         ns[f"_node{len(ns)}"] = node
         used = ", ".join(f"{n!r}: {args[n]}" for n in node.free_vars()
                          if n in args)
@@ -662,7 +737,11 @@ def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], vector: bool):
 
     try:
         return emit([_pycode(e, bind) for e in exprs])
+    except _NoCode:
+        return None
     except (SyntaxError, RecursionError):
+        if table == "numpy":
+            return None
         # too deep for the Python compiler: every entry walks its tree
         return emit([bind(e) for e in exprs])
 
@@ -680,8 +759,20 @@ def compile_vector(exprs: Iterable[Expr],
 def compile_scalar(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     """The one-expression case of :func:`compile_vector`.  It evaluates
     in the tree's order, so on float arguments it returns ``e.eval``'s
-    values bit for bit."""
+    values bit for bit, up to the sign of a zero sum: ``e.eval`` adds the
+    terms to 0.0, so where every term is -0.0 it returns 0.0 and the
+    compiled sum -0.0."""
     return _compile((e,), tuple(arg_names), vector=False)
+
+
+def compile_array(e: Expr, arg_names: Iterable[str]) -> Callable | None:
+    """``e`` through the numpy table: a function of equal-shaped float
+    arrays, one per name, that returns ``e`` at every point, or None when
+    the table has no code for a node of ``e`` (a deferred integral, a
+    variable that is not an argument, or nesting too deep to compile).
+    Domain and range violations follow ``np.errstate``; a constant
+    ``e`` returns a scalar."""
+    return _compile((e,), tuple(arg_names), vector=False, table="numpy")
 
 
 def first_failure(exprs: Sequence[Expr], arg_names: Sequence[str],

@@ -518,6 +518,24 @@ def _integrate_entry(integrand: Expr, mode: str, tag: str, i: int, j: int,
     return DeferredIntegral(integrand, *quad_tols)
 
 
+def _offsets(exprs: Sequence[Expr], tag: str,
+             at: Mapping[str, float]) -> np.ndarray:
+    """The equations' values at the anchor, naming the one that fails.
+
+    Tree walking, not compiled code: a compiled sum of -0.0 terms is
+    -0.0 where ``Expr.eval`` gives 0.0, and the offsets are stored.
+    """
+    out = []
+    for i, e in enumerate(exprs):
+        try:
+            out.append(e.eval(at))
+        except EvalError as exc:
+            where = ", ".join(f"{n}={v!r}" for n, v in at.items())
+            raise EvalError(
+                f"{tag}{i + 1}: {exc} at the anchor {where}") from exc
+    return np.array(out)
+
+
 def factorize(model: NlssModel, anchor: Anchor | None = None,
               mode: str = "analytic",
               quad_abs_tol: float = DEFAULT_QUAD_ABS_TOL,
@@ -555,8 +573,8 @@ def factorize(model: NlssModel, anchor: Anchor | None = None,
         )
         blocks[tag] = MatrixFunction(rows, tag, model.var_names)
 
-    V = np.array([e.eval(at) for e in model.f])
-    W = np.array([e.eval(at) for e in model.h])
+    V = _offsets(model.f, "f", at)
+    W = _offsets(model.h, "h", at)
     return FactorizedSystem(model, anchor,
                             blocks["A"], blocks["B"], blocks["C"], blocks["D"],
                             V, W, tuple(warnings))

@@ -32,13 +32,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import (EVAL_ERRORS, Add, EvalError, Expr, Mul, compile_scalar,
-                   compile_vector, first_failure, mul, to_string)
+from .expr import (EVAL_ERRORS, Add, EvalError, Expr, Mul, compile_array,
+                   compile_scalar, compile_vector, first_failure, mul,
+                   to_string)
 from .factorize import (
     Anchor, FactorizedSystem, ModelError, NlssModel, var_sort_key,
 )
 
 RANGE_GRID_BUDGET = 10_000_000
+RANGE_BLOCK = 1 << 16      # grid points per numpy evaluation in the scan
 
 
 class SchedulingError(Exception):
@@ -412,6 +414,67 @@ def _check_interval(name: str, lo: float, hi: float) -> None:
             f"invalid box for {name}: width {hi} - ({lo}) overflows")
 
 
+def _grid_point(fp: Sequence[str], pt) -> str:
+    return "at grid point " + ", ".join(
+        f"{n}={float(c)!r}" for n, c in zip(fp, pt))
+
+
+def _scan_points(idx: int, fp, axes, fn) -> tuple[float, float]:
+    """(lo, hi) of ``fn`` over the grid, one call per point in
+    ``itertools.product`` order: the first strict minimum and maximum."""
+    lo = hi = None
+    for pt in itertools.product(*axes):
+        try:
+            v = fn(*pt)
+        except EVAL_ERRORS as exc:
+            raise SchedulingError(idx, ValueError(
+                f"{exc} {_grid_point(fp, pt)}")) from exc
+        if not math.isfinite(v):
+            raise SchedulingError(idx, ValueError(
+                f"non-finite value {v!r} {_grid_point(fp, pt)}"))
+        if lo is None or v < lo:
+            lo = v
+        if hi is None or v > hi:
+            hi = v
+    return lo, hi
+
+
+def _scan_blocks(vec, fn, axes) -> tuple[float, float] | None:
+    """What :func:`_scan_points` returns, from ``vec`` (``fn`` through the
+    numpy table) on blocks of at most RANGE_BLOCK points, or None when a
+    block raises or holds a non-finite value.  The extremal points are
+    the first in ``itertools.product`` order, and their values are
+    ``fn``'s at them."""
+    shape = tuple(len(a) for a in axes)
+    total = math.prod(shape)
+
+    def point(flat):               # the axis values at flat grid indices
+        cols = np.unravel_index(flat, shape) if shape else ()
+        return [a[c] for a, c in zip(axes, cols)]
+
+    lo = hi = None                 # (value, flat index)
+    with np.errstate(all="raise", under="ignore"):
+        for start in range(0, total, RANGE_BLOCK):
+            flat = np.arange(start, min(start + RANGE_BLOCK, total))
+            try:
+                v = vec(*point(flat))
+            except (FloatingPointError, *EVAL_ERRORS):
+                return None
+            v = np.broadcast_to(v, flat.shape)    # a constant is one number
+            if not np.isfinite(v).all():
+                return None
+            i, j = int(v.argmin()), int(v.argmax())
+            if lo is None or v[i] < lo[0]:
+                lo = (v[i], start + i)
+            if hi is None or v[j] > hi[0]:
+                hi = (v[j], start + j)
+    try:
+        ends = tuple(fn(*point(k)) for _, k in (lo, hi))
+    except EVAL_ERRORS:
+        return None
+    return ends if all(map(math.isfinite, ends)) else None
+
+
 def estimate_range(sm: SchedulingMap, box: Mapping[str, tuple[float, float]],
                    grid_per_dim: int = 10001,
                    budget: int = RANGE_GRID_BUDGET) -> RangeBox:
@@ -424,6 +487,19 @@ def estimate_range(sm: SchedulingMap, box: Mapping[str, tuple[float, float]],
     points raises RangeGridError; pass a coarser grid in that case.
     Reported intervals are widened outward by 0.5% of each endpoint's
     magnitude; the raw extrema are kept alongside.
+
+    The grid is walked in ``itertools.product`` order, in blocks of at
+    most ``RANGE_BLOCK`` points, each evaluated at once through the
+    numpy table (:func:`compile_array`) with every floating-point flag
+    but underflow raised; memory does not grow with the grid.  The raw
+    extrema are the first grid points with the least and the greatest
+    value, and their values are the entry's compiled scalar function
+    (:func:`compile_scalar`) at those points.  An entry the numpy table
+    has no code for (a deferred integral), or that raises or gives a
+    non-finite value in some block, is scanned point by point through
+    the scalar function instead, so that its values and errors are the
+    scalar function's.  A domain error or a non-finite value raises
+    SchedulingError naming the entry and the grid point.
     """
     if grid_per_dim < 2:
         raise RangeGridError("grid_per_dim must be at least 2")
@@ -445,21 +521,9 @@ def estimate_range(sm: SchedulingMap, box: Mapping[str, tuple[float, float]],
             _check_interval(n, lo, hi)
             axes.append(np.linspace(lo, hi, grid_per_dim))
         fn = compile_scalar(e, fp)
-        lo = hi = None
-        for pt in itertools.product(*axes):
-            try:
-                v = fn(*pt)
-            except EVAL_ERRORS as exc:
-                raise SchedulingError(idx, exc) from exc
-            if not math.isfinite(v):
-                where = ", ".join(f"{n}={float(c)!r}" for n, c in zip(fp, pt))
-                raise SchedulingError(idx, ValueError(
-                    f"non-finite value {v!r} at grid point {where}"))
-            if lo is None or v < lo:
-                lo = v
-            if hi is None or v > hi:
-                hi = v
-        raw.append((lo, hi))
+        vec = compile_array(e, fp)
+        ends = None if vec is None else _scan_blocks(vec, fn, axes)
+        raw.append(ends or _scan_points(idx, fp, axes, fn))
     return RangeBox(
         raw=tuple(raw),
         reported=tuple(_widen(lo, hi) for lo, hi in raw),

@@ -146,6 +146,28 @@ def test_convert_too_deeply_nested_model_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_convert_offset_error_names_the_equation_and_anchor(tmp_path,
+                                                          capsys):
+    path = _model_file(tmp_path, "-x1 + u1", h1="1/x1")
+    code, _, err = run(["convert", path, "-o", str(tmp_path / "x.json"),
+                        "--grid", "11"], capsys)
+    assert code == 3
+    assert err == "error: h1: division by zero at the anchor x1=0.0, u1=0.0\n"
+    code, _, err = run(["convert", path, "-o", str(tmp_path / "x.json"),
+                        "--grid", "11", "--anchor", "x1=0,u1=1"], capsys)
+    assert err == "error: h1: division by zero at the anchor x1=0.0, u1=1.0\n"
+
+
+def test_range_domain_error_names_the_grid_point(tmp_path, capsys):
+    # both entries are deferred integrals; 1/(lam*x1 + 2) hits 0 at x1 = -3
+    path = _model_file(tmp_path, "-x1 + u1*ln(x1 + 2)")
+    code, _, err = run(["range", path, "--box", "x1=-3:1,u1=-1:1",
+                        "--grid", "11"], capsys)
+    assert code == 3
+    assert err == ("error: p1: float division by zero at grid point "
+                   "x1=-3.0, u1=-1.0\n")
+
+
 def test_convert_with_non_finite_residuals_exits_4(tmp_path, capsys):
     # -x1*x1 overflows on about a third of the box: inf - inf residuals
     path = _model_file(tmp_path, "-x1*x1 + u1",

@@ -4,13 +4,15 @@ parsing, and compilation."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lpvembed.expr import (
-    Add, Call, Const, DomainError, EvalError, Mul, NonDifferentiableError,
-    UnboundVariableError, Var,
-    Div, Pow, add, call, compile_scalar, compile_vector, cosm1c, div, dsinc,
-    expm1c, mul, neg, pow_, simplify, sinc, substitute, to_string,
+    ARRAY_FUNCTIONS, FUNCTIONS, Add, Call, Const, DomainError, EvalError, Mul,
+    NonDifferentiableError, UnboundVariableError, Var,
+    Div, Pow, add, call, compile_array, compile_scalar, compile_vector,
+    cosm1c, div, dsinc, expm1c, mul, neg, pow_, simplify, sinc, substitute,
+    to_string,
 )
 from lpvembed.parser import ParseError, parse_expr
 
@@ -307,6 +309,45 @@ def test_compiled_names_need_not_be_identifiers():
     assert compile_vector((), ("x",))(1.0) == ()
     with pytest.raises(UnboundVariableError, match="'z'"):
         compile_scalar(add(X, Var("z")), ("x",))(1.0)
+
+
+@pytest.mark.parametrize("fn", ["sinc", "cosm1c", "expm1c", "dsinc"])
+def test_array_singularity_family_is_exact_at_0_and_the_dsinc_switch(fn):
+    # 0, the smallest subnormals and both sides of dsinc's 1e-4 switch,
+    # with every flag but underflow raised: the branch an element does
+    # not take must not be evaluated for it
+    near = [math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e-4, 1.0),
+            5e-5, 2e-4, 5e-324, 1e-300, 1e-8]
+    a = np.array([0.0, -0.0] + near + [-v for v in near])
+    with np.errstate(all="raise", under="ignore"):
+        got = ARRAY_FUNCTIONS[fn](a)
+    want = np.array([FUNCTIONS[fn](float(v)) for v in a])
+    assert got.tobytes() == want.tobytes()
+    assert got[0] == {"sinc": 1.0, "cosm1c": 0.0, "expm1c": 1.0,
+                      "dsinc": 0.0}[fn]
+
+
+def test_array_table_evaluates_whole_arrays():
+    e = p("x^2*sinc(y) + tanh(z)/(1 + x^2)")
+    x, y, z = (np.linspace(-2.0, 2.0, 5) for _ in range(3))
+    fn = compile_scalar(e, ("x", "y", "z"))
+    want = [fn(*pt) for pt in zip(x, y, z)]
+    assert compile_array(e, ("x", "y", "z"))(x, y, z) == \
+        pytest.approx(want, rel=1e-15)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        compile_array(p("ln(x)"), ("x",))(np.array([1.0, -1.0]))
+
+
+def test_array_table_has_no_code_for_foreign_nodes():
+    from lpvembed.factorize import DeferredIntegral
+    d = DeferredIntegral(mul(Var("lam"), X, Y))
+    assert compile_array(add(X, mul(Y, d)), ("x", "y")) is None
+    assert compile_array(add(X, Var("z")), ("x",)) is None
+    deep = X
+    for _ in range(200):
+        deep = call("sin", add(X, deep))
+    assert compile_array(deep, ("x",)) is None
+    assert compile_scalar(deep, ("x",))(0.5) == deep.eval({"x": 0.5})
 
 
 def test_every_node_type_is_immutable():

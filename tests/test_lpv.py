@@ -4,14 +4,19 @@ verification."""
 import math
 import random
 import warnings
-from itertools import chain
+from collections import Counter
+from itertools import chain, product
 
 import numpy as np
 import pytest
 
-from lpvembed.expr import Add, compile_scalar, compile_vector
+from lpvembed import lpv
+from lpvembed.expr import (
+    Add, Const, Var, add, call, compile_array, compile_scalar, compile_vector,
+    pow_,
+)
 from lpvembed.factorize import (
-    Anchor, ModelError, NlssModel, factorize, state_names,
+    Anchor, DeferredIntegral, ModelError, NlssModel, factorize, state_names,
 )
 from lpvembed.lpv import (
     LpvssModel, RangeBox, RangeGridError, SchedulingError, SchedulingMap,
@@ -517,6 +522,184 @@ def test_scheduling_error_blames_the_entry_the_vector_stopped_at():
     with pytest.raises(SchedulingError) as ei:
         sm.evaluate([0.0], [])
     assert (ei.value.index, str(ei.value)) == (0, "p1: float division by zero")
+
+
+# ------------------------------------------- range scan through the numpy table
+
+# the oracle sweep and 30 more random models
+TABLE_SOURCES = ORACLE_SOURCES + [f"random:{k}" for k in range(30, 60)]
+
+
+def source_box(source, model):
+    kind, _, key = source.partition(":")
+    return load_bundled(key).box if kind == "bundled" else default_box(model)
+
+
+def scheduling_maps(source):
+    fs = factorize(oracle_model(source))
+    return [extract(fs)[1] for extract in (extract_element, extract_factor)]
+
+
+def is_deferred(e):
+    return isinstance(e, DeferredIntegral) or any(
+        is_deferred(c) for c in e.children())
+
+
+def reference_range(sm, box, grid_per_dim):
+    """The scan before the numpy table: every grid point, in product
+    order, through the entry's compiled scalar function."""
+    raw = []
+    for e, fp in zip(sm.entries, sm.footprints):
+        fn = compile_scalar(e, fp)
+        lo = hi = None
+        for pt in product(*(np.linspace(*box[n], grid_per_dim) for n in fp)):
+            v = fn(*pt)
+            if lo is None or v < lo:
+                lo = v
+            if hi is None or v > hi:
+                hi = v
+        raw.append((lo, hi))
+    return tuple(raw)
+
+
+def bits(raw):
+    return np.array(raw, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("source", TABLE_SOURCES)
+def test_numpy_table_equals_the_scalar_functions_within_4_ulp(source):
+    # a 9-point grid per footprint component (0 included, where the
+    # removable singularities sit) and random points; an ulp is taken at
+    # the entry's largest magnitude there, since tanh, exp, expm1 and tan
+    # differ from math's by a few ulp and sums may cancel
+    rng = np.random.default_rng(5)
+    for sm in scheduling_maps(source):
+        for e, fp in zip(sm.entries, sm.footprints):
+            vec = compile_array(e, fp)
+            assert (vec is None) == is_deferred(e), e
+            if vec is None:
+                continue
+            grid = np.array(list(product(np.linspace(-1.5, 1.5, 9),
+                                         repeat=len(fp))))
+            pts = np.concatenate((grid, rng.uniform(-1.5, 1.5, (20, len(fp)))))
+            with np.errstate(all="raise", under="ignore"):
+                got = vec(*pts.T)
+            fn = compile_scalar(e, fp)
+            want = np.array([fn(*row) for row in pts])
+            ulp = np.spacing(np.abs(want).max())
+            assert np.abs(got - want).max() <= 4 * ulp, e
+
+
+@pytest.mark.parametrize("source", TABLE_SOURCES)
+def test_range_equals_the_scalar_scan_bit_for_bit(source):
+    # deferred entries take the scalar scan itself; the rest are compared
+    for sm in scheduling_maps(source):
+        box = source_box(source, oracle_model(source))
+        entries = tuple(e for e in sm.entries if not is_deferred(e))
+        sub = SchedulingMap(entries, sm.var_names)
+        rb = estimate_range(sub, box, grid_per_dim=41)
+        assert bits(rb.raw) == bits(reference_range(sub, box, 41))
+
+
+def test_range_ties_keep_the_first_signed_zero():
+    # x1*x2 is -0.0 for x1 < 0 and 0.0 after; the scan keeps the first
+    names = ("x1", "x2")
+    sm = SchedulingMap((pe("x1*x2", names),), names)
+    box = {"x1": (-1.0, 1.0), "x2": (0.0, 0.0)}
+    (lo, hi), = estimate_range(sm, box, grid_per_dim=11).raw
+    assert (lo, hi) == (0.0, 0.0)
+    assert math.copysign(1.0, lo) == math.copysign(1.0, hi) == -1.0
+
+
+def test_range_in_small_blocks_equals_one_block(monkeypatch):
+    # the non-deferred entries only: deferred ones are scanned per point
+    names = ("x1", "x2")
+    ties = SchedulingMap((pe("x1*x2", names),), names)
+    cases = [(ties, {"x1": (-1.0, 1.0), "x2": (0.0, 0.0)})]
+    for source in ("bundled:unbalanced_disk", "chain:5", "random:3",
+                   "random:8"):
+        for sm in scheduling_maps(source):
+            entries = tuple(e for e in sm.entries if not is_deferred(e))
+            cases.append((SchedulingMap(entries, sm.var_names),
+                          source_box(source, oracle_model(source))))
+    want = [bits(estimate_range(sm, box, grid_per_dim=21).raw)
+            for sm, box in cases]
+    # 1^nan is 1: NaN for x1 > 0 only
+    x1 = Var("x1")
+    late_nan = SchedulingMap(
+        (pow_(add(1.0, call("abs", x1), x1), Const(math.nan)),), ("x1",))
+    for block in (3, 64):
+        monkeypatch.setattr(lpv, "RANGE_BLOCK", block)
+        got = [bits(estimate_range(sm, box, grid_per_dim=21).raw)
+               for sm, box in cases]
+        assert got == want, block
+        # a NaN from a NaN constant raises no flag, and NaN is never a
+        # block's new extremum: a later block holding one must fall back
+        with pytest.raises(SchedulingError, match="non-finite value nan at "
+                           "grid point x1=0.2"):
+            estimate_range(late_nan, {"x1": (-1.0, 1.0)}, grid_per_dim=11)
+
+
+def count_scalar_calls(monkeypatch):
+    """Counter of calls to each entry's scalar function in the scan."""
+    calls = Counter()
+
+    def counted(e, names):
+        fn = compile_scalar(e, names)
+
+        def call(*args):
+            calls[e] += 1
+            return fn(*args)
+        return call
+    monkeypatch.setattr(lpv, "compile_scalar", counted)
+    return calls
+
+
+def test_chain_range_calls_the_scalar_functions_only_at_the_extrema(
+        monkeypatch):
+    calls = count_scalar_calls(monkeypatch)
+    model = chain_model(30)
+    _m, sm = extract_factor(factorize(model))
+    rb = estimate_range(sm, default_box(model), grid_per_dim=101)
+    assert calls == {e: 2 for e in sm.entries}
+    monkeypatch.undo()
+    assert bits(rb.raw) == bits(reference_range(sm, default_box(model), 101))
+
+
+@pytest.mark.parametrize("text, box, message, raw", [
+    ("ln(x1)", (-1.0, 1.0),
+     "p1: ln of non-positive value at grid point x1=-1.0", None),
+    # the value prints as the numpy scalar the scalar scan got
+    ("1/x1", (-1.0, 1.0),
+     "p1: non-finite value np.float64(inf) at grid point x1=0.0", None),
+    # x1*x1 overflows above 1.3e154, and 1/inf is 0.0
+    ("1/(x1*x1)", (1e100, 1e200), None, ((0.0, 1e-200),)),
+], ids=["ln", "pole", "intermediate-overflow"])
+def test_range_falls_back_to_the_scalar_scan(monkeypatch, text, box,
+                                             message, raw):
+    calls = count_scalar_calls(monkeypatch)
+    sm = SchedulingMap((pe(text, ("x1",)),), ("x1",))
+    with np.errstate(divide="ignore", over="ignore"):
+        if message is None:
+            rb = estimate_range(sm, {"x1": box}, grid_per_dim=11)
+            assert rb.raw == raw
+            assert sum(calls.values()) == 11 + 0 * len(rb.raw)
+        else:
+            with pytest.raises(SchedulingError) as ei:
+                estimate_range(sm, {"x1": box}, grid_per_dim=11)
+            assert str(ei.value) == message
+
+
+def test_range_domain_error_names_the_grid_point():
+    names = ("x1", "u1")
+    sm = SchedulingMap((pe("u1^2", names), pe("sqrt(x1 + u1)", names)),
+                       names)
+    with pytest.raises(SchedulingError) as ei:
+        estimate_range(sm, {"x1": (-1.0, 1.0), "u1": (-1.0, 1.0)},
+                       grid_per_dim=3)
+    assert ei.value.index == 1
+    assert str(ei.value) == ("p2: sqrt of negative value at grid point "
+                             "x1=-1.0, u1=-1.0")
 
 
 # ---------------------------------------------------------------- verification
