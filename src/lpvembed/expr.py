@@ -37,7 +37,8 @@ the same source for two function tables:
   It agrees with the scalar table to a few ulp (the transcendental
   functions are other implementations; the arithmetic is the same).  A
   node it has no code for makes the whole tree "no code": it returns
-  None, and the caller evaluates point by point.  Domain and range
+  None, and the caller keeps to the scalar table (the range scan walks
+  every block of such an entry point by point).  Domain and range
   violations raise only as numpy's ``errstate`` says.
 """
 
@@ -769,9 +770,10 @@ def compile_array(e: Expr, arg_names: Iterable[str]) -> Callable | None:
     """``e`` through the numpy table: a function of equal-shaped float
     arrays, one per name, that returns ``e`` at every point, or None when
     the table has no code for a node of ``e`` (a deferred integral, a
-    variable that is not an argument, or nesting too deep to compile).
-    Domain and range violations follow ``np.errstate``; a constant
-    ``e`` returns a scalar."""
+    variable that is not an argument, or nesting too deep to compile);
+    :func:`compile_scalar` still evaluates such an ``e``, one point per
+    call.  Domain and range violations follow ``np.errstate``; a
+    constant ``e`` returns a scalar."""
     return _compile((e,), tuple(arg_names), vector=False, table="numpy")
 
 

@@ -431,12 +431,9 @@ def integrate_analytic(e: Expr) -> Expr | None:
     return None
 
 
-def integrate_numeric(e: Expr, point: Mapping[str, float],
-                      abs_tol: float = DEFAULT_QUAD_ABS_TOL,
-                      rel_tol: float = DEFAULT_QUAD_REL_TOL,
-                      max_subdivisions: int = DEFAULT_QUAD_MAX_SUBDIVISIONS) -> float:
+def integrate_numeric(e: Expr, point: Mapping[str, float]) -> float:
     """Quadrature value of integral_0^1 e dlam with (x, u) bound to ``point``."""
-    return DeferredIntegral(e, abs_tol, rel_tol, max_subdivisions).eval(point)
+    return DeferredIntegral(e).eval(point)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +500,6 @@ class FactorizedSystem:
 
 
 def _integrate_entry(integrand: Expr, mode: str, tag: str, i: int, j: int,
-                     quad_tols: tuple[float, float, int],
                      warnings: list[str]) -> Expr:
     integrand = simplify(integrand)
     if LAMBDA not in integrand.free_vars():
@@ -515,7 +511,7 @@ def _integrate_entry(integrand: Expr, mode: str, tag: str, i: int, j: int,
         warnings.append(
             f"{tag}({i + 1},{j + 1}): no closed form for "
             f"integral01({to_string(integrand)}); entry deferred to quadrature")
-    return DeferredIntegral(integrand, *quad_tols)
+    return DeferredIntegral(integrand)
 
 
 def _offsets(exprs: Sequence[Expr], tag: str,
@@ -537,10 +533,7 @@ def _offsets(exprs: Sequence[Expr], tag: str,
 
 
 def factorize(model: NlssModel, anchor: Anchor | None = None,
-              mode: str = "analytic",
-              quad_abs_tol: float = DEFAULT_QUAD_ABS_TOL,
-              quad_rel_tol: float = DEFAULT_QUAD_REL_TOL,
-              quad_max_subdivisions: int = DEFAULT_QUAD_MAX_SUBDIVISIONS) -> FactorizedSystem:
+              mode: str = "analytic") -> FactorizedSystem:
     """Factorize ``model`` about ``anchor`` (origin by default).
 
     mode 'analytic' integrates entries through the rule table, deferring
@@ -553,7 +546,6 @@ def factorize(model: NlssModel, anchor: Anchor | None = None,
         anchor = Anchor.origin(model.nx, model.nu)
     at = anchor.bindings(model.nx, model.nu)  # also checks dimensions
 
-    quad_tols = (quad_abs_tol, quad_rel_tol, quad_max_subdivisions)
     warnings: list[str] = []
     blocks = {}
     for tag, fvec, wrt in (
@@ -566,7 +558,7 @@ def factorize(model: NlssModel, anchor: Anchor | None = None,
         rows = tuple(
             tuple(
                 _integrate_entry(line_substitute(jac[i][j], anchor),
-                                 mode, tag, i, j, quad_tols, warnings)
+                                 mode, tag, i, j, warnings)
                 for j in range(len(wrt))
             )
             for i in range(len(fvec))

@@ -24,7 +24,6 @@ entry that failed: ``p2: ln of non-positive value``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -419,87 +418,78 @@ def _grid_point(fp: Sequence[str], pt) -> str:
         f"{n}={float(c)!r}" for n, c in zip(fp, pt))
 
 
-def _scan_points(idx: int, fp, axes, fn) -> tuple[float, float]:
-    """(lo, hi) of ``fn`` over the grid, one call per point in
-    ``itertools.product`` order: the first strict minimum and maximum."""
-    lo = hi = None
-    for pt in itertools.product(*axes):
-        try:
-            v = fn(*pt)
-        except EVAL_ERRORS as exc:
-            raise SchedulingError(idx, ValueError(
-                f"{exc} {_grid_point(fp, pt)}")) from exc
-        if not math.isfinite(v):
-            raise SchedulingError(idx, ValueError(
-                f"non-finite value {v!r} {_grid_point(fp, pt)}"))
-        if lo is None or v < lo:
-            lo = v
-        if hi is None or v > hi:
-            hi = v
-    return lo, hi
-
-
-def _scan_blocks(vec, fn, axes) -> tuple[float, float] | None:
-    """What :func:`_scan_points` returns, from ``vec`` (``fn`` through the
-    numpy table) on blocks of at most RANGE_BLOCK points, or None when a
-    block raises or holds a non-finite value.  The extremal points are
-    the first in ``itertools.product`` order, and their values are
-    ``fn``'s at them."""
+def _scan(idx: int, fp: Sequence[str], axes, fn, vec) -> tuple[float, float]:
+    """(lo, hi) of entry ``idx`` over the grid of ``axes``, as
+    :func:`estimate_range` describes: blocks through ``vec`` (None when
+    the numpy table has no code), or point by point through ``fn``."""
     shape = tuple(len(a) for a in axes)
     total = math.prod(shape)
 
-    def point(flat):               # the axis values at flat grid indices
+    def columns(flat):             # the axis values at flat grid indices
         cols = np.unravel_index(flat, shape) if shape else ()
         return [a[c] for a, c in zip(axes, cols)]
 
+    def value(pt: list[float]) -> float:
+        # a domain error or a non-finite value raises, naming the point
+        try:
+            v = fn(*pt)
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite value {v!r}")
+        except EVAL_ERRORS as exc:
+            raise SchedulingError(idx, ValueError(
+                f"{exc} {_grid_point(fp, pt)}")) from exc
+        return v
+
+    def walk(flat) -> np.ndarray:  # fn point by point, on Python floats
+        pts = np.reshape(columns(flat), (len(axes), flat.size)).T
+        return np.fromiter(map(value, map(np.ndarray.tolist, pts)), float,
+                           flat.size)
+
     lo = hi = None                 # (value, flat index)
-    with np.errstate(all="raise", under="ignore"):
-        for start in range(0, total, RANGE_BLOCK):
-            flat = np.arange(start, min(start + RANGE_BLOCK, total))
+    for start in range(0, total, RANGE_BLOCK):
+        flat = np.arange(start, min(start + RANGE_BLOCK, total))
+        v = None
+        if vec is not None:
             try:
-                v = vec(*point(flat))
+                with np.errstate(all="raise", under="ignore"):
+                    # a constant is one number
+                    v = np.broadcast_to(vec(*columns(flat)), flat.shape)
             except (FloatingPointError, *EVAL_ERRORS):
-                return None
-            v = np.broadcast_to(v, flat.shape)    # a constant is one number
-            if not np.isfinite(v).all():
-                return None
-            i, j = int(v.argmin()), int(v.argmax())
-            if lo is None or v[i] < lo[0]:
-                lo = (v[i], start + i)
-            if hi is None or v[j] > hi[0]:
-                hi = (v[j], start + j)
-    try:
-        ends = tuple(fn(*point(k)) for _, k in (lo, hi))
-    except EVAL_ERRORS:
-        return None
-    return ends if all(map(math.isfinite, ends)) else None
+                pass
+        if v is None or not np.isfinite(v).all():
+            v = walk(flat)
+        i, j = int(v.argmin()), int(v.argmax())
+        if lo is None or v[i] < lo[0]:
+            lo = (v[i], start + i)
+        if hi is None or v[j] > hi[0]:
+            hi = (v[j], start + j)
+    return tuple(walk(np.array([lo[1], hi[1]])).tolist())
 
 
 def estimate_range(sm: SchedulingMap, box: Mapping[str, tuple[float, float]],
-                   grid_per_dim: int = 10001,
-                   budget: int = RANGE_GRID_BUDGET) -> RangeBox:
+                   grid_per_dim: int = 10001) -> RangeBox:
     """Scheduling extrema over a dense grid on the (x, u) box.
 
     Each entry is scanned over a regular grid of ``grid_per_dim`` points
     per dimension spanning its own dependency footprint (components the
     entry does not use cannot move its extrema, so they are not
-    gridded).  An entry whose footprint grid would exceed ``budget``
-    points raises RangeGridError; pass a coarser grid in that case.
-    Reported intervals are widened outward by 0.5% of each endpoint's
-    magnitude; the raw extrema are kept alongside.
+    gridded).  An entry whose footprint grid would exceed
+    ``RANGE_GRID_BUDGET`` points raises RangeGridError; pass a coarser
+    grid in that case.  Reported intervals are widened outward by 0.5%
+    of each endpoint's magnitude; the raw extrema are kept alongside.
 
-    The grid is walked in ``itertools.product`` order, in blocks of at
-    most ``RANGE_BLOCK`` points, each evaluated at once through the
-    numpy table (:func:`compile_array`) with every floating-point flag
-    but underflow raised; memory does not grow with the grid.  The raw
-    extrema are the first grid points with the least and the greatest
-    value, and their values are the entry's compiled scalar function
-    (:func:`compile_scalar`) at those points.  An entry the numpy table
-    has no code for (a deferred integral), or that raises or gives a
-    non-finite value in some block, is scanned point by point through
-    the scalar function instead, so that its values and errors are the
-    scalar function's.  A domain error or a non-finite value raises
-    SchedulingError naming the entry and the grid point.
+    One loop walks the grid in ``itertools.product`` order, in blocks of
+    at most ``RANGE_BLOCK`` points, so memory does not grow with the
+    grid.  Each block is evaluated at once through the numpy table
+    (:func:`compile_array`) with every floating-point flag but underflow
+    raised.  A block the table has no code for (a deferred integral),
+    or that raises or gives a non-finite value, is walked point by point
+    through the entry's compiled scalar function (:func:`compile_scalar`)
+    on Python floats instead.  The raw extrema are the first grid points
+    with the least and the greatest value, and their values are the
+    scalar function's at those points.  Only the scalar function raises:
+    a domain error or a non-finite value raises SchedulingError naming
+    the entry and the grid point.
     """
     if grid_per_dim < 2:
         raise RangeGridError("grid_per_dim must be at least 2")
@@ -510,20 +500,18 @@ def estimate_range(sm: SchedulingMap, box: Mapping[str, tuple[float, float]],
             raise ModelError(
                 f"p{idx + 1} needs bounds for {', '.join(missing)}")
         points = grid_per_dim ** len(fp)
-        if points > budget:
+        if points > RANGE_GRID_BUDGET:
             raise RangeGridError(
                 f"p{idx + 1} depends on {len(fp)} components; "
                 f"{grid_per_dim}^{len(fp)} = {points} grid points exceed the "
-                f"budget of {budget}; use a coarser grid")
+                f"budget of {RANGE_GRID_BUDGET}; use a coarser grid")
         axes = []
         for n in fp:
             lo, hi = box[n]
             _check_interval(n, lo, hi)
             axes.append(np.linspace(lo, hi, grid_per_dim))
-        fn = compile_scalar(e, fp)
-        vec = compile_array(e, fp)
-        ends = None if vec is None else _scan_blocks(vec, fn, axes)
-        raw.append(ends or _scan_points(idx, fp, axes, fn))
+        raw.append(_scan(idx, fp, axes, compile_scalar(e, fp),
+                         compile_array(e, fp)))
     return RangeBox(
         raw=tuple(raw),
         reported=tuple(_widen(lo, hi) for lo, hi in raw),

@@ -35,6 +35,7 @@ which store each family as a dense nested list.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Mapping
@@ -48,7 +49,8 @@ from .factorize import (
     Anchor, DeferredIntegral, LAMBDA, ModelError, NlssModel,
     input_names, state_names,
 )
-from .lpv import CoeffFamily, LpvssModel, RangeBox, SchedulingMap
+from .lpv import (CoeffFamily, LpvssModel, RangeBox, SchedulingMap,
+                  _check_interval)
 from .parser import BUILTIN_CONSTANTS, FUNCTIONS, ParseError, parse_expr
 
 MODEL_FORMAT_VERSION = 1
@@ -203,12 +205,10 @@ def load_model_file(path: str) -> ModelDocument:
                 raise ModelFileError("box needs exactly two bounds", path, no)
             lo = _eval_const_expr(vals[0], constants, path, no)
             hi = _eval_const_expr(vals[1], constants, path, no)
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-                raise ModelFileError(
-                    f"box for {name} needs finite bounds with lo <= hi", path, no)
-            if not np.isfinite(hi - lo):
-                raise ModelFileError(
-                    f"box for {name}: width {hi!r} - ({lo!r}) overflows", path, no)
+            try:
+                _check_interval(name, lo, hi)
+            except ModelError as exc:
+                raise ModelFileError(str(exc), path, no) from None
             box[name] = (lo, hi)
         else:
             raise ModelFileError(f"unrecognized line '{text}'", path, no)
@@ -311,6 +311,8 @@ def _family_from_json(tag: str, obj, path: str) -> CoeffFamily:
 
 
 def _range_box_from_json(rb, n_p: int, path: str) -> RangeBox:
+    """The stored range box; ``box`` is checked as a model file's box is,
+    and ``reported`` may be infinite where widening overflowed."""
     try:
         pairs = {}
         for key in ("raw", "reported"):
@@ -318,12 +320,20 @@ def _range_box_from_json(rb, n_p: int, path: str) -> RangeBox:
                 raise ValueError(f"{key} must list one interval per "
                                  f"scheduling entry ({n_p})")
             pairs[key] = tuple((float(lo), float(hi)) for lo, hi in rb[key])
-        return RangeBox(
-            **pairs, grid_per_dim=int(rb["grid_per_dim"]),
-            box={k: (float(v[0]), float(v[1])) for k, v in rb["box"].items()})
+            for i, (lo, hi) in enumerate(pairs[key]):
+                finite = key == "reported" or (math.isfinite(lo)
+                                               and math.isfinite(hi))
+                if not (lo <= hi and finite):     # lo <= hi fails on NaN
+                    raise ValueError(
+                        f"invalid {key} interval for p{i + 1}: [{lo}, {hi}]")
+        box = {k: (float(v[0]), float(v[1])) for k, v in rb["box"].items()}
+        for name, (lo, hi) in box.items():
+            _check_interval(name, lo, hi)
+        return RangeBox(**pairs, grid_per_dim=int(rb["grid_per_dim"]),
+                        box=box)
     except KeyError as exc:
         raise ModelFileError(f"range_box: missing {exc}", path) from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, ModelError) as exc:
         raise ModelFileError(f"range_box: {exc}", path) from None
 
 

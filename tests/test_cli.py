@@ -274,7 +274,7 @@ def test_invalid_box_flag_exits_2_like_the_same_box_in_a_model_file(
                                    box="box x1 2 1\n")
     code, _, err = run(["range", reversed_in_file], capsys)
     assert code == 2
-    assert "box for x1 needs finite bounds with lo <= hi" in err
+    assert f"{reversed_in_file}:8: invalid box for x1: [2.0, 1.0]" in err
 
 
 def test_convert_bad_anchor_name_exits_2(tmp_path, capsys):

@@ -14,7 +14,6 @@ from lpvembed.expr import (
     UnboundVariableError, Var, add, mul, neg, simplify, substitute, to_string,
 )
 from lpvembed.factorize import (
-    DEFAULT_QUAD_ABS_TOL, DEFAULT_QUAD_MAX_SUBDIVISIONS, DEFAULT_QUAD_REL_TOL,
     LAMBDA, Anchor, DeferredIntegral, FactorizedSystem, MatrixFunction,
     ModelError, NlssModel, _integrate_entry, factorize, input_names,
     integrate_analytic, integrate_numeric, jacobian, line_substitute,
@@ -327,12 +326,6 @@ def test_tanh_output_falls_back_to_quadrature(tanh_doc):
     assert fs.C_bar.evaluate([0.0], [0.0])[0, 0] == 1.0
 
 
-def test_quadrature_tolerances_are_plumbed(tanh_doc):
-    fs = factorize(tanh_doc.model, quad_abs_tol=1e-4, quad_rel_tol=1e-4)
-    node = fs.C_bar.entries[0][0]
-    assert node.abs_tol == 1e-4 and node.rel_tol == 1e-4
-
-
 # ------------------------------------------------------------ model validation
 
 def test_model_validation_errors():
@@ -393,8 +386,6 @@ def reference_line_substitute(e, anchor):
 
 def reference_factorize(model, anchor, mode):
     at = anchor.bindings(model.nx, model.nu)
-    quad_tols = (DEFAULT_QUAD_ABS_TOL, DEFAULT_QUAD_REL_TOL,
-                 DEFAULT_QUAD_MAX_SUBDIVISIONS)
     warnings = []
     blocks = {}
     for tag, fvec, wrt in (("A", model.f, model.x_names),
@@ -404,7 +395,7 @@ def reference_factorize(model, anchor, mode):
         jac = reference_jacobian(fvec, wrt)
         rows = tuple(
             tuple(_integrate_entry(reference_line_substitute(jac[i][j], anchor),
-                                   mode, tag, i, j, quad_tols, warnings)
+                                   mode, tag, i, j, warnings)
                   for j in range(len(wrt)))
             for i in range(len(fvec)))
         blocks[tag] = MatrixFunction(rows, tag, model.var_names)

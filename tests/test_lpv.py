@@ -422,13 +422,16 @@ def test_range_degenerate_box():
     assert rb.reported[0] == (0.995, 1.005)
 
 
-def test_range_budget_exceeded():
+def test_range_budget_exceeded(monkeypatch):
     names = ("x1", "x2", "u1")
     sm = SchedulingMap(entries=(pe("x1*x2*u1", names),), var_names=names)
     box = {n: (-1.0, 1.0) for n in names}
-    with pytest.raises(RangeGridError):
-        estimate_range(sm, box, grid_per_dim=11, budget=1000)
-    rb = estimate_range(sm, box, grid_per_dim=11, budget=2000)
+    monkeypatch.setattr(lpv, "RANGE_GRID_BUDGET", 1000)
+    with pytest.raises(RangeGridError, match="11\\^3 = 1331 grid points "
+                       "exceed the budget of 1000"):
+        estimate_range(sm, box, grid_per_dim=11)
+    monkeypatch.setattr(lpv, "RANGE_GRID_BUDGET", 2000)
+    rb = estimate_range(sm, box, grid_per_dim=11)
     assert rb.raw[0] == (-1.0, 1.0)
 
 
@@ -590,15 +593,23 @@ def test_numpy_table_equals_the_scalar_functions_within_4_ulp(source):
             assert np.abs(got - want).max() <= 4 * ulp, e
 
 
+def split_deferred(sm):
+    """(table entries, deferred entries) of ``sm``, each as a map."""
+    return tuple(SchedulingMap(tuple(e for e in sm.entries
+                                     if is_deferred(e) == deferred),
+                               sm.var_names)
+                 for deferred in (False, True))
+
+
 @pytest.mark.parametrize("source", TABLE_SOURCES)
 def test_range_equals_the_scalar_scan_bit_for_bit(source):
-    # deferred entries take the scalar scan itself; the rest are compared
+    # deferred entries are walked point by point through quadrature, so
+    # they run on a coarser grid
     for sm in scheduling_maps(source):
         box = source_box(source, oracle_model(source))
-        entries = tuple(e for e in sm.entries if not is_deferred(e))
-        sub = SchedulingMap(entries, sm.var_names)
-        rb = estimate_range(sub, box, grid_per_dim=41)
-        assert bits(rb.raw) == bits(reference_range(sub, box, 41))
+        for sub, grid in zip(split_deferred(sm), (41, 11)):
+            rb = estimate_range(sub, box, grid_per_dim=grid)
+            assert bits(rb.raw) == bits(reference_range(sub, box, grid))
 
 
 def test_range_ties_keep_the_first_signed_zero():
@@ -612,26 +623,27 @@ def test_range_ties_keep_the_first_signed_zero():
 
 
 def test_range_in_small_blocks_equals_one_block(monkeypatch):
-    # the non-deferred entries only: deferred ones are scanned per point
+    # deferred entries run on a coarser grid, as above
     names = ("x1", "x2")
     ties = SchedulingMap((pe("x1*x2", names),), names)
-    cases = [(ties, {"x1": (-1.0, 1.0), "x2": (0.0, 0.0)})]
-    for source in ("bundled:unbalanced_disk", "chain:5", "random:3",
-                   "random:8"):
+    cases = [(ties, {"x1": (-1.0, 1.0), "x2": (0.0, 0.0)}, 21)]
+    for source in ("bundled:unbalanced_disk", "bundled:tanh_example",
+                   "chain:5", "random:3", "random:8"):
         for sm in scheduling_maps(source):
-            entries = tuple(e for e in sm.entries if not is_deferred(e))
-            cases.append((SchedulingMap(entries, sm.var_names),
-                          source_box(source, oracle_model(source))))
-    want = [bits(estimate_range(sm, box, grid_per_dim=21).raw)
-            for sm, box in cases]
+            box = source_box(source, oracle_model(source))
+            for sub, grid in zip(split_deferred(sm), (21, 11)):
+                cases.append((sub, box, grid))
+    assert any(sub.np and grid == 11 for sub, _box, grid in cases)
+    want = [bits(estimate_range(sm, box, grid_per_dim=grid).raw)
+            for sm, box, grid in cases]
     # 1^nan is 1: NaN for x1 > 0 only
     x1 = Var("x1")
     late_nan = SchedulingMap(
         (pow_(add(1.0, call("abs", x1), x1), Const(math.nan)),), ("x1",))
     for block in (3, 64):
         monkeypatch.setattr(lpv, "RANGE_BLOCK", block)
-        got = [bits(estimate_range(sm, box, grid_per_dim=21).raw)
-               for sm, box in cases]
+        got = [bits(estimate_range(sm, box, grid_per_dim=grid).raw)
+               for sm, box, grid in cases]
         assert got == want, block
         # a NaN from a NaN constant raises no flag, and NaN is never a
         # block's new extremum: a later block holding one must fall back
@@ -669,25 +681,45 @@ def test_chain_range_calls_the_scalar_functions_only_at_the_extrema(
 @pytest.mark.parametrize("text, box, message, raw", [
     ("ln(x1)", (-1.0, 1.0),
      "p1: ln of non-positive value at grid point x1=-1.0", None),
-    # the value prints as the numpy scalar the scalar scan got
+    # the scalar function runs on Python floats, where 1/0.0 raises
     ("1/x1", (-1.0, 1.0),
-     "p1: non-finite value np.float64(inf) at grid point x1=0.0", None),
+     "p1: float division by zero at grid point x1=0.0", None),
     # x1*x1 overflows above 1.3e154, and 1/inf is 0.0
     ("1/(x1*x1)", (1e100, 1e200), None, ((0.0, 1e-200),)),
 ], ids=["ln", "pole", "intermediate-overflow"])
 def test_range_falls_back_to_the_scalar_scan(monkeypatch, text, box,
                                              message, raw):
+    # no errstate here: neither path may let a numpy warning out
     calls = count_scalar_calls(monkeypatch)
     sm = SchedulingMap((pe(text, ("x1",)),), ("x1",))
-    with np.errstate(divide="ignore", over="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         if message is None:
             rb = estimate_range(sm, {"x1": box}, grid_per_dim=11)
             assert rb.raw == raw
-            assert sum(calls.values()) == 11 + 0 * len(rb.raw)
+            # the one flagged block, then the two extremal points
+            assert sum(calls.values()) == 11 + 2
         else:
             with pytest.raises(SchedulingError) as ei:
                 estimate_range(sm, {"x1": box}, grid_per_dim=11)
             assert str(ei.value) == message
+    assert [str(w.message) for w in caught] == []
+
+
+def test_range_walks_only_the_flagged_block(monkeypatch):
+    # 1e300/(x1*x1 + 1e-300) overflows at x1 = 0 alone, the middle of
+    # 11 points; with blocks of 4 that is block 4..7, and 1/(1 + inf) is 0
+    monkeypatch.setattr(lpv, "RANGE_BLOCK", 4)
+    calls = count_scalar_calls(monkeypatch)
+    sm = SchedulingMap((pe("x1 + 1/(1 + 1e300/(x1*x1 + 1e-300))", ("x1",)),),
+                       ("x1",))
+    box = {"x1": (-1.0, 1.0)}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rb = estimate_range(sm, box, grid_per_dim=11)
+    assert [str(w.message) for w in caught] == []
+    assert sum(calls.values()) == 4 + 2
+    assert rb.raw == ((-1.0, 1.0),)
 
 
 def test_range_domain_error_names_the_grid_point():

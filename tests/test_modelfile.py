@@ -87,9 +87,11 @@ BAD_CASES = [
     ("format_version 1\nnx 1\nnu 1\nny 1\ntime continuous\n"
      "const sin 3\nf1 = x1\nh1 = x1\n", "sin"),
     ("format_version 1\nnx 1\nnu 1\nny 1\ntime continuous\n"
-     "f1 = x1\nh1 = x1\nbox x1 2 1\n", "box"),
+     "f1 = x1\nh1 = x1\nbox x1 2 1\n",
+     "m.nlss:8: invalid box for x1: [2.0, 1.0]"),
     ("format_version 1\nnx 1\nnu 1\nny 1\ntime continuous\n"
-     "f1 = x1\nh1 = x1\nbox x1 -1e309 1\n", "finite"),
+     "f1 = x1\nh1 = x1\nbox x1 -1e309 1\n",
+     "m.nlss:8: invalid box for x1: [-inf, 1.0]"),
     ("format_version 1\nnx 1\nnu 1\nny 1\ntime continuous\n"
      "f1 = x1\nh1 = x1\nbox x1 -1e308 1e308\n", "box for x1: width"),
     ("format_version 1\nnx 1\nnu 1\nny 1\ntime discrete -3\n"
@@ -311,6 +313,20 @@ ARTIFACT_BAD_FIELD_CASES = [
     (_drop("range_box", "grid_per_dim"), "range_box: missing 'grid_per_dim'"),
     (_edit("range_box", "reported", value=[]),
      "range_box: reported must list one interval per scheduling entry (1)"),
+    (_edit("range_box", "box", "x1", value=[2.0, 1.0]),
+     "range_box: invalid box for x1: [2.0, 1.0]"),
+    (_edit("range_box", "box", "x1", value=["nan", 1.0]),
+     "range_box: invalid box for x1: [nan, 1.0]"),
+    (_edit("range_box", "box", "x1", value=[-1e308, 1e308]),
+     "range_box: invalid box for x1: width"),
+    (_edit("range_box", "raw", value=[[1.0, -1.0]]),
+     "range_box: invalid raw interval for p1: [1.0, -1.0]"),
+    (_edit("range_box", "raw", value=[["-inf", 1.0]]),
+     "range_box: invalid raw interval for p1: [-inf, 1.0]"),
+    (_edit("range_box", "reported", value=[["nan", "nan"]]),
+     "range_box: invalid reported interval for p1: [nan, nan]"),
+    (_edit("range_box", "reported", value=[[1.0, -1.0]]),
+     "range_box: invalid reported interval for p1: [1.0, -1.0]"),
     (_edit("anchor", "x", value=[0.0]),
      "anchor has dimensions (1, 1), model needs (2, 1)"),
     (_edit("anchor", "u", value=[0.0, 0.0]),
@@ -328,7 +344,7 @@ def test_corrupt_artifact_fields_exit_2(tmp_path, disk_doc, capsys, mutate,
         json.dump(doc, fh)
     with pytest.raises(ModelFileError, match="^" + re.escape(bad_path)):
         load_artifact(bad_path)
-    for argv in (["info", bad_path],
+    for argv in (["info", bad_path], ["range", bad_path],
                  ["simulate", bad_path, "-o", str(tmp_path / "s.csv"),
                   "--t-end", "0.1"]):
         assert main(argv) == 2
