@@ -429,21 +429,21 @@ def _scan(idx: int, fp: Sequence[str], axes, fn, vec) -> tuple[float, float]:
         cols = np.unravel_index(flat, shape) if shape else ()
         return [a[c] for a, c in zip(axes, cols)]
 
-    def value(pt: list[float]) -> float:
+    def value(pt) -> float:
         # a domain error or a non-finite value raises, naming the point
         try:
             v = fn(*pt)
             if not math.isfinite(v):
-                raise ValueError(f"non-finite value {v!r}")
+                raise ValueError(f"non-finite value {float(v)!r}")
         except EVAL_ERRORS as exc:
             raise SchedulingError(idx, ValueError(
                 f"{exc} {_grid_point(fp, pt)}")) from exc
         return v
 
-    def walk(flat) -> np.ndarray:  # fn point by point, on Python floats
-        pts = np.reshape(columns(flat), (len(axes), flat.size)).T
-        return np.fromiter(map(value, map(np.ndarray.tolist, pts)), float,
-                           flat.size)
+    def walk(flat) -> np.ndarray:  # fn point by point, on numpy scalars
+        pts = zip(*columns(flat)) if axes else [()] * flat.size
+        with np.errstate(all="ignore"):   # an inf or a NaN is checked here
+            return np.fromiter(map(value, pts), float, flat.size)
 
     lo = hi = None                 # (value, flat index)
     for start in range(0, total, RANGE_BLOCK):
@@ -485,11 +485,14 @@ def estimate_range(sm: SchedulingMap, box: Mapping[str, tuple[float, float]],
     raised.  A block the table has no code for (a deferred integral),
     or that raises or gives a non-finite value, is walked point by point
     through the entry's compiled scalar function (:func:`compile_scalar`)
-    on Python floats instead.  The raw extrema are the first grid points
-    with the least and the greatest value, and their values are the
-    scalar function's at those points.  Only the scalar function raises:
-    a domain error or a non-finite value raises SchedulingError naming
-    the entry and the grid point.
+    instead.  The raw extrema are the first grid points with the least
+    and the greatest value, and their values are the scalar function's
+    at those points.  Only the scalar function raises: a domain error or
+    a non-finite value raises SchedulingError naming the entry and the
+    grid point.  It runs on numpy scalars, as in ``simulate``, so
+    ``tanh(1/x1)`` is 1 at x1 = 0.  The table agrees with it to a few
+    ulp, so in an entry with walked and table blocks a near-tie may pick
+    another extremal point than a wholly scalar scan would.
     """
     if grid_per_dim < 2:
         raise RangeGridError("grid_per_dim must be at least 2")

@@ -420,6 +420,9 @@ def test_range_degenerate_box():
     rb = estimate_range(sm, {"x1": (0.0, 0.0)}, grid_per_dim=11)
     assert rb.raw[0] == (1.0, 1.0)
     assert rb.reported[0] == (0.995, 1.005)
+    # a constant entry has no footprint: its grid is one point
+    const = SchedulingMap(entries=(Const(2.0),), var_names=("x1",))
+    assert estimate_range(const, {}, grid_per_dim=11).raw == ((2.0, 2.0),)
 
 
 def test_range_budget_exceeded(monkeypatch):
@@ -681,12 +684,16 @@ def test_chain_range_calls_the_scalar_functions_only_at_the_extrema(
 @pytest.mark.parametrize("text, box, message, raw", [
     ("ln(x1)", (-1.0, 1.0),
      "p1: ln of non-positive value at grid point x1=-1.0", None),
-    # the scalar function runs on Python floats, where 1/0.0 raises
+    # the scalar function runs on numpy scalars, where 1/0.0 is inf
     ("1/x1", (-1.0, 1.0),
-     "p1: float division by zero at grid point x1=0.0", None),
+     "p1: non-finite value inf at grid point x1=0.0", None),
     # x1*x1 overflows above 1.3e154, and 1/inf is 0.0
     ("1/(x1*x1)", (1e100, 1e200), None, ((0.0, 1e-200),)),
-], ids=["ln", "pole", "intermediate-overflow"])
+    # tanh and exp take the inf at x1 = 0 to a finite value, as
+    # SchedulingMap.evaluate does on a simulated state
+    ("tanh(1/x1)", (-1.0, 1.0), None, ((math.tanh(-5.0), 1.0),)),
+    ("exp(-1/(x1*x1))", (-1.0, 1.0), None, ((0.0, math.exp(-1.0)),)),
+], ids=["ln", "pole", "intermediate-overflow", "pole-tanh", "pole-exp"])
 def test_range_falls_back_to_the_scalar_scan(monkeypatch, text, box,
                                              message, raw):
     # no errstate here: neither path may let a numpy warning out
