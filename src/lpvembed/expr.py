@@ -1,10 +1,13 @@
 """Immutable scalar expression trees with evaluation and differentiation.
 
 Trees are built from constants, named variables, the arithmetic operators
-``+ - * / ^`` and a fixed set of unary functions.  Sums and products are
-n-ary and flattened on construction; unary minus is represented
-multiplicatively as ``(-1) * e``.  All nodes are immutable, so every
-operation here is a pure function and safe to share across threads.
+``+ - * / ^`` and a fixed set of unary functions, through constructors
+(:func:`add`, :func:`mul`, :func:`div`, :func:`pow_`, :func:`call`) that
+own the canonical form: flattened n-ary sums and products, folded
+constants, no 0/1 identities, and ``(-1) * e`` for unary minus.  The
+parser, ``diff`` and :func:`substitute` build through them; :func:`simplify`
+is for trees built from the node classes.  All nodes are immutable, so
+every operation here is a pure function and safe to share across threads.
 
 Besides the usual primitives (sin, cos, tan, tanh, exp, ln, sqrt, abs)
 the function set contains a small family for removable singularities:
@@ -18,7 +21,7 @@ These arise when Jacobian entries are integrated along the line through
 the origin and keep every produced matrix function evaluable at x = 0.
 The function table is the extension point for adding new primitives: an
 entry needs a numeric implementation and, if differentiable, a rule in
-the derivative table.
+the derivative table (:data:`DERIVATIVES`).
 
 Compilation
 -----------
@@ -416,7 +419,7 @@ class Call(Expr):
             raise DomainError(f"{self.fn}({a!r}): {exc}") from None
 
     def diff(self, var):
-        rule = _DERIVATIVES.get(self.fn)
+        rule = DERIVATIVES.get(self.fn)
         if rule is None:
             raise NonDifferentiableError(
                 f"'{self.fn}' has no derivative rule")
@@ -427,7 +430,7 @@ class Call(Expr):
 
 
 # outer derivative d/da f(a) as an expression in the argument
-_DERIVATIVES: dict[str, Callable[[Expr], Expr]] = {
+DERIVATIVES: dict[str, Callable[[Expr], Expr]] = {
     "sin": lambda a: call("cos", a),
     "cos": lambda a: neg(call("sin", a)),
     "tan": lambda a: add(ONE, pow_(call("tan", a), Const(2.0))),
@@ -464,10 +467,8 @@ def _coerce(v) -> Expr:
 # ---------------------------------------------------------------------------
 # normalizing constructors
 # ---------------------------------------------------------------------------
-# These flatten nested sums/products, fold constants and eliminate 0/1
-# identities, so trees built through them are already in canonical shape.
-# They never reorder operands, which keeps results deterministic and
-# readable.
+# They own the canonical form (see the module docstring) and never
+# reorder operands, which keeps results deterministic and readable.
 
 def add(*terms) -> Expr:
     flat: list[Expr] = []
@@ -566,7 +567,7 @@ def simplify(e: Expr) -> Expr:
 
     Folds constants, drops 0/1 identities, collapses ``x*0`` and flattens
     nested sums and products.  The result is semantically equal to the
-    input; no algebraic identities beyond these are applied.
+    input, and a tree built through the constructors comes back unchanged.
     """
     return substitute(e, {})
 

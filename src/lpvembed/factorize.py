@@ -19,6 +19,9 @@ Integration over lam is either symbolic through a closed rule table
 In analytic mode, an entry the rule table cannot discharge degrades to a
 deferred-quadrature node for that entry alone and a warning is recorded.
 
+Every tree here is built through the constructors of :mod:`lpvembed.expr`
+and is canonical as built, so no step normalizes it again.
+
 Cost follows each equation's footprint, the variables it uses: only
 those are differentiated and mapped onto the integration line, and every
 other Jacobian entry is a structural zero that passes through at constant
@@ -39,19 +42,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    Add, Call, Const, Div, EvalError, Expr, Mul, NonDifferentiableError,
-    Pow, UnboundVariableError, Var, ZERO,
+    DERIVATIVES, Add, Call, Const, Div, EvalError, Expr, Mul,
+    NonDifferentiableError, Pow, UnboundVariableError, Var, ZERO,
     add, call, compile_scalar, compile_vector, div, first_failure, mul, neg,
-    simplify, substitute, to_string,
+    substitute, to_string,
 )
 from .quadrature import integrate
 
 # the integration variable; model variables may not use this name
 LAMBDA = "lam"
-
-DEFAULT_QUAD_ABS_TOL = 1e-10
-DEFAULT_QUAD_REL_TOL = 1e-8
-DEFAULT_QUAD_MAX_SUBDIVISIONS = 2000
 
 
 class ModelError(Exception):
@@ -114,23 +113,25 @@ class NlssModel:
         allowed = set(self.var_names)
         for label, vec in (("f", self.f), ("h", self.h)):
             for i, e in enumerate(vec):
-                extra = e.free_vars() - allowed
-                if extra:
-                    raise ModelError(
-                        f"{label}{i + 1} uses undeclared variables: "
-                        f"{', '.join(sorted(extra))}")
-                for v in sorted(e.free_vars(), key=var_sort_key):
-                    try:
-                        e.diff(v)
-                    except NonDifferentiableError as exc:
-                        raise ModelError(f"{label}{i + 1}: {exc}") from exc
-                nodes = [e]
+                where, used = f"{label}{i + 1}", e.free_vars()
+                if used - allowed:
+                    raise ModelError(f"{where} uses undeclared variables: "
+                                     f"{', '.join(sorted(used - allowed))}")
+                # refused in diff's order, before the rightmost non-finite
+                # constant; jacobian differentiates only equations with variables
+                bad, nodes = None, [e]
                 while nodes:
                     n = nodes.pop()
+                    if used and isinstance(n, DeferredIntegral):
+                        raise ModelError(f"{where}: deferred integral entries "
+                                         "cannot be differentiated")
+                    if used and isinstance(n, Call) and n.fn not in DERIVATIVES:
+                        raise ModelError(f"{where}: '{n.fn}' has no derivative rule")
                     if isinstance(n, Const) and not math.isfinite(n.value):
-                        raise ModelError(
-                            f"{label}{i + 1}: constants fold to {n.value!r}")
-                    nodes.extend(n.children())
+                        bad = n.value
+                    nodes.extend(reversed(n.children()))
+                if bad is not None:
+                    raise ModelError(f"{where}: constants fold to {bad!r}")
 
     @property
     def x_names(self) -> tuple[str, ...]:
@@ -203,27 +204,19 @@ class DeferredIntegral(Expr):
     evaluation runs adaptive quadrature on a compiled integrand.
     """
 
-    __slots__ = ("integrand", "abs_tol", "rel_tol", "max_subdivisions",
-                 "_args", "_fn", "_free")
+    __slots__ = ("integrand", "_args", "_fn", "_free")
 
-    def __init__(self, integrand: Expr,
-                 abs_tol: float = DEFAULT_QUAD_ABS_TOL,
-                 rel_tol: float = DEFAULT_QUAD_REL_TOL,
-                 max_subdivisions: int = DEFAULT_QUAD_MAX_SUBDIVISIONS):
-        integrand = simplify(integrand)
+    def __init__(self, integrand: Expr):
         free = frozenset(integrand.free_vars() - {LAMBDA})
         args = tuple(sorted(free, key=var_sort_key))
         object.__setattr__(self, "integrand", integrand)
-        object.__setattr__(self, "abs_tol", float(abs_tol))
-        object.__setattr__(self, "rel_tol", float(rel_tol))
-        object.__setattr__(self, "max_subdivisions", int(max_subdivisions))
         object.__setattr__(self, "_args", args)
         object.__setattr__(self, "_fn",
                            compile_scalar(integrand, (LAMBDA,) + args))
         object.__setattr__(self, "_free", free)
 
     def _key(self):
-        return ("defint", self.integrand._key(), self.abs_tol, self.rel_tol)
+        return ("defint", self.integrand._key())
 
     def free_vars(self):
         return self._free
@@ -237,9 +230,7 @@ class DeferredIntegral(Expr):
         except KeyError as exc:
             raise UnboundVariableError(exc.args[0]) from None
         fn = self._fn
-        return integrate(lambda l: fn(l, *vals), 0.0, 1.0,
-                         abs_tol=self.abs_tol, rel_tol=self.rel_tol,
-                         max_subdivisions=self.max_subdivisions).value
+        return integrate(lambda l: fn(l, *vals), 0.0, 1.0).value
 
     def diff(self, var):
         raise NonDifferentiableError(
@@ -251,7 +242,7 @@ class DeferredIntegral(Expr):
 # ---------------------------------------------------------------------------
 
 def jacobian(fvec: Sequence[Expr], wrt: Sequence[str]) -> list[list[Expr]]:
-    """Matrix of simplified partial derivatives, entry (i,j) = d fvec[i] / d wrt[j].
+    """Matrix of partial derivatives, entry (i,j) = d fvec[i] / d wrt[j].
 
     Only variables in an equation's own footprint (``free_vars()``) are
     differentiated; every other entry is a structural ``ZERO``.
@@ -259,8 +250,7 @@ def jacobian(fvec: Sequence[Expr], wrt: Sequence[str]) -> list[list[Expr]]:
     rows = []
     for e in fvec:
         footprint = e.free_vars()
-        rows.append([simplify(e.diff(v)) if v in footprint else ZERO
-                     for v in wrt])
+        rows.append([e.diff(v) if v in footprint else ZERO for v in wrt])
     return rows
 
 
@@ -355,10 +345,9 @@ def _poly_coeffs(e: Expr) -> list[Expr] | None:
 def _affine_in_lambda(e: Expr) -> Expr | None:
     """If e = lam * a with a lam-free and structurally nonzero, return a."""
     c = _poly_coeffs(e)
-    if c is None or len(c) != 2 or simplify(c[0]) != ZERO:
+    if c is None or len(c) != 2 or c[0] != ZERO or c[1] == ZERO:
         return None
-    a = simplify(c[1])
-    return None if a == ZERO else a
+    return c[1]
 
 
 def integrate_analytic(e: Expr) -> Expr | None:
@@ -370,9 +359,9 @@ def integrate_analytic(e: Expr) -> Expr | None:
     lam^c with c > 0, lam-free multiplicative coefficients on any of
     these, division by lam-free denominators, and linearity over sums.
     None means the table does not apply and the caller should fall back
-    to quadrature; it is an expected value, not a failure.
+    to quadrature; it is an expected value, not a failure.  ``e`` is a
+    tree built by the parser or the constructors, as is the result.
     """
-    e = simplify(e)
     if LAMBDA not in e.free_vars():
         return e
     if isinstance(e, Add):
@@ -386,8 +375,7 @@ def integrate_analytic(e: Expr) -> Expr | None:
 
     coeffs = _poly_coeffs(e)
     if coeffs is not None:
-        return simplify(add(*(div(c, Const(k + 1.0))
-                              for k, c in enumerate(coeffs))))
+        return add(*(div(c, Const(k + 1.0)) for k, c in enumerate(coeffs)))
 
     if isinstance(e, Div):
         if LAMBDA in e.den.free_vars():
@@ -408,7 +396,7 @@ def integrate_analytic(e: Expr) -> Expr | None:
         r = integrate_analytic(hot)
         if r is None:
             return None
-        return simplify(mul(*const_part, r))
+        return mul(*const_part, r)
 
     if isinstance(e, Pow) and isinstance(e.exponent, Const):
         # non-integer powers of lam itself: lam^c -> 1/(c+1)
@@ -501,7 +489,6 @@ class FactorizedSystem:
 
 def _integrate_entry(integrand: Expr, mode: str, tag: str, i: int, j: int,
                      warnings: list[str]) -> Expr:
-    integrand = simplify(integrand)
     if LAMBDA not in integrand.free_vars():
         return integrand  # constant along the line; the integral is itself
     if mode == "analytic":

@@ -45,13 +45,13 @@ import numpy as np
 from . import __version__ as _version
 from .expr import Expr, EvalError
 from .factorize import (
-    DEFAULT_QUAD_ABS_TOL, DEFAULT_QUAD_MAX_SUBDIVISIONS, DEFAULT_QUAD_REL_TOL,
     Anchor, DeferredIntegral, LAMBDA, ModelError, NlssModel,
     input_names, state_names,
 )
 from .lpv import (CoeffFamily, LpvssModel, RangeBox, SchedulingMap,
                   _check_interval)
 from .parser import BUILTIN_CONSTANTS, FUNCTIONS, ParseError, parse_expr
+from .quadrature import ABS_TOL, MAX_SUBDIVISIONS, REL_TOL
 
 MODEL_FORMAT_VERSION = 1
 ARTIFACT_FORMAT_VERSION = 2
@@ -252,32 +252,30 @@ def load_model_file(path: str) -> ModelDocument:
 # LPV model artifacts
 # ---------------------------------------------------------------------------
 
+# what every deferred entry integrates with; integral01 objects record it
+_QUAD_SETTINGS = {"abs_tol": ABS_TOL, "rel_tol": REL_TOL,
+                  "max_subdivisions": MAX_SUBDIVISIONS}
+
+
 def _sched_entry_to_json(e: Expr):
     if isinstance(e, DeferredIntegral):
-        return {
-            "kind": "integral01",
-            "integrand": str(e.integrand),
-            "abs_tol": e.abs_tol,
-            "rel_tol": e.rel_tol,
-            "max_subdivisions": e.max_subdivisions,
-        }
+        return {"kind": "integral01", "integrand": str(e.integrand),
+                **_QUAD_SETTINGS}
     return str(e)
 
 
-def _sched_entry_from_json(obj, names: tuple[str, ...], path: str) -> Expr:
+def _sched_entry_from_json(k: int, obj, names: tuple, path: str) -> Expr:
     try:
         if isinstance(obj, str):
             return parse_expr(obj, variables=names)
         if isinstance(obj, dict) and obj.get("kind") == "integral01":
-            integrand = parse_expr(obj["integrand"],
-                                   variables=names + (LAMBDA,))
-            return DeferredIntegral(
-                integrand,
-                abs_tol=float(obj.get("abs_tol", DEFAULT_QUAD_ABS_TOL)),
-                rel_tol=float(obj.get("rel_tol", DEFAULT_QUAD_REL_TOL)),
-                max_subdivisions=int(obj.get("max_subdivisions",
-                                             DEFAULT_QUAD_MAX_SUBDIVISIONS)),
-            )
+            for key, value in _QUAD_SETTINGS.items():
+                if obj.get(key, value) != value:
+                    raise ModelFileError(
+                        f"scheduling entry p{k + 1}: {key} {obj[key]!r} is "
+                        f"not {value!r}, the value deferred entries use", path)
+            return DeferredIntegral(parse_expr(obj["integrand"],
+                                               variables=names + (LAMBDA,)))
     except (ParseError, KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"bad scheduling entry {obj!r}: {exc}", path) from None
     raise ModelFileError(f"bad scheduling entry {obj!r}", path)
@@ -407,7 +405,8 @@ def load_artifact(path: str):
         raise ModelFileError(f"malformed artifact: {exc!r}", path) from None
 
     names = state_names(nx) + input_names(nu)
-    entries = tuple(_sched_entry_from_json(o, names, path) for o in sched_json)
+    entries = tuple(_sched_entry_from_json(k, o, names, path)
+                    for k, o in enumerate(sched_json))
     if len(entries) != n_p:
         raise ModelFileError(f"np = {n_p} but {len(entries)} scheduling entries",
                              path)

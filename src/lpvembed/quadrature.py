@@ -65,6 +65,12 @@ _WG_CENTER = 2.0 - _s
 del _s, _w
 
 
+# the defaults of integrate, which every deferred integral entry uses
+ABS_TOL = 1e-10
+REL_TOL = 1e-8
+MAX_SUBDIVISIONS = 2000
+
+
 class QuadratureConvergenceError(Exception):
     """Subdivision budget exhausted before meeting the tolerance.
 
@@ -112,8 +118,8 @@ def _panel(f: Callable[[float], float], a: float, b: float):
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
-              abs_tol: float = 1e-10, rel_tol: float = 1e-8,
-              max_subdivisions: int = 2000) -> QuadResult:
+              abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL,
+              max_subdivisions: int = MAX_SUBDIVISIONS) -> QuadResult:
     """Integrate ``f`` over [a, b] adaptively.
 
     Raises QuadratureConvergenceError when the error bound is still above

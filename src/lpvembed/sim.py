@@ -13,8 +13,8 @@ stop at the first non-finite state.
 :func:`simulate_nl` hands the driver f and h, each compiled once into
 one function that returns the whole vector (see :func:`compile_vector`),
 as are the expressions of an input signal.  A domain error in either
-stops the run with a SolverError: "model evaluation failed" or "input
-evaluation failed", with the time.
+stops the run with a SolverError naming the entry and the time, as one
+in the scheduling map does.
 :func:`simulate_lpv_self_scheduled` hands it maps that close the
 scheduling map at every evaluation: p = eta(x, u(t)), then
 xi(x) = A(p)(x - x_bar) + B(p)(u - u_bar) + V, and likewise for y.
@@ -38,9 +38,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import EVAL_ERRORS, Expr, compile_vector
+from .expr import EVAL_ERRORS, Expr, compile_vector, first_failure
 from .factorize import ModelError, NlssModel
-from .lpv import LpvssModel, SchedulingMap
+from .lpv import LpvssModel, SchedulingError, SchedulingMap
 from .parser import parse_expr
 
 TRAJECTORY_FORMAT_VERSION = 1
@@ -65,10 +65,9 @@ class GridMismatchError(Exception):
 class InputSignal:
     """A u(t) source: closed-form expressions, a ZOH table, or zero."""
 
-    def __init__(self, nu: int, fn: Callable[[float], np.ndarray], label: str):
+    def __init__(self, nu: int, fn: Callable[[float], np.ndarray]):
         self.nu = nu
         self._fn = fn
-        self.label = label
 
     def __call__(self, t: float) -> np.ndarray:
         # grid times are numpy scalars, for which 1/t at 0 is inf with a
@@ -78,18 +77,17 @@ class InputSignal:
     @classmethod
     def zero(cls, nu: int) -> "InputSignal":
         z = np.zeros(nu)
-        return cls(nu, lambda t: z, "zero")
+        return cls(nu, lambda t: z)
 
     @classmethod
     def from_exprs(cls, sources: Sequence[str | Expr], nu: int) -> "InputSignal":
         """One expression in t per channel (";"-separated in CLI usage)."""
         if len(sources) != nu:
             raise ValueError(f"expected {nu} input expressions, got {len(sources)}")
-        exprs = [parse_expr(s, variables=("t",)) if isinstance(s, str) else s
-                 for s in sources]
-        vector = compile_vector(exprs, ("t",))
-        return cls(nu, lambda t: _evaluate("input", vector, t, t),
-                   "; ".join(str(e) for e in exprs))
+        exprs = tuple(parse_expr(s, variables=("t",)) if isinstance(s, str)
+                      else s for s in sources)
+        vector = _evaluator("input", "u", exprs, ("t",))
+        return cls(nu, lambda t: vector(t, (t,)))
 
     @classmethod
     def zoh(cls, times: Sequence[float], values: np.ndarray) -> "InputSignal":
@@ -106,7 +104,7 @@ class InputSignal:
             i = int(np.searchsorted(times, t, side="right")) - 1
             return values[max(i, 0)]
 
-        return cls(nu, fn, f"zoh[{len(times)} samples]")
+        return cls(nu, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +335,8 @@ def _discrete_grid(t_end: float, sample_time: float) -> np.ndarray:
 # front ends
 # ---------------------------------------------------------------------------
 
+# numpy's warnings off: the non-finite value they warn of is the error
+@np.errstate(all="ignore")
 def _simulate(step, output, nx: int, nu: int, sample_time: float,
               x0: Sequence[float], u: InputSignal, t_end: float,
               cfg: SolverConfig | None):
@@ -384,21 +384,27 @@ def _simulate(step, output, nx: int, nu: int, sample_time: float,
     return grid, xs, ys, us
 
 
-def _evaluate(what: str, vector, t: float, *args) -> np.ndarray:
-    try:
-        return np.array(vector(*args))
-    except EVAL_ERRORS as exc:
-        raise SolverError(f"{what} evaluation failed: {exc}", t) from exc
+def _evaluator(what: str, prefix: str, exprs: tuple, names: tuple):
+    """f(t, x, u) of ``exprs`` over ``names``; a failing entry is named."""
+    vector = compile_vector(exprs, names)
+
+    def evaluate(t, x, u=()):
+        args = (*x, *u)
+        try:
+            return np.array(vector(*args))
+        except EVAL_ERRORS as exc:
+            i, cause = first_failure(exprs, names, args, exc)
+            raise SolverError(f"{what} evaluation failed: {prefix}{i + 1}: "
+                              f"{cause}", t) from cause
+    return evaluate
 
 
 def simulate_nl(model: NlssModel, x0: Sequence[float], u: InputSignal,
                 t_end: float, cfg: SolverConfig | None = None) -> Trajectory:
     """Simulate the nonlinear model itself."""
-    f = compile_vector(model.f, model.var_names)
-    h = compile_vector(model.h, model.var_names)
     return Trajectory(*_simulate(
-        lambda t, x, uu: _evaluate("model", f, t, *x, *uu),
-        lambda t, x, uu: _evaluate("model", h, t, *x, *uu),
+        _evaluator("model", "f", model.f, model.var_names),
+        _evaluator("model", "h", model.h, model.var_names),
         model.nx, model.nu, model.sample_time, x0, u, t_end, cfg))
 
 
@@ -418,11 +424,17 @@ def simulate_lpv_self_scheduled(m: LpvssModel, sm: SchedulingMap,
                          f"the model expects {m.np}")
     state_map, output_map = m.affine_maps()
 
+    def schedule(t, x, uu):
+        try:
+            return sm.evaluate(x, uu)
+        except SchedulingError as exc:
+            raise SolverError(f"scheduling evaluation failed: {exc}", t) from exc
+
     def step(t, x, uu):
-        return state_map(sm.evaluate(x, uu), x, uu)
+        return state_map(schedule(t, x, uu), x, uu)
 
     def output(t, x, uu):
-        p = sm.evaluate(x, uu)
+        p = schedule(t, x, uu)
         return np.concatenate((output_map(p, x, uu), p))
 
     grid, xs, yp, us = _simulate(step, output, m.nx, m.nu, m.sample_time,

@@ -384,11 +384,45 @@ def test_simulate_bad_x0_exits_2(tmp_path, capsys):
 
 def test_simulate_non_finite_output_exits_3(tmp_path, capsys):
     path = _model_file(tmp_path, "-x1 + u1", h1="1e300*x1*x1")
-    with np.errstate(over="ignore"):
-        code, _, err = run(["simulate", path, "-o", str(tmp_path / "o.csv"),
-                            "--t-end", "1", "--x0=1e10"], capsys)
+    code, _, err = run(["simulate", path, "-o", str(tmp_path / "o.csv"),
+                        "--t-end", "1", "--x0=1e10"], capsys)
     assert code == 3
     assert "non-finite output (t = 0.0)" in err
+
+
+def test_simulate_division_by_zero_exits_3_without_a_warning(tmp_path,
+                                                            capsys):
+    # the state reaches f as numpy scalars, for which 1/x2 at x2 = 0 is
+    # inf with a warning; the non-finite derivative is the error
+    path = tmp_path / "m.nlss"
+    path.write_text("format_version 1\nnx 2\nnu 1\nny 1\ntime continuous\n"
+                    "f1 = -x1 + 1/x2\nf2 = -x2 + u1\nh1 = x1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(["simulate", str(path), "-o",
+                            str(tmp_path / "o.csv"), "--t-end", "1"], capsys)
+    assert code == 3
+    assert err == "error: non-finite derivative (t = 0.0)\n"
+    assert caught == []
+
+
+def test_simulate_evaluation_errors_name_the_entry_and_time(tmp_path,
+                                                            capsys):
+    # x1 = -2.5 is outside the box: ln(x1 + 2) fails in f1 of the model
+    # and in p2 of its artifact
+    path = _model_file(tmp_path, "-x1 + u1*ln(x1 + 2)",
+                       box="box x1 -1 1\nbox u1 -1 1\n")
+    artifact = str(tmp_path / "m.json")
+    assert main(["convert", path, "-o", artifact, "--grid", "11"]) == 0
+    capsys.readouterr()
+    for target, message in (
+            (path, "model evaluation failed: f1: ln of non-positive value"),
+            (artifact, "scheduling evaluation failed: p2: ln of "
+                       "non-positive value")):
+        code, _, err = run(["simulate", target, "-o", str(tmp_path / "o.csv"),
+                            "--t-end", "1", "--x0=-2.5"], capsys)
+        assert code == 3
+        assert err == f"error: {message} (t = 0.0)\n"
 
 
 @pytest.mark.parametrize("expr", ["1/t", "ln(t)"])

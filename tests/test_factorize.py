@@ -3,8 +3,11 @@ the closed-form rule table, quadrature fallback, and exactness of the
 resulting matrix functions."""
 
 import importlib
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from lpvembed.factorize import (
     integrate_analytic, integrate_numeric, jacobian, line_substitute,
     state_names,
 )
+from lpvembed.modelfile import load_model_file
 from lpvembed.models import BUNDLED, load_bundled
 from lpvembed.parser import parse_expr
 from lpvembed.quadrature import integrate
@@ -346,6 +350,50 @@ def test_model_validation_errors():
         NlssModel(nx=1, nu=1, ny=1, f=(pe("abs(x1)", names),), h=good_h)
 
 
+# Refusals come from one walk over each equation's nodes, not from
+# differentiating it; the messages and their precedence are those of
+# differentiating: the first node diff refuses wins over any non-finite
+# constant, and of those the rightmost is named.
+REFUSAL_CASES = [
+    (lambda pe, d: pe("abs(x1) + 1e308*10"), "f1: 'abs' has no derivative rule"),
+    (lambda pe, d: add(Const(math.inf), pe("abs(x1)")),
+     "f1: 'abs' has no derivative rule"),
+    (lambda pe, d: pe("x1 + 1e308*10"), "f1: constants fold to inf"),
+    (lambda pe, d: pe("x1*1e308*10 - u1*1e308*10"),
+     "f1: constants fold to -inf"),
+    (lambda pe, d: add(d, Var("x1")),
+     "f1: deferred integral entries cannot be differentiated"),
+    (lambda pe, d: add(pe("abs(x1)"), d), "f1: 'abs' has no derivative rule"),
+    (lambda pe, d: add(d, pe("abs(x1)")),
+     "f1: deferred integral entries cannot be differentiated"),
+]
+
+
+@pytest.mark.parametrize("build,message", REFUSAL_CASES, ids=[
+    "abs-then-inf", "inf-then-abs", "inf", "inf-then-minus-inf", "deferred",
+    "abs-then-deferred", "deferred-then-abs"])
+def test_model_refusals_name_the_first_node_diff_refuses(build, message):
+    names = ("x1", "u1")
+    d = DeferredIntegral(pe("lam*x1", names + (LAMBDA,)))
+    with pytest.raises(ModelError) as ei:
+        NlssModel(nx=1, nu=1, ny=1,
+                  f=(build(lambda t: pe(t, names), d),), h=(pe("x1", names),))
+    assert str(ei.value) == message
+
+
+def test_model_validation_does_not_differentiate(monkeypatch):
+    def refuse(self, var):
+        raise AssertionError("diff called")
+    for cls in (Const, Var, Add, Mul, Div, Pow, Call):
+        monkeypatch.setattr(cls, "diff", refuse)
+    chain_model(5)
+    # an equation without variables is never differentiated, so a
+    # deferred integral in it is no reason to refuse the model
+    names = ("x1", "u1")
+    constant = add(DeferredIntegral(pe("lam^2", names + (LAMBDA,))), 1.0)
+    NlssModel(nx=1, nu=1, ny=1, f=(constant,), h=(pe("x1", names),))
+
+
 def test_anchor_validation():
     with pytest.raises(ModelError):
         Anchor((float("nan"),), ())
@@ -499,3 +547,58 @@ def test_factorize_work_follows_the_footprint(monkeypatch):
     factorize(model)
     assert calls["diff"] == pairs
     assert calls["map_entries"] <= sum(len(fp) ** 2 for fp in footprints)
+
+
+# ------------------------------------------------ canonical form by construction
+# No step of factorize normalizes a tree again: it relies on every tree
+# that the parser and the constructors build being a fixed point of
+# simplify.  This checks that on each stage's output over the bundled
+# models, the corpus, random_model(0..59) and the benchmark's generated
+# chain and network, in both modes, at the origin and a shifted anchor.
+
+GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+
+
+def canonical_sweep_models(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # for its dataclasses
+    spec.loader.exec_module(gen)
+    models = [load_bundled(b).model for b in BUNDLED]
+    models += corpus_models() + [random_model(k) for k in range(60)]
+    for case in (gen.chain(1, 0), gen.network(1, 0)):
+        path = tmp_path / f"{case.name}.nlss"
+        path.write_text(case.text)
+        models.append(load_model_file(str(path)).model)
+    return models
+
+
+def assert_canonical(e):
+    if isinstance(e, DeferredIntegral):
+        e = e.integrand
+    s = simplify(e)
+    assert s == e and to_string(s) == to_string(e), to_string(e)
+
+
+def test_stages_build_canonical_trees(tmp_path, monkeypatch):
+    for model in canonical_sweep_models(tmp_path, monkeypatch):
+        for e in model.f + model.h:
+            assert_canonical(e)
+            assert_canonical(pe(to_string(e), model.var_names))
+        for anchor in (Anchor.origin(model.nx, model.nu),
+                       seeded_anchor(model, 7)):
+            for fvec in (model.f, model.h):
+                for row in jacobian(fvec, model.var_names):
+                    for d in row:
+                        assert_canonical(d)
+                        on_line = line_substitute(d, anchor)
+                        assert_canonical(on_line)
+                        closed = integrate_analytic(on_line)
+                        if closed is not None:
+                            assert_canonical(closed)
+            for mode in ("analytic", "numeric"):
+                fs = factorize(model, anchor, mode=mode)
+                for block in (fs.A_bar, fs.B_bar, fs.C_bar, fs.D_bar):
+                    for row in block.entries:
+                        for e in row:
+                            assert_canonical(e)

@@ -353,6 +353,29 @@ def test_corrupt_artifact_fields_exit_2(tmp_path, disk_doc, capsys, mutate,
         assert "Traceback" not in err
 
 
+# every deferred entry integrates with quadrature's defaults; an
+# integral01 object that records other settings is refused, not ignored
+@pytest.mark.parametrize("key,value", [
+    ("abs_tol", 1e-6), ("rel_tol", 0.0), ("max_subdivisions", 50),
+    ("max_subdivisions", "2000"),
+])
+def test_deferred_entry_with_other_quadrature_settings_exits_2(
+        tmp_path, tanh_doc, capsys, key, value):
+    _m, _sm, _rep, path = make_artifact(tanh_doc, tmp_path)
+    doc = json.loads(open(path).read())
+    assert doc["scheduling"][0]["kind"] == "integral01"
+    doc["scheduling"][0][key] = value
+    bad_path = str(tmp_path / "bad.json")
+    with open(bad_path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ModelFileError) as ei:
+        load_artifact(bad_path)
+    assert str(ei.value).startswith(f"{bad_path}: scheduling entry p1: "
+                                    f"{key} {value!r} is not ")
+    assert main(["info", bad_path]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 V1_FIXTURE = Path(__file__).parent / "data" / "unbalanced_disk_v1.json"
 
 

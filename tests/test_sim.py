@@ -3,6 +3,7 @@ signals, trajectory containers, and self-scheduled LPV runs."""
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def test_input_evaluation_errors_are_solver_errors(text, t, cause):
     u = InputSignal.from_exprs(["1", text], 2)
     with pytest.raises(SolverError) as ei:
         u(t)
-    assert str(ei.value) == f"input evaluation failed: {cause} (t = {t!r})"
+    assert str(ei.value) == f"input evaluation failed: u2: {cause} (t = {t!r})"
     assert ei.value.t == t
     # numpy scalar times, as the output grid passes them, print as floats
     with pytest.raises(SolverError, match=r"\(t = 0.5\)$"):
@@ -170,8 +171,8 @@ def test_input_evaluation_errors_are_solver_errors(text, t, cause):
 
 
 def test_simulation_stops_at_an_input_evaluation_error():
-    with pytest.raises(SolverError, match="^input evaluation failed: float "
-                                          "division by zero"):
+    with pytest.raises(SolverError, match="^input evaluation failed: u1: "
+                                          "float division by zero"):
         simulate_nl(DECAY, [1.0], InputSignal.from_exprs(["1/t"], 1), 1.0)
 
 
@@ -179,8 +180,18 @@ def test_model_evaluation_errors_are_solver_errors():
     model = make_model(["-x1", "ln(x1)"], ["x2"], 2, 1)
     with pytest.raises(SolverError) as ei:
         simulate_nl(model, [0.0, 1.0], InputSignal.zero(1), 1.0)
-    assert str(ei.value) == ("model evaluation failed: ln of non-positive "
-                             "value (t = 0.0)")
+    assert str(ei.value) == ("model evaluation failed: f2: ln of "
+                             "non-positive value (t = 0.0)")
+
+
+def test_model_division_by_zero_is_a_solver_error_without_a_warning():
+    model = make_model(["-x1 + 1/x2", "-x2 + u1"], ["x1"], 2, 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolverError) as ei:
+            simulate_nl(model, [0.0, 0.0], InputSignal.zero(1), 1.0)
+    assert str(ei.value) == "non-finite derivative (t = 0.0)"
+    assert caught == []
 
 
 def test_input_zero():
