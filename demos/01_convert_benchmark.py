@@ -8,9 +8,8 @@ reproduces the nonlinear dynamics at random points.
 
 import numpy as np
 
-from lpvembed import (
-    estimate_range, extract_factor, factorize, verify_embedding,
-)
+from lpvembed import estimate_range, extract_factor, verify_embedding
+from lpvembed.factorize import factorize
 from lpvembed.models import load_bundled
 
 

@@ -8,7 +8,8 @@ reports a slightly widened box as a safety margin for downstream design.
 
 import argparse
 
-from lpvembed import estimate_range, extract_factor, factorize
+from lpvembed import estimate_range, extract_factor
+from lpvembed.factorize import factorize
 from lpvembed.models import load_bundled
 
 

@@ -12,7 +12,8 @@ import tempfile
 
 import numpy as np
 
-from lpvembed import extract_factor, factorize
+from lpvembed import extract_factor
+from lpvembed.factorize import factorize
 from lpvembed.models import load_bundled
 from lpvembed.sim import (
     InputSignal, SolverConfig, rmse, simulate_lpv_self_scheduled,

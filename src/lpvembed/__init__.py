@@ -19,10 +19,11 @@ from .parser import ParseError, parse_expr             # noqa: F401
 from .quadrature import (                              # noqa: F401
     QuadratureConvergenceError, QuadResult, integrate,
 )
+# the function factorize is not re-exported: lpvembed.factorize is the
+# module (from lpvembed.factorize import factorize)
 from .factorize import (                               # noqa: F401
     Anchor, DeferredIntegral, FactorizedSystem, MatrixFunction, ModelError,
-    NlssModel, factorize, integrate_analytic, integrate_numeric, jacobian,
-    line_substitute,
+    NlssModel, integrate_analytic, jacobian, line_substitute,
 )
 from .lpv import (                                     # noqa: F401
     CoeffFamily, LpvssModel, RangeBox, RangeGridError, SchedulingError,

@@ -35,8 +35,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -44,8 +42,7 @@ import numpy as np
 from .expr import (
     DERIVATIVES, Add, Call, Const, Div, EvalError, Expr, Mul,
     NonDifferentiableError, Pow, UnboundVariableError, Var, ZERO,
-    add, call, compile_scalar, compile_vector, div, first_failure, mul, neg,
-    substitute, to_string,
+    add, call, compile_scalar, div, mul, neg, substitute, to_string,
 )
 from .quadrature import integrate
 
@@ -148,23 +145,6 @@ class NlssModel:
     @property
     def is_continuous(self) -> bool:
         return self.sample_time == 0.0
-
-    def bindings(self, x: Sequence[float], u: Sequence[float]) -> dict[str, float]:
-        if len(x) != self.nx or len(u) != self.nu:
-            raise ModelError(
-                f"expected ({self.nx}, {self.nu}) state/input values, "
-                f"got ({len(x)}, {len(u)})")
-        out = dict(zip(self.x_names, x))
-        out.update(zip(self.u_names, u))
-        return out
-
-    def eval_f(self, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
-        b = self.bindings(x, u)
-        return np.array([e.eval(b) for e in self.f])
-
-    def eval_h(self, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
-        b = self.bindings(x, u)
-        return np.array([e.eval(b) for e in self.h])
 
 
 @dataclass(frozen=True)
@@ -419,40 +399,19 @@ def integrate_analytic(e: Expr) -> Expr | None:
     return None
 
 
-def integrate_numeric(e: Expr, point: Mapping[str, float]) -> float:
-    """Quadrature value of integral_0^1 e dlam with (x, u) bound to ``point``."""
-    return DeferredIntegral(e).eval(point)
-
-
 # ---------------------------------------------------------------------------
 # matrix functions and the factorized system
 # ---------------------------------------------------------------------------
 
 @dataclass
 class MatrixFunction:
-    """Grid of expressions in (x, u) forming one factor matrix."""
+    """Grid of expressions in (x, u) forming one factor matrix; no evaluator."""
 
     entries: tuple[tuple[Expr, ...], ...]
-    tag: str                       # which of A, B, C, D this is
-    var_names: tuple[str, ...]     # x names then u names
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.entries), len(self.entries[0]) if self.entries else 0)
-
-    @cached_property
-    def _vector(self):
-        return compile_vector(chain(*self.entries), self.var_names)
-
-    def evaluate(self, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
-        args = (*x, *u)
-        try:
-            return np.array(self._vector(*args), dtype=float).reshape(self.shape)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            n, cause = first_failure(tuple(chain(*self.entries)),
-                                     self.var_names, args, exc)
-            i, j = divmod(n, self.shape[1])
-            raise EvalError(f"{self.tag}({i + 1},{j + 1}): {cause}") from cause
 
     def entry_strings(self) -> list[list[str]]:
         return [[to_string(e) for e in row] for row in self.entries]
@@ -471,20 +430,6 @@ class FactorizedSystem:
     V: np.ndarray
     W: np.ndarray
     warnings: tuple[str, ...] = ()
-
-    def matrices_at(self, x, u):
-        return (self.A_bar.evaluate(x, u), self.B_bar.evaluate(x, u),
-                self.C_bar.evaluate(x, u), self.D_bar.evaluate(x, u))
-
-    def reconstruct_f(self, x, u) -> np.ndarray:
-        dx = np.asarray(x, dtype=float) - np.asarray(self.anchor.x_bar)
-        du = np.asarray(u, dtype=float) - np.asarray(self.anchor.u_bar)
-        return self.A_bar.evaluate(x, u) @ dx + self.B_bar.evaluate(x, u) @ du + self.V
-
-    def reconstruct_h(self, x, u) -> np.ndarray:
-        dx = np.asarray(x, dtype=float) - np.asarray(self.anchor.x_bar)
-        du = np.asarray(u, dtype=float) - np.asarray(self.anchor.u_bar)
-        return self.C_bar.evaluate(x, u) @ dx + self.D_bar.evaluate(x, u) @ du + self.W
 
 
 def _integrate_entry(integrand: Expr, mode: str, tag: str, i: int, j: int,
@@ -550,7 +495,7 @@ def factorize(model: NlssModel, anchor: Anchor | None = None,
             )
             for i in range(len(fvec))
         )
-        blocks[tag] = MatrixFunction(rows, tag, model.var_names)
+        blocks[tag] = MatrixFunction(rows)
 
     V = _offsets(model.f, "f", at)
     W = _offsets(model.h, "h", at)

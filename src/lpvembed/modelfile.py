@@ -192,6 +192,8 @@ def load_model_file(path: str) -> ModelDocument:
             name, _, value = rest.partition(" ")
             if name not in vocab():
                 raise ModelFileError(f"anchor: unknown variable '{name}'", path, no)
+            if name in anchor_vals:
+                raise ModelFileError(f"duplicate anchor for {name}", path, no)
             anchor_vals[name] = _eval_const_expr(value.strip(), constants, path, no)
         elif key == "box":
             parts = rest.split(None, 1)
@@ -200,6 +202,8 @@ def load_model_file(path: str) -> ModelDocument:
             name, bounds = parts
             if name not in vocab():
                 raise ModelFileError(f"box: unknown variable '{name}'", path, no)
+            if name in box:
+                raise ModelFileError(f"duplicate box for {name}", path, no)
             vals = bounds.split()
             if len(vals) != 2:
                 raise ModelFileError("box needs exactly two bounds", path, no)

@@ -96,6 +96,9 @@ class InputSignal:
         values = np.atleast_2d(np.asarray(values, dtype=float))
         if values.shape[0] != times.shape[0]:
             raise ValueError("ZOH table: times and values disagree in length")
+        if not (times.size and np.isfinite(times).all()
+                and np.isfinite(values).all()):
+            raise ValueError("ZOH table: needs one or more samples, all finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("ZOH table: times must be strictly increasing")
         nu = values.shape[1]
@@ -131,10 +134,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("auto", "rk45", "rk4", "discrete"):
             raise ValueError(f"unknown method '{self.method}'")
-        if min(self.rel_tol, self.abs_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.step <= 0 or self.output_dt <= 0 or self.max_step <= 0:
-            raise ValueError("step sizes must be positive")
+        for name in ("rel_tol", "abs_tol", "step", "output_dt"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value!r}")
+        if not self.max_step > 0.0:  # +inf, the default, sets no bound
+            raise ValueError(f"max_step must be positive, got {self.max_step!r}")
 
     def resolve(self, sample_time: float) -> str:
         continuous = sample_time == 0.0
@@ -311,8 +317,8 @@ def _sample_steps(steps, y0, t_grid) -> np.ndarray:
 
 
 def _output_grid(t_end: float, dt: float) -> np.ndarray:
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     n = int(math.floor(t_end / dt + 1e-9))
     grid = np.minimum(np.arange(n + 1) * dt, t_end)
     if grid[-1] < t_end:
@@ -321,6 +327,9 @@ def _output_grid(t_end: float, dt: float) -> np.ndarray:
 
 
 def _discrete_grid(t_end: float, sample_time: float) -> np.ndarray:
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(
+            f"t_end must be non-negative and finite, got {t_end!r}")
     if sample_time > 0:
         n = int(math.floor(t_end / sample_time + 1e-9))
         return np.arange(n + 1) * sample_time
@@ -487,18 +496,37 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
 
 
 def read_input_csv(path: str, nu: int) -> InputSignal:
-    """Build a ZOH input from a CSV with a t column and u1..u_nu columns."""
+    """Build a ZOH input from a CSV with a t column and u1..u_nu columns.
+
+    A bad row is named by its line in the file: ``path: row N: ...``.
+    """
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh)
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader
                 if r and not r[0].lstrip().startswith("#")]
     if not rows:
         raise ValueError(f"{path}: empty input table")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
+    names = ("t",) + tuple(f"u{i + 1}" for i in range(nu))
     try:
-        ti = header.index("t")
-        ui = [header.index(f"u{i + 1}") for i in range(nu)]
+        cols = [header.index(n) for n in names]
     except ValueError:
         raise ValueError(
             f"{path}: header must contain t and u1..u{nu}") from None
-    body = np.array([[float(c) for c in r] for r in rows[1:]])
-    return InputSignal.zoh(body[:, ti], body[:, ui])
+    if len(rows) == 1:
+        raise ValueError(f"{path}: no rows below the header")
+    body = []
+    for no, r in rows[1:]:
+        try:
+            if len(r) != len(header):
+                raise ValueError(f"{len(r)} cells under {len(header)} columns")
+            body.append([float(r[k]) for k in cols])
+            bad = [n for n, v in zip(names, body[-1]) if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"non-finite {bad[0]}")
+            if len(body) > 1 and body[-1][0] <= body[-2][0]:
+                raise ValueError("times must be strictly increasing")
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {no}: {exc}") from None
+    table = np.array(body)
+    return InputSignal.zoh(table[:, 0], table[:, 1:])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lpvembed.models import load_bundled
@@ -25,3 +26,13 @@ def coeff_pos():
             keys = zip(family.k, family.i, family.j)
         return list(keys).index((k, i, j))
     return find
+
+
+@pytest.fixture(scope="session")
+def block_at():
+    """``at(block, bindings)``: a factor matrix of a ``FactorizedSystem``
+    as a dense array, each entry evaluated by walking its tree."""
+    def at(block, bindings):
+        return np.array([[e.eval(bindings) for e in row]
+                         for row in block.entries])
+    return at

@@ -115,19 +115,17 @@ def test_criterion_5_random_model_reconstruction():
                   f"(<=1e-8), {dt:.1f}s")
 
 
-def test_criterion_6_matrices_finite_and_match_jacobians_at_origin():
+def test_criterion_6_matrices_finite_and_match_jacobians_at_origin(block_at):
     worst = 0.0
     finite = True
     for doc in corpus():
         model = doc.model
         fs = factorize(model)                     # origin anchor, analytic
-        x0 = [0.0] * model.nx
-        u0 = [0.0] * model.nu
         bind = {n: 0.0 for n in model.var_names}
         for tag, wrt in (("A_bar", model.x_names), ("B_bar", model.u_names),
                          ("C_bar", model.x_names), ("D_bar", model.u_names)):
             eqs = model.f if tag in ("A_bar", "B_bar") else model.h
-            got = getattr(fs, tag).evaluate(x0, u0)
+            got = block_at(getattr(fs, tag), bind)
             finite = finite and bool(np.all(np.isfinite(got)))
             want = np.array([[e.eval(bind) for e in row]
                              for row in jacobian(eqs, wrt)])

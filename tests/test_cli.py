@@ -493,6 +493,60 @@ def test_simulate_wrong_solver_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+DISCRETE = ("format_version 1\nnx 1\nnu 1\nny 1\ntime discrete {}\n"
+            "f1 = 0.5*x1 + u1\nh1 = x1\n")
+
+
+@pytest.mark.parametrize("time,flags,message", [
+    ("", ["--t-end", "inf"], "t_end must be positive and finite, got inf"),
+    ("", ["--t-end", "nan"], "t_end must be positive and finite, got nan"),
+    ("0.1", ["--t-end", "inf"],
+     "t_end must be non-negative and finite, got inf"),
+    ("0.1", ["--t-end", "-1"],
+     "t_end must be non-negative and finite, got -1.0"),
+    ("-1", ["--t-end", "nan"],
+     "t_end must be non-negative and finite, got nan"),
+    ("", ["--t-end", "1", "--output-dt", "nan"],
+     "output_dt must be positive and finite, got nan"),
+    ("", ["--t-end", "1", "--output-dt", "inf"],
+     "output_dt must be positive and finite, got inf"),
+    ("", ["--t-end", "1", "--rel-tol", "inf"],
+     "rel_tol must be positive and finite, got inf"),
+    ("", ["--t-end", "1", "--solver", "rk4", "--fixed-step", "nan"],
+     "step must be positive and finite, got nan"),
+    ("", ["--t-end", "1", "--max-step", "nan"],
+     "max_step must be positive, got nan"),
+])
+def test_simulate_non_finite_solver_settings_exit_2(tmp_path, capsys, time,
+                                                    flags, message):
+    target = "unbalanced_disk"
+    if time:
+        target = tmp_path / "d.nlss"
+        target.write_text(DISCRETE.format(time))
+    code, _, err = run(["simulate", str(target), *flags,
+                        "-o", str(tmp_path / "t.csv")], capsys)
+    assert (code, err) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("table,message", [
+    ("t,u1\n", "no rows below the header"),
+    ("t,u1\n0,1\nnan,1\n", "row 3: non-finite t"),
+    ("t,u1\n0,1\n1,-inf\n", "row 3: non-finite u1"),
+    ("t,u1\n0,nan\n", "row 2: non-finite u1"),
+    ("t,u1\n0,1\n1,2,3\n", "row 3: 3 cells under 2 columns"),
+    ("t,u1\n# a comment\n0,a\n",
+     "row 3: could not convert string to float: 'a'"),
+    ("t,u1\n0,1\n0,2\n", "row 3: times must be strictly increasing"),
+], ids=["header-only", "nan-time", "inf-value", "nan-value", "ragged",
+        "non-numeric", "repeated-time"])
+def test_simulate_bad_input_table_exits_2(tmp_path, capsys, table, message):
+    path = tmp_path / "u.csv"
+    path.write_text(table)
+    code, _, err = run(["simulate", "unbalanced_disk", "--input", str(path),
+                        "--t-end", "1", "-o", str(tmp_path / "t.csv")], capsys)
+    assert (code, err) == (2, f"error: {path}: {message}\n")
+
+
 # --------------------------------------------------------------------- compare
 
 def test_compare_clean(disk_artifact, capsys):

@@ -2,25 +2,26 @@
 the closed-form rule table, quadrature fallback, and exactness of the
 resulting matrix functions."""
 
-import importlib
 import importlib.util
 import math
 import random
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lpvembed.expr import (
-    Add, Call, Const, Div, EvalError, Mul, NonDifferentiableError, Pow,
+    Add, Call, Const, Div, Mul, NonDifferentiableError, Pow,
     UnboundVariableError, Var, add, mul, neg, simplify, substitute, to_string,
 )
+import lpvembed
+import lpvembed.factorize as fz
 from lpvembed.factorize import (
     LAMBDA, Anchor, DeferredIntegral, FactorizedSystem, MatrixFunction,
     ModelError, NlssModel, _integrate_entry, factorize, input_names,
-    integrate_analytic, integrate_numeric, jacobian, line_substitute,
-    state_names,
+    integrate_analytic, jacobian, line_substitute, state_names,
 )
 from lpvembed.modelfile import load_model_file
 from lpvembed.models import BUNDLED, load_bundled
@@ -161,7 +162,7 @@ def test_rule_table_agrees_with_quadrature():
     for text, _ in cases:
         e = pe(text, names)
         sym = integrate_analytic(e).eval(env)
-        num = integrate_numeric(e, env)
+        num = DeferredIntegral(e).eval(env)
         assert sym == pytest.approx(num, rel=1e-10, abs=1e-12), text
 
 
@@ -174,30 +175,13 @@ def test_integrate_numeric_against_simpson():
         s = sum((4.0 if i % 2 else 2.0) * e.eval({"x": x, "lam": i * h})
                 for i in range(1, n))
         s = (s + e.eval({"x": x, "lam": 0.0}) + e.eval({"x": x, "lam": 1.0})) * h / 3.0
-        assert integrate_numeric(e, {"x": x}) == pytest.approx(s, abs=1e-11)
+        num = DeferredIntegral(e).eval({"x": x})
+        assert num == pytest.approx(s, abs=1e-11)
         # the integral equals tanh(x)/x
-        assert integrate_numeric(e, {"x": x}) == pytest.approx(
-            math.tanh(x) / x, abs=1e-11)
+        assert num == pytest.approx(math.tanh(x) / x, abs=1e-11)
 
 
 # --------------------------------------------------------- deferred integrals
-
-def test_matrix_function_errors_name_the_entry():
-    names = ("x1", "x2", "u1")
-
-    def pe(text):
-        return parse_expr(text, variables=names + (LAMBDA,))
-    mf = MatrixFunction(((pe("1"), pe("x1")), (pe("ln(x1)"), pe("x2"))),
-                        "A", names)
-    with pytest.raises(EvalError, match=r"^A\(2,1\): ln of non-positive"):
-        mf.evaluate(np.array([-1.0, 0.0]), np.array([0.0]))
-    # the failure inside a deferred entry's quadrature is attributed too
-    mf = MatrixFunction(((pe("x2"), DeferredIntegral(pe("1/(x1 - lam)"))),),
-                        "C", names)
-    with pytest.raises(EvalError, match=r"^C\(1,2\): float division by zero"):
-        mf.evaluate([0.5, 1.0], [0.0])
-    assert mf.evaluate([2.0, 1.0], [0.0])[0, 0] == 1.0
-
 
 def test_deferred_integral_eval_and_errors():
     names = ("x", "lam")
@@ -232,45 +216,53 @@ def test_disk_factorization_structure(disk_doc):
     assert np.array_equal(fs.W, np.zeros(1))
 
 
-def test_disk_constant_matches_parameters(disk_doc):
+def disk_at(x1):
+    return {"x1": x1, "x2": 0.0, "u1": 0.0}
+
+
+def test_disk_constant_matches_parameters(disk_doc, block_at):
     fs = factorize(disk_doc.model)
-    A = fs.A_bar.evaluate([0.0, 0.0], [0.0])
+    A = block_at(fs.A_bar, disk_at(0.0))
     assert A[1, 0] == pytest.approx(MGL_OVER_J, abs=1e-9)
 
 
-def test_disk_numeric_mode_defers_and_agrees(disk_doc):
+def test_disk_numeric_mode_defers_and_agrees(disk_doc, block_at):
     fs = factorize(disk_doc.model, mode="numeric")
     assert isinstance(fs.A_bar.entries[1][0], DeferredIntegral)
     # constant integrand at the anchor: quadrature is exact there
-    A0 = fs.A_bar.evaluate([0.0, 0.0], [0.0])
+    A0 = block_at(fs.A_bar, disk_at(0.0))
     assert A0[1, 0] == 130.9636363636364
     for x1 in (-2.0, 0.3, 5.5):
-        A = fs.A_bar.evaluate([x1, 0.0], [0.0])
+        A = block_at(fs.A_bar, disk_at(x1))
         assert A[1, 0] == pytest.approx(
             MGL_OVER_J * math.sin(x1) / x1, abs=1e-9)
 
 
-def test_disk_entries_continuous_through_origin(disk_doc):
+def test_disk_entries_continuous_through_origin(disk_doc, block_at):
     fs = factorize(disk_doc.model)
-    base = fs.A_bar.evaluate([0.0, 0.0], [0.0])[1, 0]
+    base = block_at(fs.A_bar, disk_at(0.0))[1, 0]
     assert base == 130.9636363636364
-    assert abs(fs.A_bar.evaluate([1e-3, 0.0], [0.0])[1, 0] - base) < 1e-4
-    assert abs(fs.A_bar.evaluate([1e-6, 0.0], [0.0])[1, 0] - base) < 1e-9
+    assert abs(block_at(fs.A_bar, disk_at(1e-3))[1, 0] - base) < 1e-4
+    assert abs(block_at(fs.A_bar, disk_at(1e-6))[1, 0] - base) < 1e-9
 
 
 # ------------------------------------------------- exactness of the identity
 
-def reconstruction_residual(model, fs, rng, n=40):
+def reconstruction_residual(model, fs, rng, block_at, n=40):
+    """Largest deviation of A_bar dx + B_bar du + V from f, and of the
+    output side from h, with dx = x - x_bar and du = u - u_bar."""
     worst = 0.0
     for _ in range(n):
         x = [rng.uniform(-2.0, 2.0) for _ in range(model.nx)]
         u = [rng.uniform(-2.0, 2.0) for _ in range(model.nu)]
-        got_f = fs.reconstruct_f(x, u)
-        got_h = fs.reconstruct_h(x, u)
-        ref_f = model.eval_f(x, u)
-        ref_h = model.eval_h(x, u)
-        worst = max(worst, np.max(np.abs(got_f - ref_f)),
-                    np.max(np.abs(got_h - ref_h)))
+        b = dict(zip(model.var_names, x + u))
+        dx = np.subtract(x, fs.anchor.x_bar)
+        du = np.subtract(u, fs.anchor.u_bar)
+        for M, N, offset, eqs in ((fs.A_bar, fs.B_bar, fs.V, model.f),
+                                  (fs.C_bar, fs.D_bar, fs.W, model.h)):
+            got = block_at(M, b) @ dx + block_at(N, b) @ du + offset
+            ref = np.array([e.eval(b) for e in eqs])
+            worst = max(worst, np.max(np.abs(got - ref)))
     return worst
 
 
@@ -284,50 +276,52 @@ TEST_SYSTEMS = [
 
 @pytest.mark.parametrize("f_texts,h_texts,nx,nu", TEST_SYSTEMS)
 @pytest.mark.parametrize("mode", ["analytic", "numeric"])
-def test_identity_exact_at_origin_anchor(f_texts, h_texts, nx, nu, mode):
+def test_identity_exact_at_origin_anchor(f_texts, h_texts, nx, nu, mode,
+                                         block_at):
     model = make_model(f_texts, h_texts, nx, nu)
     fs = factorize(model, mode=mode)
     rng = random.Random(11)
-    assert reconstruction_residual(model, fs, rng) < 1e-9
+    assert reconstruction_residual(model, fs, rng, block_at) < 1e-9
 
 
 @pytest.mark.parametrize("f_texts,h_texts,nx,nu", TEST_SYSTEMS[:2])
-def test_identity_exact_at_general_anchor(f_texts, h_texts, nx, nu):
+def test_identity_exact_at_general_anchor(f_texts, h_texts, nx, nu,
+                                          block_at):
     model = make_model(f_texts, h_texts, nx, nu)
     anchor = Anchor(tuple(0.3 * (i + 1) for i in range(nx)),
                     tuple(-0.5 for _ in range(nu)))
     fs = factorize(model, anchor=anchor)
     rng = random.Random(13)
-    assert reconstruction_residual(model, fs, rng) < 1e-9
+    assert reconstruction_residual(model, fs, rng, block_at) < 1e-9
     # offsets are the model evaluated at the anchor
     b = anchor.bindings(nx, nu)
     assert fs.V == pytest.approx([e.eval(b) for e in model.f], rel=1e-14)
     assert fs.W == pytest.approx([e.eval(b) for e in model.h], rel=1e-14)
 
 
-def test_modes_agree(disk_doc):
+def test_modes_agree(disk_doc, block_at):
     model = disk_doc.model
     a = factorize(model, mode="analytic")
     n = factorize(model, mode="numeric")
     rng = random.Random(5)
     for _ in range(10):
-        x = [rng.uniform(-6.0, 6.0), rng.uniform(-10.0, 10.0)]
-        u = [rng.uniform(-5.0, 5.0)]
+        b = {"x1": rng.uniform(-6.0, 6.0), "x2": rng.uniform(-10.0, 10.0),
+             "u1": rng.uniform(-5.0, 5.0)}
         for tag in ("A_bar", "B_bar", "C_bar", "D_bar"):
-            Ma = getattr(a, tag).evaluate(x, u)
-            Mn = getattr(n, tag).evaluate(x, u)
+            Ma = block_at(getattr(a, tag), b)
+            Mn = block_at(getattr(n, tag), b)
             assert np.max(np.abs(Ma - Mn)) < 1e-8, tag
 
 
-def test_tanh_output_falls_back_to_quadrature(tanh_doc):
+def test_tanh_output_falls_back_to_quadrature(tanh_doc, block_at):
     fs = factorize(tanh_doc.model)
     assert len(fs.warnings) == 1
     assert fs.warnings[0].startswith("C(1,1): no closed form")
     assert isinstance(fs.C_bar.entries[0][0], DeferredIntegral)
     for x in (-3.0, 0.5, 2.0):
-        got = fs.C_bar.evaluate([x], [0.0])[0, 0]
+        got = block_at(fs.C_bar, {"x1": x, "u1": 0.0})[0, 0]
         assert got == pytest.approx(math.tanh(x) / x, abs=1e-10)
-    assert fs.C_bar.evaluate([0.0], [0.0])[0, 0] == 1.0
+    assert block_at(fs.C_bar, {"x1": 0.0, "u1": 0.0})[0, 0] == 1.0
 
 
 # ------------------------------------------------------------ model validation
@@ -406,6 +400,13 @@ def test_factorize_rejects_unknown_mode(disk_doc):
         factorize(disk_doc.model, mode="symbolic")
 
 
+def test_package_attribute_factorize_is_the_module():
+    # the package does not re-export the function under its module's name
+    assert isinstance(fz, types.ModuleType)
+    assert lpvembed.factorize is fz
+    assert fz.factorize is factorize
+
+
 # ------------------------------------- footprint factorization against a dense oracle
 # The reference below differentiates every equation by every variable
 # and maps all nx + nu variables onto the line for every entry, zeros
@@ -446,7 +447,7 @@ def reference_factorize(model, anchor, mode):
                                    mode, tag, i, j, warnings)
                   for j in range(len(wrt)))
             for i in range(len(fvec)))
-        blocks[tag] = MatrixFunction(rows, tag, model.var_names)
+        blocks[tag] = MatrixFunction(rows)
     V = np.array([e.eval(at) for e in model.f])
     W = np.array([e.eval(at) for e in model.h])
     return FactorizedSystem(model, anchor, blocks["A"], blocks["B"],
@@ -541,9 +542,7 @@ def test_factorize_work_follows_the_footprint(monkeypatch):
         calls["map_entries"] += len(mapping)
         return substitute(e, mapping)
 
-    # the package re-exports the function factorize under the module's name
-    monkeypatch.setattr(importlib.import_module("lpvembed.factorize"),
-                        "substitute", counting_substitute)
+    monkeypatch.setattr(fz, "substitute", counting_substitute)
     factorize(model)
     assert calls["diff"] == pairs
     assert calls["map_entries"] <= sum(len(fp) ** 2 for fp in footprints)

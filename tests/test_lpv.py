@@ -213,7 +213,7 @@ def test_dense_views_are_read_only_and_fresh(disk_doc):
     assert m.A[0, 0, 1] == 2.0
 
 
-def test_extraction_modes_build_the_same_matrices():
+def test_extraction_modes_build_the_same_matrices(block_at):
     rng = random.Random(3)
     for seed in range(6):
         model = random_model(seed)
@@ -225,7 +225,8 @@ def test_extraction_modes_build_the_same_matrices():
             u = [rng.uniform(-1.5, 1.5) for _ in range(model.nu)]
             Ae, Be, Ce, De = m_e.matrices(sm_e.evaluate(x, u))
             Af, Bf, Cf, Df = m_f.matrices(sm_f.evaluate(x, u))
-            ref = fs.matrices_at(x, u)
+            b = dict(zip(model.var_names, x + u))
+            ref = [block_at(getattr(fs, f"{t}_bar"), b) for t in "ABCD"]
             for got_e, got_f, want in zip((Ae, Be, Ce, De),
                                           (Af, Bf, Cf, Df), ref):
                 assert np.max(np.abs(got_e - want)) < 1e-10
@@ -508,12 +509,19 @@ def test_range_box_first_exit():
 
 
 def test_scheduling_error_carries_index():
-    sm = SchedulingMap(entries=(pe("x1", ("x1",)), pe("ln(x1)", ("x1",))),
-                       var_names=("x1",))
-    with pytest.raises(SchedulingError) as ei:
-        sm.evaluate([-2.0], [])
-    assert ei.value.index == 1
-    assert str(ei.value).startswith("p2:")
+    x1 = ("x1",)
+    # a failure inside a deferred entry's quadrature is blamed on it too:
+    # 1/(x1 - lam) divides by zero at the node lam = 0.5
+    for failing, at, message in (
+            (pe("ln(x1)", x1), -2.0, "p2: ln of non-positive value"),
+            (DeferredIntegral(pe("1/(x1 - lam)", x1 + ("lam",))), 0.5,
+             "p2: float division by zero")):
+        sm = SchedulingMap(entries=(pe("x1", x1), failing), var_names=x1)
+        with pytest.raises(SchedulingError) as ei:
+            sm.evaluate([at], [])
+        assert ei.value.index == 1
+        assert str(ei.value) == message
+        assert sm.evaluate([2.0], [])[0] == 2.0
 
 
 def test_scheduling_error_blames_the_entry_the_vector_stopped_at():
@@ -800,7 +808,8 @@ def test_verify_report_locates_worst_point(disk_doc, coeff_pos):
     p = sm.evaluate(x, u)
     A, B, _, _ = m.matrices(p)
     f_lpv = A @ np.asarray(x) + B @ np.asarray(u)
-    f_ref = disk_doc.model.eval_f(x, u)
+    f_ref = [e.eval({"x1": x[0], "x2": x[1], "u1": u[0]})
+             for e in disk_doc.model.f]
     assert abs((f_lpv - f_ref)[1]) == pytest.approx(rep.f_max[1], rel=1e-12)
 
 

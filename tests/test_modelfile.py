@@ -101,6 +101,12 @@ BAD_CASES = [
     ("format_version 1\nnx 1\nnu 1\nny 1\ntime continuous\n"
      "orbit x1\nf1 = x1\nh1 = x1\n", "orbit"),
     ("format_version 1\nf1 = x1\n", "declared before"),
+    ("format_version 1\nnx 1\nnu 1\nny 1\ntime continuous\n"
+     "f1 = x1\nh1 = x1\nbox x1 -1 1\nbox x1 -2 2\n",
+     "m.nlss:9: duplicate box for x1"),
+    ("format_version 1\nnx 1\nnu 1\nny 1\ntime continuous\n"
+     "f1 = x1\nh1 = x1\nanchor x1 1\nanchor x1 0\n",
+     "m.nlss:9: duplicate anchor for x1"),
 ]
 
 

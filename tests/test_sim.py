@@ -213,6 +213,17 @@ def test_zoh_rejects_unsorted_times():
         InputSignal.zoh([0.0, 1.0, 1.0], np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize("times,values", [
+    ([], np.zeros((0, 1))),
+    ([0.0, math.nan], np.zeros((2, 1))),
+    ([math.nan], np.zeros((1, 1))),
+    ([0.0, 1.0], np.array([[0.0], [math.inf]])),
+])
+def test_zoh_rejects_empty_and_non_finite_tables(times, values):
+    with pytest.raises(ValueError, match="one or more samples, all finite"):
+        InputSignal.zoh(times, values)
+
+
 def test_read_input_csv(tmp_path):
     path = tmp_path / "u.csv"
     path.write_text("t,u1,u2\n0,1,10\n1,2,20\n2,3,30\n")
