@@ -23,15 +23,15 @@ from . import __version__
 from .expr import ExprError
 from .factorize import Anchor, ModelError, factorize
 from .lpv import (
-    RangeGridError, SchedulingError, _check_interval, default_box,
-    estimate_range, extract_element, extract_factor, verify_embedding,
+    RangeGridError, SchedulingError, default_box, estimate_range,
+    extract_element, extract_factor, verify_embedding,
 )
 from .modelfile import (
-    ModelDocument, ModelFileError, load_artifact, load_model_file,
-    save_artifact,
+    ModelDocument, ModelFileError, anchor_of, load_artifact, load_model_file,
+    read_flag, read_number, save_artifact,
 )
 from .models import BUNDLED, bundled_path
-from .parser import ParseError, parse_expr
+from .parser import ParseError
 from .quadrature import QuadratureConvergenceError
 from .sim import (
     GridMismatchError, InputSignal, SolverConfig, SolverError,
@@ -58,39 +58,6 @@ def _is_artifact(path: str) -> bool:
     return path.endswith(".json")
 
 
-def _scalar(text: str) -> float:
-    try:
-        return parse_expr(text, variables=()).eval({})
-    except (ParseError, ExprError) as exc:
-        raise ValueError(f"bad number '{text}': {exc}") from None
-
-
-def _parse_assignments(flag: str, what: str) -> dict[str, float]:
-    out = {}
-    for item in flag.split(","):
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"bad {what} entry '{item}', expected name=value")
-        out[name.strip()] = _scalar(value)
-    return out
-
-
-def _parse_box_flag(flag: str) -> dict[str, tuple[float, float]]:
-    out = {}
-    for item in flag.split(","):
-        name, sep, value = item.partition("=")
-        lo, sep2, hi = value.partition(":")
-        if not sep or not sep2:
-            raise ValueError(f"bad box entry '{item}', expected name=lo:hi")
-        name, lo, hi = name.strip(), _scalar(lo), _scalar(hi)
-        try:
-            _check_interval(name, lo, hi)
-        except ModelError as exc:
-            raise ValueError(str(exc)) from None
-        out[name] = (lo, hi)
-    return out
-
-
 def _full_box(doc: ModelDocument):
     """Declared box completed with [-1, 1] defaults; reports what defaulted."""
     box = default_box(doc.model)
@@ -102,15 +69,16 @@ def _full_box(doc: ModelDocument):
 
 
 def _anchor(args, doc: ModelDocument) -> Anchor | None:
-    if getattr(args, "anchor", None):
-        vals = _parse_assignments(args.anchor, "anchor")
-        model = doc.model
-        unknown = set(vals) - set(model.var_names)
-        if unknown:
-            raise ValueError(f"anchor names unknown: {', '.join(sorted(unknown))}")
-        return Anchor(tuple(vals.get(n, 0.0) for n in model.x_names),
-                      tuple(vals.get(n, 0.0) for n in model.u_names))
-    return doc.anchor
+    if not args.anchor:
+        return doc.anchor
+    return anchor_of(doc.model,
+                     read_flag("anchor", args.anchor, doc.model.var_names))
+
+
+def _check_threshold(threshold: float | None) -> None:
+    if threshold is not None and not 0.0 <= threshold < np.inf:
+        raise ValueError(f"--threshold must be non-negative and finite, "
+                         f"got {threshold!r}")
 
 
 def _extractor(name: str):
@@ -130,6 +98,7 @@ def _print_sched(sm, range_box=None):
 
 
 def cmd_convert(args) -> int:
+    _check_threshold(args.threshold)
     doc = _load_model(args.model)
     model = doc.model
     fs = factorize(model, _anchor(args, doc), args.mode)
@@ -171,21 +140,23 @@ def cmd_convert(args) -> int:
 
 
 def cmd_range(args) -> int:
-    flag_box = _parse_box_flag(args.box) if args.box else None
     if _is_artifact(args.target):
         m, sm, _doc = load_artifact(args.target)
-        box = flag_box or (m.range_box.box if m.range_box else None)
+        box = m.range_box.box if m.range_box else None
+        if args.box:
+            box = read_flag("box", args.box, sm.var_names)
         if box is None:
             raise ValueError("artifact has no stored box; pass --box")
     else:
         doc = _load_model(args.target)
+        if args.box:
+            box = read_flag("box", args.box, doc.model.var_names)
+        elif doc.box is None:
+            raise ValueError("model declares no box; pass --box")
+        else:
+            box, _ = _full_box(doc)
         fs = factorize(doc.model, _anchor(args, doc), args.mode)
         _, sm = _extractor(args.extract)(fs)
-        box = flag_box
-        if box is None:
-            box, _ = _full_box(doc)
-            if doc.box is None:
-                raise ValueError("model declares no box; pass --box")
     if sm.np == 0:
         print("np = 0: nothing to range")
         return 0
@@ -213,9 +184,11 @@ def _input_for(args, nu: int) -> InputSignal:
 def _x0_for(args, nx: int):
     if not args.x0:
         return [0.0] * nx
-    vals = [_scalar(v) for v in args.x0.split(",")]
+    vals = [read_number(v) for v in args.x0.split(",")]
     if len(vals) != nx:
         raise ValueError(f"--x0 needs {nx} values, got {len(vals)}")
+    if not all(np.isfinite(vals)):
+        raise ValueError(f"--x0 values must be finite, got {args.x0}")
     return vals
 
 
@@ -257,6 +230,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_threshold(args.threshold)
     doc = _load_model(args.model)
     m, sm, _doc = load_artifact(args.artifact)
     if (m.nx, m.nu) != (doc.model.nx, doc.model.nu):
@@ -267,7 +241,7 @@ def cmd_compare(args) -> int:
     a = simulate_nl(doc.model, x0, u, args.t_end, cfg)
     b = simulate_lpv_self_scheduled(m, sm, x0, u, args.t_end, cfg)
     _warn_range_exit(m, b)
-    errs = rmse(a, b, "x")
+    errs = rmse(a, b)
     print("per-state RMSE (nonlinear vs self-scheduled LPV):")
     for i, v in enumerate(errs):
         print(f"  x{i + 1}: {v:.3e}")

@@ -38,12 +38,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import __version__ as _version
-from .expr import Expr, EvalError
+from .expr import Expr, ExprError
 from .factorize import (
     Anchor, DeferredIntegral, LAMBDA, ModelError, NlssModel,
     input_names, state_names,
@@ -79,13 +79,63 @@ class ModelDocument:
     path: str
 
 
-def _eval_const_expr(text: str, constants: Mapping[str, float],
-                     path: str, line: int) -> float:
+def read_number(text: str,
+                constants: Mapping[str, float] | None = None) -> float:
+    """The value of the constant expression ``text``; ValueError if bad."""
     try:
-        e = parse_expr(text, variables=(), constants=constants)
-        return e.eval({})
-    except (ParseError, EvalError) as exc:
-        raise ModelFileError(f"bad value '{text}': {exc}", path, line) from None
+        return parse_expr(text, variables=(), constants=constants).eval({})
+    except (ParseError, ExprError) as exc:
+        raise ValueError(f"bad value '{text}': {exc}") from None
+
+
+def declare(table: dict, kind: str, name: str, texts: Sequence[str],
+            names: Sequence[str], constants: Mapping[str, float] | None = None):
+    """Enter one ``anchor`` (one value) or ``box`` (two bounds) declaration
+    of the variable ``name`` into ``table``.
+
+    Model-file lines and the --anchor/--box flags share these rules; a
+    bad declaration raises ValueError, which each caller locates.
+    """
+    if name not in names:
+        raise ValueError(f"{kind}: unknown variable '{name}'")
+    if name in table:
+        raise ValueError(f"duplicate {kind} for {name}")
+    if kind == "anchor":
+        if len(texts) != 1:
+            raise ValueError("anchor needs exactly one value")
+        value = read_number(texts[0], constants)
+        if not math.isfinite(value):
+            raise ValueError(f"anchor for {name} must be finite, got {value!r}")
+        table[name] = value
+        return
+    if len(texts) != 2:
+        raise ValueError("box needs exactly two bounds")
+    lo, hi = (read_number(t, constants) for t in texts)
+    try:
+        _check_interval(name, lo, hi)
+    except ModelError as exc:
+        raise ValueError(str(exc)) from None
+    table[name] = (lo, hi)
+
+
+def read_flag(kind: str, text: str, names: Sequence[str]) -> dict:
+    """The declarations of an --anchor (``x1=0.5,u1=0``) or --box
+    (``x1=-pi:pi,u1=-2:2``) flag over the variables ``names``."""
+    table: dict = {}
+    for item in text.split(","):
+        name, sep, value = item.partition("=")
+        try:
+            declare(table, kind, name.strip(),
+                    value.split(":") if sep else [], names)
+        except ValueError as exc:
+            raise ValueError(f"--{kind}: {exc}") from None
+    return table
+
+
+def anchor_of(model: NlssModel, values: Mapping[str, float]) -> Anchor:
+    """The anchor at the declared ``values``; the other variables sit at 0."""
+    return Anchor(tuple(values.get(n, 0.0) for n in model.x_names),
+                  tuple(values.get(n, 0.0) for n in model.u_names))
 
 
 def load_model_file(path: str) -> ModelDocument:
@@ -106,116 +156,92 @@ def load_model_file(path: str) -> ModelDocument:
 
     def vocab() -> tuple[str, ...]:
         if not all(k in dims for k in ("nx", "nu", "ny")):
-            raise ModelFileError("nx, nu, ny must be declared before equations",
-                                 path, no)
+            raise ValueError("nx, nu, ny must be declared before equations")
         return state_names(dims["nx"]) + input_names(dims["nu"])
 
+    # a line's errors are raised as ValueError and located here
     for no, rawline in enumerate(lines, start=1):
         text = rawline.split("#", 1)[0].strip()
         if not text:
             continue
         key, _, rest = text.partition(" ")
         rest = rest.strip()
-        if not version_seen:
-            if key != "format_version":
-                raise ModelFileError("file must start with 'format_version 1'",
-                                     path, no)
-            if rest != str(MODEL_FORMAT_VERSION):
-                raise ModelFileError(f"unsupported format_version '{rest}'",
-                                     path, no)
-            version_seen = True
-            continue
-
-        if key in ("nx", "nu", "ny"):
-            if key in dims:
-                raise ModelFileError(f"duplicate {key}", path, no)
-            try:
-                dims[key] = int(rest)
-            except ValueError:
-                raise ModelFileError(f"{key} needs an integer", path, no) from None
-            if dims[key] < 1:
-                raise ModelFileError(f"{key} must be positive", path, no)
-        elif key == "time":
-            if sample_time is not None:
-                raise ModelFileError("duplicate time declaration", path, no)
-            parts = rest.split()
-            if parts[:1] == ["continuous"] and len(parts) == 1:
-                sample_time = 0.0
-            elif parts[:1] == ["discrete"]:
-                if len(parts) == 1:
-                    sample_time = -1.0
-                elif len(parts) == 2:
-                    sample_time = _eval_const_expr(parts[1], constants, path, no)
-                    if not np.isfinite(sample_time):
-                        raise ModelFileError(
-                            f"time: discrete sample time must be finite, "
-                            f"got {sample_time!r}", path, no)
-                    if sample_time <= 0 and sample_time != -1.0:
-                        raise ModelFileError(
-                            "discrete sample time must be > 0 or -1", path, no)
+        try:
+            if not version_seen:
+                if key != "format_version":
+                    raise ValueError("file must start with 'format_version 1'")
+                if rest != str(MODEL_FORMAT_VERSION):
+                    raise ValueError(f"unsupported format_version '{rest}'")
+                version_seen = True
+            elif key in ("nx", "nu", "ny"):
+                if key in dims:
+                    raise ValueError(f"duplicate {key}")
+                try:
+                    dims[key] = int(rest)
+                except ValueError:
+                    raise ValueError(f"{key} needs an integer") from None
+                if dims[key] < 1:
+                    raise ValueError(f"{key} must be positive")
+            elif key == "time":
+                if sample_time is not None:
+                    raise ValueError("duplicate time declaration")
+                parts = rest.split()
+                if parts[:1] == ["continuous"] and len(parts) == 1:
+                    sample_time = 0.0
+                elif parts[:1] == ["discrete"]:
+                    if len(parts) == 1:
+                        sample_time = -1.0
+                    elif len(parts) == 2:
+                        sample_time = read_number(parts[1], constants)
+                        if not np.isfinite(sample_time):
+                            raise ValueError(
+                                f"time: discrete sample time must be finite, "
+                                f"got {sample_time!r}")
+                        if sample_time <= 0 and sample_time != -1.0:
+                            raise ValueError(
+                                "discrete sample time must be > 0 or -1")
+                    else:
+                        raise ValueError("time: too many fields")
                 else:
-                    raise ModelFileError("time: too many fields", path, no)
+                    raise ValueError(
+                        "time must be 'continuous' or 'discrete [Ts]'")
+            elif key == "const":
+                name, _, value = rest.partition(" ")
+                value = value.strip()
+                if not name or not value:
+                    raise ValueError("const needs a name and a value")
+                if (name in FUNCTIONS or name in BUILTIN_CONSTANTS
+                        or name == LAMBDA or name in constants):
+                    raise ValueError(f"constant name '{name}' is taken")
+                constants[name] = read_number(value, constants)
+            elif key.startswith(("f", "h")) and "=" in text:
+                lhs, _, rhs = text.partition("=")
+                lhs = lhs.strip()
+                names = vocab()
+                try:
+                    idx = int(lhs[1:])
+                except ValueError:
+                    raise ValueError(f"bad equation label '{lhs}'") from None
+                table, n, what = ((f_eqs, dims["nx"], "state") if lhs[0] == "f"
+                                  else (h_eqs, dims["ny"], "output"))
+                if not 1 <= idx <= n:
+                    raise ValueError(f"{lhs}: {what} index out of range 1..{n}")
+                if idx in table:
+                    raise ValueError(f"duplicate equation {lhs}")
+                try:
+                    table[idx] = parse_expr(rhs.strip(), variables=names,
+                                            constants=constants)
+                except ParseError as exc:
+                    raise ValueError(f"{lhs}: {exc}") from None
+            elif key in ("anchor", "box"):
+                name, _, value = rest.partition(" ")
+                texts = [value.strip()] if key == "anchor" else value.split()
+                declare(anchor_vals if key == "anchor" else box, key, name,
+                        texts, vocab(), constants)
             else:
-                raise ModelFileError(
-                    "time must be 'continuous' or 'discrete [Ts]'", path, no)
-        elif key == "const":
-            name, _, value = rest.partition(" ")
-            value = value.strip()
-            if not name or not value:
-                raise ModelFileError("const needs a name and a value", path, no)
-            reserved = (name in FUNCTIONS or name in BUILTIN_CONSTANTS
-                        or name == LAMBDA or name in constants)
-            if reserved:
-                raise ModelFileError(f"constant name '{name}' is taken", path, no)
-            constants[name] = _eval_const_expr(value, constants, path, no)
-        elif key.startswith(("f", "h")) and "=" in text:
-            lhs, _, rhs = text.partition("=")
-            lhs = lhs.strip()
-            names = vocab()
-            try:
-                idx = int(lhs[1:])
-            except ValueError:
-                raise ModelFileError(f"bad equation label '{lhs}'", path, no) from None
-            table, n, what = ((f_eqs, dims["nx"], "state") if lhs[0] == "f"
-                              else (h_eqs, dims["ny"], "output"))
-            if not 1 <= idx <= n:
-                raise ModelFileError(
-                    f"{lhs}: {what} index out of range 1..{n}", path, no)
-            if idx in table:
-                raise ModelFileError(f"duplicate equation {lhs}", path, no)
-            try:
-                table[idx] = parse_expr(rhs.strip(), variables=names,
-                                        constants=constants)
-            except ParseError as exc:
-                raise ModelFileError(f"{lhs}: {exc}", path, no) from None
-        elif key == "anchor":
-            name, _, value = rest.partition(" ")
-            if name not in vocab():
-                raise ModelFileError(f"anchor: unknown variable '{name}'", path, no)
-            if name in anchor_vals:
-                raise ModelFileError(f"duplicate anchor for {name}", path, no)
-            anchor_vals[name] = _eval_const_expr(value.strip(), constants, path, no)
-        elif key == "box":
-            parts = rest.split(None, 1)
-            if len(parts) != 2:
-                raise ModelFileError("box needs a variable and two bounds", path, no)
-            name, bounds = parts
-            if name not in vocab():
-                raise ModelFileError(f"box: unknown variable '{name}'", path, no)
-            if name in box:
-                raise ModelFileError(f"duplicate box for {name}", path, no)
-            vals = bounds.split()
-            if len(vals) != 2:
-                raise ModelFileError("box needs exactly two bounds", path, no)
-            lo = _eval_const_expr(vals[0], constants, path, no)
-            hi = _eval_const_expr(vals[1], constants, path, no)
-            try:
-                _check_interval(name, lo, hi)
-            except ModelError as exc:
-                raise ModelFileError(str(exc), path, no) from None
-            box[name] = (lo, hi)
-        else:
-            raise ModelFileError(f"unrecognized line '{text}'", path, no)
+                raise ValueError(f"unrecognized line '{text}'")
+        except ValueError as exc:
+            raise ModelFileError(str(exc), path, no) from None
 
     for k in ("nx", "nu", "ny"):
         if k not in dims:
@@ -243,12 +269,7 @@ def load_model_file(path: str) -> ModelDocument:
     except ModelError as exc:
         raise ModelFileError(str(exc), path) from None
 
-    anchor = None
-    if anchor_vals:
-        anchor = Anchor(
-            tuple(anchor_vals.get(n, 0.0) for n in model.x_names),
-            tuple(anchor_vals.get(n, 0.0) for n in model.u_names),
-        )
+    anchor = anchor_of(model, anchor_vals) if anchor_vals else None
     return ModelDocument(model, anchor, box or None, path)
 
 
@@ -394,8 +415,7 @@ def load_artifact(path: str):
             f"unsupported format_version {doc.get('format_version')!r}", path)
     try:
         nx, nu, ny, n_p = (int(doc[k]) for k in ("nx", "nu", "ny", "np"))
-        anchor = Anchor(tuple(map(float, doc["anchor"]["x"])),
-                        tuple(map(float, doc["anchor"]["u"])))
+        anchor = [tuple(map(float, doc["anchor"][k])) for k in "xu"]
         mats = {t: doc["matrices"][t] for t in "ABCD"}
         if version == 1:
             mats = {t: np.array(v, dtype=float) for t, v in mats.items()}
@@ -417,9 +437,10 @@ def load_artifact(path: str):
 
     rb = doc.get("range_box")
     range_box = _range_box_from_json(rb, n_p, path) if rb else None
-    fields = dict(nx=nx, nu=nu, ny=ny, np=n_p, V=V, W=W, anchor=anchor,
-                  sample_time=sample_time, range_box=range_box)
     try:
+        fields = dict(nx=nx, nu=nu, ny=ny, np=n_p, V=V, W=W,
+                      anchor=Anchor(*anchor), sample_time=sample_time,
+                      range_box=range_box)
         if version == 1:
             model = LpvssModel.from_dense(**mats, **fields)
         else:

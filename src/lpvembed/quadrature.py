@@ -4,7 +4,7 @@ Each interval is estimated with the 15-point Kronrod rule; the embedded
 7-point Gauss rule shares its odd nodes and the absolute difference of
 the two estimates serves as the interval's error bound.  The interval
 with the largest bound is bisected until the summed bounds fall below
-``max(abs_tol, rel_tol * |integral|)`` or the subdivision budget runs
+``max(ABS_TOL, REL_TOL * |integral|)`` or the subdivision budget runs
 out, in which case :class:`QuadratureConvergenceError` is raised still
 carrying the best estimate.
 
@@ -65,7 +65,7 @@ _WG_CENTER = 2.0 - _s
 del _s, _w
 
 
-# the defaults of integrate, which every deferred integral entry uses
+# integrate's tolerances and budget, which every deferred integral entry uses
 ABS_TOL = 1e-10
 REL_TOL = 1e-8
 MAX_SUBDIVISIONS = 2000
@@ -117,13 +117,11 @@ def _panel(f: Callable[[float], float], a: float, b: float):
     return k, g, abs(k - g)
 
 
-def integrate(f: Callable[[float], float], a: float, b: float,
-              abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL,
-              max_subdivisions: int = MAX_SUBDIVISIONS) -> QuadResult:
-    """Integrate ``f`` over [a, b] adaptively.
+def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
+    """Integrate ``f`` over [a, b] adaptively to ABS_TOL and REL_TOL.
 
     Raises QuadratureConvergenceError when the error bound is still above
-    tolerance after ``max_subdivisions`` bisections.
+    tolerance after MAX_SUBDIVISIONS bisections.
     """
     if a == b:
         return QuadResult(0.0, 0.0, 0, 0)
@@ -138,8 +136,8 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     total_err = err
     subdivisions = 0
 
-    while total_err > max(abs_tol, rel_tol * abs(total)):
-        if subdivisions >= max_subdivisions:
+    while total_err > max(ABS_TOL, REL_TOL * abs(total)):
+        if subdivisions >= MAX_SUBDIVISIONS:
             raise QuadratureConvergenceError(total, total_err, subdivisions)
         neg_err, _, pa, pb, pk = heapq.heappop(heap)
         if neg_err == 0.0:

@@ -173,15 +173,11 @@ class Trajectory:
                 raise ValueError(f"{name} contains non-finite samples")
 
 
-def rmse(a: Trajectory, b: Trajectory, channels: str = "x") -> np.ndarray:
-    """Per-channel root-mean-square difference on a shared grid."""
+def rmse(a: Trajectory, b: Trajectory) -> np.ndarray:
+    """Per-state root-mean-square difference on a shared grid."""
     if a.t.shape != b.t.shape or not np.array_equal(a.t, b.t):
         raise GridMismatchError("trajectories are on different time grids")
-    va = getattr(a, channels)
-    vb = getattr(b, channels)
-    if va is None or vb is None or va.shape != vb.shape:
-        raise GridMismatchError(f"channel set '{channels}' not comparable")
-    return np.sqrt(np.mean((va - vb) ** 2, axis=0))
+    return np.sqrt(np.mean((a.x - b.x) ** 2, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +312,21 @@ def _sample_steps(steps, y0, t_grid) -> np.ndarray:
     return out
 
 
+# most output samples a run may ask for, checked before the grid and
+# the sample arrays are allocated
+OUTPUT_GRID_BUDGET = 10_000_000
+
+
+def _check_grid_size(n: float, settings: str) -> None:
+    if not n <= OUTPUT_GRID_BUDGET:
+        raise ValueError(f"{settings} = {n:g} exceeds the output grid "
+                         f"budget of {OUTPUT_GRID_BUDGET} samples")
+
+
 def _output_grid(t_end: float, dt: float) -> np.ndarray:
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+    _check_grid_size(t_end / dt, "t_end / output_dt")
     n = int(math.floor(t_end / dt + 1e-9))
     grid = np.minimum(np.arange(n + 1) * dt, t_end)
     if grid[-1] < t_end:
@@ -331,12 +339,14 @@ def _discrete_grid(t_end: float, sample_time: float) -> np.ndarray:
         raise ValueError(
             f"t_end must be non-negative and finite, got {t_end!r}")
     if sample_time > 0:
+        _check_grid_size(t_end / sample_time, "t_end / sample_time")
         n = int(math.floor(t_end / sample_time + 1e-9))
         return np.arange(n + 1) * sample_time
     # unspecified sample time: t_end is the step count
     n = int(round(t_end))
     if n < 0 or abs(t_end - n) > 1e-9:
         raise ValueError("with sample_time -1, t_end must be a step count")
+    _check_grid_size(n, "the step count t_end")
     return np.arange(n + 1, dtype=float)
 
 

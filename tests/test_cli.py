@@ -75,13 +75,22 @@ def test_convert_threshold_breach_exits_4(tmp_path, capsys):
     assert "ABOVE THRESHOLD" in text
 
 
-@pytest.mark.parametrize("samples", ["0", "-3"])
-def test_convert_without_samples_exits_2(tmp_path, capsys, samples):
+@pytest.mark.parametrize("flags,message", [
+    (["--samples", "0"], "samples must be at least 1, got 0"),
+    (["--samples", "-3"], "samples must be at least 1, got -3"),
+    (["--threshold", "nan"],
+     "--threshold must be non-negative and finite, got nan"),
+    (["--threshold", "inf"],
+     "--threshold must be non-negative and finite, got inf"),
+    (["--threshold", "-1"],
+     "--threshold must be non-negative and finite, got -1.0"),
+], ids=["samples-0", "samples-negative", "threshold-nan", "threshold-inf",
+        "threshold-negative"])
+def test_convert_bad_settings_exit_2(tmp_path, capsys, flags, message):
     out = tmp_path / "disk.json"
     code, _, err = run(["convert", "unbalanced_disk", "-o", str(out),
-                        "--samples", samples], capsys)
-    assert code == 2
-    assert err == f"error: samples must be at least 1, got {samples}\n"
+                        *flags], capsys)
+    assert (code, err) == (2, f"error: {message}\n")
     assert not out.exists()
 
 
@@ -261,20 +270,52 @@ def test_box_whose_width_overflows_exits_cleanly(tmp_path, capsys):
     assert "Warning" not in err
 
 
-def test_invalid_box_flag_exits_2_like_the_same_box_in_a_model_file(
-        tmp_path, capsys):
-    path = _model_file(tmp_path, "-x1 + 0.1*sin(x1) + u1")
-    code, _, err = run(["range", path, "--box", "x1=2:1"], capsys)
-    assert code == 2
-    assert "error: invalid box for x1: [2.0, 1.0]" in err
-    code, _, err = run(["range", path, "--box", "x1=-1e309:1"], capsys)
-    assert code == 2
-    assert "error: invalid box for x1: [-inf, 1.0]" in err
-    reversed_in_file = _model_file(tmp_path, "-x1 + 0.1*sin(x1) + u1",
-                                   box="box x1 2 1\n")
-    code, _, err = run(["range", reversed_in_file], capsys)
-    assert code == 2
-    assert f"{reversed_in_file}:8: invalid box for x1: [2.0, 1.0]" in err
+# one anchor or box declaration per case, as (kind, [(name, values)...],
+# message); the last declaration is the bad one
+DECLARATION_CASES = [
+    ("anchor", [("zz", ["1"])], "anchor: unknown variable 'zz'"),
+    ("box", [("q", ["1", "2"])], "box: unknown variable 'q'"),
+    ("anchor", [("x1", ["0.1"]), ("x1", ["0.2"])], "duplicate anchor for x1"),
+    ("box", [("x1", ["-1", "1"]), ("x1", ["-3", "3"])],
+     "duplicate box for x1"),
+    ("box", [("x1", ["2", "1"])], "invalid box for x1: [2.0, 1.0]"),
+    ("box", [("x1", ["-1e309", "1"])], "invalid box for x1: [-inf, 1.0]"),
+    ("box", [("x1", ["-1e308", "1e308"])],
+     "invalid box for x1: width 1e+308 - (-1e+308) overflows"),
+    ("anchor", [("x1", ["1e400"])], "anchor for x1 must be finite, got inf"),
+    ("anchor", [("x1", ["1+"])],
+     "bad value '1+': unexpected end of input (at position 2)"),
+    ("box", [("u1", ["-1", "2*"])],
+     "bad value '2*': unexpected end of input (at position 2)"),
+    ("box", [("x1", ["1"])], "box needs exactly two bounds"),
+    ("box", [("x1", ["1", "2", "3"])], "box needs exactly two bounds"),
+]
+
+
+@pytest.mark.parametrize("kind,decls,message", DECLARATION_CASES, ids=[
+    "unknown-anchor", "unknown-box", "duplicate-anchor", "duplicate-box",
+    "reversed-box", "infinite-box", "overflowing-box", "infinite-anchor",
+    "bad-anchor-value", "bad-box-value", "one-bound", "three-bounds"])
+def test_declaration_rules_are_shared_by_file_lines_and_flags(
+        tmp_path, capsys, kind, decls, message):
+    f1 = "-x1 + 0.1*sin(x1) + u1"
+    lines = "".join(f"{kind} {n} {' '.join(v)}\n" for n, v in decls)
+    path = _model_file(tmp_path, f1, box=lines)
+    assert run(["range", path], capsys) == (
+        2, "", f"error: {path}:{7 + len(decls)}: {message}\n")
+    flag = ",".join(f"{n}={':'.join(v)}" for n, v in decls)
+    path = _model_file(tmp_path, f1)
+    artifact = str(tmp_path / "m.json")
+    if kind == "anchor":
+        runs = [["convert", path, "-o", artifact],
+                ["range", path, "--box", "x1=-1:1"]]
+    else:
+        assert main(["convert", path, "-o", artifact, "--grid", "11"]) == 0
+        capsys.readouterr()
+        runs = [["range", path], ["range", artifact]]
+    for argv in runs:
+        assert run(argv + [f"--{kind}", flag], capsys) == (
+            2, "", f"error: --{kind}: {message}\n"), argv
 
 
 def test_convert_bad_anchor_name_exits_2(tmp_path, capsys):
@@ -516,6 +557,14 @@ DISCRETE = ("format_version 1\nnx 1\nnu 1\nny 1\ntime discrete {}\n"
      "step must be positive and finite, got nan"),
     ("", ["--t-end", "1", "--max-step", "nan"],
      "max_step must be positive, got nan"),
+    ("", ["--t-end", "1", "--x0", "1e400,0"],
+     "--x0 values must be finite, got 1e400,0"),
+    ("", ["--t-end", "1e300"], "t_end / output_dt = 1e+302 exceeds the "
+     "output grid budget of 10000000 samples"),
+    ("0.1", ["--t-end", "1e300"], "t_end / sample_time = 1e+301 exceeds the "
+     "output grid budget of 10000000 samples"),
+    ("-1", ["--t-end", "1e300"], "the step count t_end = 1e+300 exceeds the "
+     "output grid budget of 10000000 samples"),
 ])
 def test_simulate_non_finite_solver_settings_exit_2(tmp_path, capsys, time,
                                                     flags, message):
@@ -575,6 +624,15 @@ def test_compare_without_threshold_reports_only(disk_artifact, capsys):
     code, text, _ = run(["compare", "unbalanced_disk", disk_artifact,
                          *DISK_SCENARIO], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+def test_compare_bad_threshold_exits_2_before_simulating(capsys, threshold):
+    # the artifact does not exist: the flag is refused before it is read
+    code, _, err = run(["compare", "unbalanced_disk", "missing.json",
+                        *DISK_SCENARIO, "--threshold", threshold], capsys)
+    assert (code, err) == (2, "error: --threshold must be non-negative and "
+                              f"finite, got {float(threshold)!r}\n")
 
 
 # ------------------------------------------------------------------------ info

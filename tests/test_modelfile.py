@@ -337,6 +337,11 @@ ARTIFACT_BAD_FIELD_CASES = [
      "anchor has dimensions (1, 1), model needs (2, 1)"),
     (_edit("anchor", "u", value=[0.0, 0.0]),
      "anchor has dimensions (2, 2), model needs (2, 1)"),
+    # json writes and reads these as the non-standard NaN and Infinity
+    (_edit("anchor", "x", value=[float("nan"), 0.0]),
+     "anchor entries must be finite"),
+    (_edit("anchor", "u", value=[float("inf")]),
+     "anchor entries must be finite"),
 ]
 
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from lpvembed import quadrature
 from lpvembed.quadrature import QuadratureConvergenceError, QuadResult, integrate
 
 
@@ -72,10 +73,13 @@ def test_reversed_orientation():
     assert rev == pytest.approx(-fwd, abs=1e-14)
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
     f = lambda t: math.sqrt(abs(t - 1.0 / 3.0))
+    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-15)
+    monkeypatch.setattr(quadrature, "REL_TOL", 0.0)
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 2)
     with pytest.raises(QuadratureConvergenceError) as ei:
-        integrate(f, 0.0, 1.0, abs_tol=1e-15, rel_tol=0.0, max_subdivisions=2)
+        integrate(f, 0.0, 1.0)
     err = ei.value
     # the partial estimate is still carried for diagnostics
     truth = 2.0 / 3.0 * ((1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5)
@@ -83,11 +87,15 @@ def test_budget_exhaustion_raises():
     assert err.error > 0.0
 
 
-def test_tolerances_are_respected():
+def test_tolerances_are_respected(monkeypatch):
     # loose request -> fewer evaluations, tight request -> more
     f = lambda t: math.exp(math.sin(3.0 * t))
-    loose = integrate(f, 0.0, 2.0, abs_tol=1e-4, rel_tol=1e-4)
-    tight = integrate(f, 0.0, 2.0, abs_tol=1e-12, rel_tol=1e-12)
+    runs = []
+    for tol in (1e-4, 1e-12):
+        monkeypatch.setattr(quadrature, "ABS_TOL", tol)
+        monkeypatch.setattr(quadrature, "REL_TOL", tol)
+        runs.append(integrate(f, 0.0, 2.0))
+    loose, tight = runs
     assert loose.evaluations <= tight.evaluations
     truth = simpson(f, 0.0, 2.0, n=200000)
     assert tight.value == pytest.approx(truth, abs=1e-10)

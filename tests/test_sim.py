@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lpvembed import sim
 from lpvembed.factorize import ModelError, NlssModel, factorize
 from lpvembed.lpv import SchedulingMap, extract_factor
 from lpvembed.models import corpus, load_bundled
@@ -248,7 +249,25 @@ def test_rmse_hand_computed():
     b = Trajectory(t=t, x=np.zeros((3, 1)),
                    y=np.zeros((3, 1)), u=np.zeros((3, 1)))
     assert rmse(a, b)[0] == pytest.approx(math.sqrt(5.0 / 3.0), rel=1e-15)
-    assert rmse(a, b, "y")[0] == 0.0
+
+
+def test_output_grid_budget_is_checked_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    for make, args, settings in (
+            (sim._output_grid, (1.0, 0.01), "t_end / output_dt"),
+            (sim._discrete_grid, (1.0, 0.01), "t_end / sample_time"),
+            (sim._discrete_grid, (100.0, -1.0), "the step count t_end")):
+        monkeypatch.setattr(sim, "OUTPUT_GRID_BUDGET", 99)
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "arange", refuse)
+            with pytest.raises(ValueError) as ei:
+                make(*args)
+        assert str(ei.value) == (f"{settings} = 100 exceeds the output "
+                                 "grid budget of 99 samples")
+        monkeypatch.setattr(sim, "OUTPUT_GRID_BUDGET", 100)
+        assert len(make(*args)) == 101
 
 
 def test_rmse_requires_matching_grids():
