@@ -11,7 +11,7 @@ self-scheduled simulation against the original dynamics.
 __version__ = "0.1.0"
 
 from .expr import (                                    # noqa: F401
-    Const, DomainError, EvalError, Expr, ExprError,
+    Const, DomainError, EntryError, EvalError, Expr, ExprError,
     NonDifferentiableError, UnboundVariableError, Var,
     simplify, substitute, to_string,
 )
@@ -26,9 +26,9 @@ from .factorize import (                               # noqa: F401
     NlssModel, integrate_analytic, jacobian, line_substitute,
 )
 from .lpv import (                                     # noqa: F401
-    CoeffFamily, LpvssModel, RangeBox, RangeGridError, SchedulingError,
-    SchedulingMap, VerifyReport, default_box, estimate_range,
-    extract_element, extract_factor, verify_embedding,
+    CoeffFamily, LpvssModel, RangeBox, RangeGridError, SchedulingMap,
+    VerifyReport, default_box, estimate_range, extract_element,
+    extract_factor, verify_embedding,
 )
 from .sim import (                                     # noqa: F401
     GridMismatchError, InputSignal, SolverConfig, SolverError, Trajectory,

@@ -23,7 +23,7 @@ from . import __version__
 from .expr import ExprError
 from .factorize import Anchor, ModelError, factorize
 from .lpv import (
-    RangeGridError, SchedulingError, default_box, estimate_range,
+    RangeGridError, check_samples, default_box, estimate_range,
     extract_element, extract_factor, verify_embedding,
 )
 from .modelfile import (
@@ -75,6 +75,11 @@ def _anchor(args, doc: ModelDocument) -> Anchor | None:
                      read_flag("anchor", args.anchor, doc.model.var_names))
 
 
+def _check_grid(grid: int) -> None:
+    if grid < 2:
+        raise ValueError(f"--grid must be at least 2, got {grid}")
+
+
 def _check_threshold(threshold: float | None) -> None:
     if threshold is not None and not 0.0 <= threshold < np.inf:
         raise ValueError(f"--threshold must be non-negative and finite, "
@@ -99,8 +104,10 @@ def _print_sched(sm, range_box=None):
 
 def cmd_convert(args) -> int:
     _check_threshold(args.threshold)
+    _check_grid(args.grid)
     doc = _load_model(args.model)
     model = doc.model
+    check_samples(model, args.samples)
     fs = factorize(model, _anchor(args, doc), args.mode)
     m, sm = _extractor(args.extract)(fs)
 
@@ -140,23 +147,35 @@ def cmd_convert(args) -> int:
 
 
 def cmd_range(args) -> int:
-    if _is_artifact(args.target):
+    """Ranges over the box ``convert`` used (an artifact's stored box, or
+    a model's declared bounds completed with [-1, 1]), with the bounds
+    ``--box`` gives in place of their variables' own."""
+    _check_grid(args.grid)
+    artifact = _is_artifact(args.target)
+    if artifact:
+        if args.anchor:
+            raise ValueError("--anchor applies only to a model; an artifact "
+                             "keeps the anchor it was converted at")
         m, sm, _doc = load_artifact(args.target)
-        box = m.range_box.box if m.range_box else None
-        if args.box:
-            box = read_flag("box", args.box, sm.var_names)
-        if box is None:
+        if m.range_box is None and not args.box:
             raise ValueError("artifact has no stored box; pass --box")
+        names = sm.var_names
+        box = dict(m.range_box.box if m.range_box else {})
     else:
         doc = _load_model(args.target)
-        if args.box:
-            box = read_flag("box", args.box, doc.model.var_names)
-        elif doc.box is None:
+        if doc.box is None and not args.box:
             raise ValueError("model declares no box; pass --box")
-        else:
-            box, _ = _full_box(doc)
+        names = doc.model.var_names
+        box, _ = _full_box(doc)
+    if args.box:
+        box.update(read_flag("box", args.box, names))
+    if not artifact:
         fs = factorize(doc.model, _anchor(args, doc), args.mode)
         _, sm = _extractor(args.extract)(fs)
+    used = {n for fp in sm.footprints for n in fp}
+    missing = [n for n in names if n in used and n not in box]
+    if missing:
+        raise ValueError(f"no bounds for {', '.join(missing)}; pass --box")
     if sm.np == 0:
         print("np = 0: nothing to range")
         return 0
@@ -374,7 +393,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ModelError, ExprError, QuadratureConvergenceError, RangeGridError,
-            SchedulingError, SolverError, GridMismatchError) as exc:
+            SolverError, GridMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERT
     except RecursionError:

@@ -33,8 +33,8 @@ the same source for two function tables:
   function that returns their values as a tuple, and
   :func:`compile_scalar` is its one-expression case.  A node the
   generator has no code for (a deferred integral) is called through its
-  own ``eval``.  When a vector function raises, :func:`first_failure`
-  finds the entry that failed.
+  own ``eval``.  A vector function whose entry fails raises
+  :class:`EntryError`, the one error that names a failing entry.
 * The numpy table maps them to ufuncs and :data:`ARRAY_FUNCTIONS`, so
   :func:`compile_array` evaluates one tree at whole arrays of points.
   It agrees with the scalar table to a few ulp (the transcendental
@@ -48,7 +48,7 @@ the same source for two function tables:
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -59,6 +59,14 @@ class ExprError(Exception):
 
 class EvalError(ExprError):
     """Evaluation failed."""
+
+
+class EntryError(EvalError):
+    """Entry ``label`` (``index`` in its vector) failed with ``cause``."""
+
+    def __init__(self, label: str, index: int, cause: Exception):
+        super().__init__(f"{label}: {cause}")
+        self.label, self.index, self.cause = label, index, cause
 
 
 class UnboundVariableError(EvalError):
@@ -712,7 +720,7 @@ def _pycode(e: Expr, bind: Callable[[Expr], str]) -> str:
     return bind(e)
 
 
-def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], vector: bool,
+def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], fail=None,
              table: str = "scalar"):
     # arguments are _a0, _a1, ... whatever the variable names are
     params = [f"_a{i}" for i in range(len(names))]
@@ -733,9 +741,16 @@ def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], vector: bool,
                          if n in args)
         return f"_node{len(ns) - 1}.eval({{{used}}})"
 
+    # a vector hands what its entries raise, with its arguments, to fail
     def emit(parts: list[str]):
-        body = f"({''.join(p + ', ' for p in parts)})" if vector else parts[0]
-        return eval(f"lambda {', '.join(params)}: {body}", ns)
+        sig = ", ".join(params)
+        if fail is None:
+            return eval(f"lambda {sig}: {parts[0]}", ns)
+        ns.update(_errors=EVAL_ERRORS, _fail=fail)
+        exec(f"def _vector({sig}):\n"
+             f" try: return ({''.join(p + ', ' for p in parts)})\n"
+             f" except _errors as _exc: _fail(_exc, [{sig}])", ns)
+        return ns["_vector"]
 
     try:
         return emit([_pycode(e, bind) for e in exprs])
@@ -748,23 +763,34 @@ def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], vector: bool,
         return emit([bind(e) for e in exprs])
 
 
-def compile_vector(exprs: Iterable[Expr],
-                   arg_names: Iterable[str]) -> Callable[..., tuple]:
+def compile_vector(exprs: Iterable[Expr], arg_names: Iterable[str],
+                   prefix: str) -> Callable[..., tuple]:
     """Compile ``exprs`` to one positional-argument Python function that
     returns their values as a tuple, each entry evaluated in order as by
     :func:`compile_scalar`.  Every entry walks its tree instead when the
-    code is nested too deeply for the Python compiler.
+    code is nested too deeply for the Python compiler.  Where it raises
+    one of :data:`EVAL_ERRORS`, it raises EntryError for the first entry
+    that raises that class alone, labelled ``prefix`` and a number (p2).
     """
-    return _compile(tuple(exprs), tuple(arg_names), vector=True)
+    exprs, names = tuple(exprs), tuple(arg_names)
+
+    def fail(exc: Exception, args: list):
+        for i, e in enumerate(exprs):
+            try:
+                compile_scalar(e, names)(*args)
+            except type(exc) as cause:
+                raise EntryError(f"{prefix}{i + 1}", i, cause) from cause
+        raise exc
+    return _compile(exprs, names, fail)
 
 
 def compile_scalar(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
-    """The one-expression case of :func:`compile_vector`.  It evaluates
-    in the tree's order, so on float arguments it returns ``e.eval``'s
-    values bit for bit, up to the sign of a zero sum: ``e.eval`` adds the
-    terms to 0.0, so where every term is -0.0 it returns 0.0 and the
-    compiled sum -0.0."""
-    return _compile((e,), tuple(arg_names), vector=False)
+    """The one-expression case of :func:`compile_vector`, raising what
+    ``e`` raises.  It evaluates in the tree's order, so on float arguments
+    it returns ``e.eval``'s values bit for bit, up to the sign of a zero
+    sum: ``e.eval`` adds the terms to 0.0, so where every term is -0.0 it
+    returns 0.0 and the compiled sum -0.0."""
+    return _compile((e,), tuple(arg_names))
 
 
 def compile_array(e: Expr, arg_names: Iterable[str]) -> Callable | None:
@@ -775,17 +801,4 @@ def compile_array(e: Expr, arg_names: Iterable[str]) -> Callable | None:
     :func:`compile_scalar` still evaluates such an ``e``, one point per
     call.  Domain and range violations follow ``np.errstate``; a
     constant ``e`` returns a scalar."""
-    return _compile((e,), tuple(arg_names), vector=False, table="numpy")
-
-
-def first_failure(exprs: Sequence[Expr], arg_names: Sequence[str],
-                  args: Sequence, exc: Exception) -> tuple[int, Exception]:
-    """(index, exception) of the first of ``exprs`` whose own compiled
-    function raises at ``args`` as their vector function raised ``exc``;
-    re-raises ``exc`` if none does."""
-    for i, e in enumerate(exprs):
-        try:
-            compile_scalar(e, arg_names)(*args)
-        except type(exc) as cause:
-            return i, cause
-    raise exc
+    return _compile((e,), tuple(arg_names), table="numpy")

@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    DERIVATIVES, Add, Call, Const, Div, EvalError, Expr, Mul,
+    DERIVATIVES, Add, Call, Const, Div, EntryError, EvalError, Expr, Mul,
     NonDifferentiableError, Pow, UnboundVariableError, Var, ZERO,
     add, call, compile_scalar, div, mul, neg, substitute, to_string,
 )
@@ -448,7 +448,7 @@ def _integrate_entry(integrand: Expr, mode: str, tag: str, i: int, j: int,
 
 def _offsets(exprs: Sequence[Expr], tag: str,
              at: Mapping[str, float]) -> np.ndarray:
-    """The equations' values at the anchor, naming the one that fails.
+    """The equations' values at the anchor; a failing one raises EntryError.
 
     Tree walking, not compiled code: a compiled sum of -0.0 terms is
     -0.0 where ``Expr.eval`` gives 0.0, and the offsets are stored.
@@ -459,8 +459,8 @@ def _offsets(exprs: Sequence[Expr], tag: str,
             out.append(e.eval(at))
         except EvalError as exc:
             where = ", ".join(f"{n}={v!r}" for n, v in at.items())
-            raise EvalError(
-                f"{tag}{i + 1}: {exc} at the anchor {where}") from exc
+            raise EntryError(f"{tag}{i + 1}", i, EvalError(
+                f"{exc} at the anchor {where}")) from exc
     return np.array(out)
 
 

@@ -18,8 +18,9 @@ model an exact global embedding of the nonlinear system, which
 :func:`verify_embedding` checks by direct sampling.
 
 The scheduling map is compiled once, into one function that returns all
-of p (see :func:`compile_vector`).  When it fails, the error names the
-entry that failed: ``p2: ln of non-positive value``.
+of p (see :func:`compile_vector`).  A failing entry raises EntryError,
+which names it: ``p2: ln of non-positive value``, as the range scan
+does with the grid point.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import (EVAL_ERRORS, Add, EvalError, Expr, Mul, compile_array,
-                   compile_scalar, compile_vector, first_failure, mul,
+from .expr import (EVAL_ERRORS, Add, EntryError, EvalError, Expr, Mul,
+                   compile_array, compile_scalar, compile_vector, mul,
                    to_string)
 from .factorize import (
     Anchor, FactorizedSystem, ModelError, NlssModel, var_sort_key,
@@ -40,14 +41,9 @@ from .factorize import (
 
 RANGE_GRID_BUDGET = 10_000_000
 RANGE_BLOCK = 1 << 16      # grid points per numpy evaluation in the scan
-
-
-class SchedulingError(Exception):
-    """Scheduling map evaluation failed; carries the offending p index."""
-
-    def __init__(self, index: int, cause: Exception):
-        super().__init__(f"p{index + 1}: {cause}")
-        self.index = index
+# most floats verify_embedding may allocate for its sample points and
+# residuals, checked before it allocates them
+VERIFY_FLOAT_BUDGET = 10_000_000
 
 
 class RangeGridError(Exception):
@@ -80,15 +76,10 @@ class SchedulingMap:
 
     @cached_property
     def _vector(self):
-        return compile_vector(self.entries, self.var_names)
+        return compile_vector(self.entries, self.var_names, "p")
 
     def evaluate(self, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
-        args = (*x, *u)
-        try:
-            return np.array(self._vector(*args), dtype=float)
-        except EVAL_ERRORS as exc:
-            i, cause = first_failure(self.entries, self.var_names, args, exc)
-            raise SchedulingError(i, cause) from cause
+        return np.array(self._vector(*x, *u), dtype=float)
 
     def entry_strings(self) -> list[str]:
         return [to_string(e) for e in self.entries]
@@ -413,11 +404,6 @@ def _check_interval(name: str, lo: float, hi: float) -> None:
             f"invalid box for {name}: width {hi} - ({lo}) overflows")
 
 
-def _grid_point(fp: Sequence[str], pt) -> str:
-    return "at grid point " + ", ".join(
-        f"{n}={float(c)!r}" for n, c in zip(fp, pt))
-
-
 def _scan(idx: int, fp: Sequence[str], axes, fn, vec) -> tuple[float, float]:
     """(lo, hi) of entry ``idx`` over the grid of ``axes``, as
     :func:`estimate_range` describes: blocks through ``vec`` (None when
@@ -436,8 +422,9 @@ def _scan(idx: int, fp: Sequence[str], axes, fn, vec) -> tuple[float, float]:
             if not math.isfinite(v):
                 raise ValueError(f"non-finite value {float(v)!r}")
         except EVAL_ERRORS as exc:
-            raise SchedulingError(idx, ValueError(
-                f"{exc} {_grid_point(fp, pt)}")) from exc
+            at = ", ".join(f"{n}={float(c)!r}" for n, c in zip(fp, pt))
+            raise EntryError(f"p{idx + 1}", idx, ValueError(
+                f"{exc} at grid point {at}")) from exc
         return v
 
     def walk(flat) -> np.ndarray:  # fn point by point, on numpy scalars
@@ -488,8 +475,8 @@ def estimate_range(sm: SchedulingMap, box: Mapping[str, tuple[float, float]],
     instead.  The raw extrema are the first grid points with the least
     and the greatest value, and their values are the scalar function's
     at those points.  Only the scalar function raises: a domain error or
-    a non-finite value raises SchedulingError naming the entry and the
-    grid point.  It runs on numpy scalars, as in ``simulate``, so
+    a non-finite value raises EntryError naming the entry and the grid
+    point.  It runs on numpy scalars, as in ``simulate``, so
     ``tanh(1/x1)`` is 1 at x1 = 0.  The table agrees with it to a few
     ulp, so in an entry with walked and table blocks a near-tie may pick
     another extremal point than a wholly scalar scan would.
@@ -565,6 +552,18 @@ def default_box(model: NlssModel) -> dict[str, tuple[float, float]]:
     return {n: (-1.0, 1.0) for n in model.var_names}
 
 
+def check_samples(model: NlssModel, samples: int) -> None:
+    """Raise ValueError unless :func:`verify_embedding` can take
+    ``samples`` for ``model``: at least 1, and few enough that its
+    sample points and residuals fit ``VERIFY_FLOAT_BUDGET``."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    floats = samples * (2 * model.nx + model.nu + model.ny)
+    if floats > VERIFY_FLOAT_BUDGET:
+        raise ValueError(f"samples = {samples} needs {floats} floats, over "
+                         f"the verification budget of {VERIFY_FLOAT_BUDGET}")
+
+
 # an overflowing model warns from numpy and from generated code; the
 # non-finite residual it leaves fails the check instead
 @np.errstate(all="ignore")
@@ -577,14 +576,14 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
     At each point: p = eta(x, u), then A(p)(x - x_bar) + B(p)(u - u_bar)
     + V is checked against f(x, u) entrywise (outputs likewise), through
     the sparse maps of :meth:`LpvssModel.affine_maps`, built once per
-    call, and f and h compiled together by :func:`compile_vector`.  The
+    call, and f and h each compiled by :func:`compile_vector`.  The
     report carries per-equation worst residuals and where they occurred:
     the first largest, or the first non-finite one (from a non-finite f
-    or realization value), which fails the check.  ``samples`` must be at
-    least 1.
+    or realization value), which fails the check; an entry of p, f or h
+    that raises raises EntryError, naming it.  ``samples`` must pass
+    :func:`check_samples`.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    check_samples(model, samples)
     if box is None:
         box = default_box(model)
     rng = np.random.default_rng(seed)
@@ -595,14 +594,16 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
     hi = np.array([box[n][1] for n in names])
     pts = lo + (hi - lo) * rng.random((samples, len(names)))
 
-    fh = compile_vector(model.f + model.h, names)
+    f = compile_vector(model.f, names, "f")
+    h = compile_vector(model.h, names, "h")
     state_map, output_map = m.affine_maps()
     res = np.empty((samples, model.nx + model.ny))
     for n, row in enumerate(pts):
         x, u = row[:model.nx], row[model.nx:]
         p = sm.evaluate(x, u)
         res[n] = np.abs(np.concatenate((state_map(p, x, u),
-                                        output_map(p, x, u))) - fh(*row))
+                                        output_map(p, x, u)))
+                        - (f(*row) + h(*row)))
     # per equation, the first non-finite residual if any, else the first
     # largest
     bad = ~np.isfinite(res)

@@ -12,9 +12,9 @@ stop at the first non-finite state.
 
 :func:`simulate_nl` hands the driver f and h, each compiled once into
 one function that returns the whole vector (see :func:`compile_vector`),
-as are the expressions of an input signal.  A domain error in either
-stops the run with a SolverError naming the entry and the time, as one
-in the scheduling map does.
+as are the expressions of an input signal.  An EntryError from any of
+them, or from the scheduling map, stops the run with a SolverError
+naming the entry and the time.
 :func:`simulate_lpv_self_scheduled` hands it maps that close the
 scheduling map at every evaluation: p = eta(x, u(t)), then
 xi(x) = A(p)(x - x_bar) + B(p)(u - u_bar) + V, and likewise for y.
@@ -38,9 +38,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import EVAL_ERRORS, Expr, compile_vector, first_failure
+from .expr import EntryError, Expr, compile_vector
 from .factorize import ModelError, NlssModel
-from .lpv import LpvssModel, SchedulingError, SchedulingMap
+from .lpv import LpvssModel, SchedulingMap
 from .parser import parse_expr
 
 TRAJECTORY_FORMAT_VERSION = 1
@@ -86,8 +86,8 @@ class InputSignal:
             raise ValueError(f"expected {nu} input expressions, got {len(sources)}")
         exprs = tuple(parse_expr(s, variables=("t",)) if isinstance(s, str)
                       else s for s in sources)
-        vector = _evaluator("input", "u", exprs, ("t",))
-        return cls(nu, lambda t: vector(t, (t,)))
+        vector = compile_vector(exprs, ("t",), "u")
+        return cls(nu, _at_time("input", lambda t: np.array(vector(t))))
 
     @classmethod
     def zoh(cls, times: Sequence[float], values: np.ndarray) -> "InputSignal":
@@ -403,27 +403,24 @@ def _simulate(step, output, nx: int, nu: int, sample_time: float,
     return grid, xs, ys, us
 
 
-def _evaluator(what: str, prefix: str, exprs: tuple, names: tuple):
-    """f(t, x, u) of ``exprs`` over ``names``; a failing entry is named."""
-    vector = compile_vector(exprs, names)
-
-    def evaluate(t, x, u=()):
-        args = (*x, *u)
+def _at_time(what: str, fn):
+    """``fn(t, ...)``: the one place an EntryError becomes a SolverError."""
+    def call(t, *args):
         try:
-            return np.array(vector(*args))
-        except EVAL_ERRORS as exc:
-            i, cause = first_failure(exprs, names, args, exc)
-            raise SolverError(f"{what} evaluation failed: {prefix}{i + 1}: "
-                              f"{cause}", t) from cause
-    return evaluate
+            return fn(t, *args)
+        except EntryError as exc:
+            raise SolverError(f"{what} evaluation failed: {exc}", t) from exc
+    return call
 
 
 def simulate_nl(model: NlssModel, x0: Sequence[float], u: InputSignal,
                 t_end: float, cfg: SolverConfig | None = None) -> Trajectory:
     """Simulate the nonlinear model itself."""
+    f = compile_vector(model.f, model.var_names, "f")
+    h = compile_vector(model.h, model.var_names, "h")
     return Trajectory(*_simulate(
-        _evaluator("model", "f", model.f, model.var_names),
-        _evaluator("model", "h", model.h, model.var_names),
+        _at_time("model", lambda t, x, uu: np.array(f(*x, *uu))),
+        _at_time("model", lambda t, x, uu: np.array(h(*x, *uu))),
         model.nx, model.nu, model.sample_time, x0, u, t_end, cfg))
 
 
@@ -443,21 +440,16 @@ def simulate_lpv_self_scheduled(m: LpvssModel, sm: SchedulingMap,
                          f"the model expects {m.np}")
     state_map, output_map = m.affine_maps()
 
-    def schedule(t, x, uu):
-        try:
-            return sm.evaluate(x, uu)
-        except SchedulingError as exc:
-            raise SolverError(f"scheduling evaluation failed: {exc}", t) from exc
-
     def step(t, x, uu):
-        return state_map(schedule(t, x, uu), x, uu)
+        return state_map(sm.evaluate(x, uu), x, uu)
 
     def output(t, x, uu):
-        p = schedule(t, x, uu)
+        p = sm.evaluate(x, uu)
         return np.concatenate((output_map(p, x, uu), p))
 
-    grid, xs, yp, us = _simulate(step, output, m.nx, m.nu, m.sample_time,
-                                 x0, u, t_end, cfg)
+    grid, xs, yp, us = _simulate(
+        _at_time("scheduling", step), _at_time("scheduling", output),
+        m.nx, m.nu, m.sample_time, x0, u, t_end, cfg)
     return Trajectory(grid, xs, yp[:, :m.ny], us, yp[:, m.ny:])
 
 

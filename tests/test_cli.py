@@ -26,6 +26,14 @@ def run(argv, capsys):
 
 
 @pytest.fixture()
+def no_factorize(monkeypatch):
+    """The CLI's factorize raises, so a command must stop before it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorized")
+    monkeypatch.setattr(lpvembed.cli, "factorize", refuse)
+
+
+@pytest.fixture()
 def disk_artifact(tmp_path):
     path = str(tmp_path / "disk.json")
     assert main(["convert", "unbalanced_disk", "-o", path]) == 0
@@ -78,15 +86,21 @@ def test_convert_threshold_breach_exits_4(tmp_path, capsys):
 @pytest.mark.parametrize("flags,message", [
     (["--samples", "0"], "samples must be at least 1, got 0"),
     (["--samples", "-3"], "samples must be at least 1, got -3"),
+    # the disk takes 6 floats a sample: points (x, u) and residuals (f, h)
+    (["--samples", "100000000000"],
+     "samples = 100000000000 needs 600000000000 floats, over the "
+     "verification budget of 10000000"),
+    (["--grid", "1"], "--grid must be at least 2, got 1"),
     (["--threshold", "nan"],
      "--threshold must be non-negative and finite, got nan"),
     (["--threshold", "inf"],
      "--threshold must be non-negative and finite, got inf"),
     (["--threshold", "-1"],
      "--threshold must be non-negative and finite, got -1.0"),
-], ids=["samples-0", "samples-negative", "threshold-nan", "threshold-inf",
-        "threshold-negative"])
-def test_convert_bad_settings_exit_2(tmp_path, capsys, flags, message):
+], ids=["samples-0", "samples-negative", "samples-over-budget", "grid-1",
+        "threshold-nan", "threshold-inf", "threshold-negative"])
+def test_convert_bad_settings_exit_2(tmp_path, capsys, no_factorize, flags,
+                                     message):
     out = tmp_path / "disk.json"
     code, _, err = run(["convert", "unbalanced_disk", "-o", str(out),
                         *flags], capsys)
@@ -367,6 +381,38 @@ def test_range_needs_a_box_somewhere(tmp_path, capsys):
     assert "box" in err
     code, text, _ = run(["range", str(boxless), "--box", "x1=-2:2"], capsys)
     assert code == 0
+
+
+def test_range_box_flag_overrides_the_box_one_variable_at_a_time(
+        tmp_path, disk_artifact, capsys):
+    # p1 = sinc(x1) needs x1 alone; a flag for x2 leaves its box as it is
+    for target in ("unbalanced_disk", disk_artifact):
+        plain = run(["range", target], capsys)
+        assert plain[0] == 0
+        assert run(["range", target, "--box", "x2=-1:1"], capsys) == plain
+        assert run(["range", target, "--box", "x1=-1:1"], capsys) == (
+            0, "  p1 = sinc(x1)\n       range raw [0.8415, 1]  reported "
+               "[0.8373, 1.005]\n", "")
+    # with no stored box the flag is the whole box, which misses x1
+    doc = json.load(open(disk_artifact))
+    doc["range_box"] = None
+    boxless = tmp_path / "boxless.json"
+    boxless.write_text(json.dumps(doc))
+    assert run(["range", str(boxless), "--box", "x2=-1:1"], capsys) == (
+        2, "", "error: no bounds for x1; pass --box\n")
+
+
+@pytest.mark.parametrize("target,flags,message", [
+    ("artifact", ["--anchor", "x1=5"], "--anchor applies only to a model; an "
+                                       "artifact keeps the anchor it was "
+                                       "converted at"),
+    ("unbalanced_disk", ["--grid", "1"], "--grid must be at least 2, got 1"),
+], ids=["artifact-anchor", "grid-1"])
+def test_range_bad_flags_exit_2(disk_artifact, capsys, no_factorize, target,
+                                flags, message):
+    target = disk_artifact if target == "artifact" else target
+    assert run(["range", target, *flags], capsys) == (
+        2, "", f"error: {message}\n")
 
 
 # -------------------------------------------------------------------- simulate

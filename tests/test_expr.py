@@ -299,14 +299,14 @@ def test_vector_with_a_deferred_entry_walks_no_tree(monkeypatch):
         raise AssertionError(f"tree walk of {self!r}")
     for node in (Const, Var, Add, Mul, Div, Pow, Call):
         monkeypatch.setattr(node, "eval", walked)
-    assert compile_vector(exprs, ("x", "y", "z"))(*args) == want
+    assert compile_vector(exprs, ("x", "y", "z"), "e")(*args) == want
 
 
 def test_compiled_names_need_not_be_identifiers():
     a, b = Var("a.b"), Var("lambda")
-    fn = compile_vector((add(a, b), mul(a, b)), ("a.b", "lambda"))
+    fn = compile_vector((add(a, b), mul(a, b)), ("a.b", "lambda"), "e")
     assert fn(2.0, 3.0) == (5.0, 6.0)
-    assert compile_vector((), ("x",))(1.0) == ()
+    assert compile_vector((), ("x",), "e")(1.0) == ()
     with pytest.raises(UnboundVariableError, match="'z'"):
         compile_scalar(add(X, Var("z")), ("x",))(1.0)
 

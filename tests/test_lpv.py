@@ -12,14 +12,14 @@ import pytest
 
 from lpvembed import lpv
 from lpvembed.expr import (
-    Add, Const, Var, add, call, compile_array, compile_scalar, compile_vector,
-    pow_,
+    Add, Const, EntryError, Var, add, call, compile_array, compile_scalar,
+    compile_vector, pow_,
 )
 from lpvembed.factorize import (
     Anchor, DeferredIntegral, ModelError, NlssModel, factorize, state_names,
 )
 from lpvembed.lpv import (
-    LpvssModel, RangeBox, RangeGridError, SchedulingError, SchedulingMap,
+    LpvssModel, RangeBox, RangeGridError, SchedulingMap,
     _split_term, default_box, estimate_range, extract_element, extract_factor,
     verify_embedding,
 )
@@ -196,7 +196,7 @@ def test_vector_functions_equal_the_per_entry_functions(source):
                  *(extract(fs)[1].entries
                    for extract in (extract_element, extract_factor))]
         for exprs in lists:
-            vector = compile_vector(exprs, names)
+            vector = compile_vector(exprs, names, "e")
             scalars = [compile_scalar(e, names) for e in exprs]
             for args in chain(points, ([float(v) for v in x] for x in points)):
                 want = _outcome(lambda: [fn(*args) for fn in scalars])
@@ -454,7 +454,7 @@ def test_box_whose_width_overflows_is_rejected(disk_doc):
 
 def test_range_reports_domain_errors_per_entry():
     sm = SchedulingMap(entries=(pe("ln(x1)", ("x1",)),), var_names=("x1",))
-    with pytest.raises(SchedulingError):
+    with pytest.raises(EntryError):
         estimate_range(sm, {"x1": (-1.0, 1.0)}, grid_per_dim=11)
 
 
@@ -467,7 +467,7 @@ def test_range_rejects_nan_on_part_of_the_box():
                        var_names=names)
     box = {"x1": (-1.0, 1.0), "x2": (1e200, 1e200), "x3": (1e200, 1e200)}
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SchedulingError) as ei:
+        with pytest.raises(EntryError) as ei:
             estimate_range(sm, box, grid_per_dim=11)
     assert ei.value.index == 1
     assert str(ei.value) == ("p2: non-finite value nan at grid point "
@@ -517,7 +517,7 @@ def test_scheduling_error_carries_index():
             (DeferredIntegral(pe("1/(x1 - lam)", x1 + ("lam",))), 0.5,
              "p2: float division by zero")):
         sm = SchedulingMap(entries=(pe("x1", x1), failing), var_names=x1)
-        with pytest.raises(SchedulingError) as ei:
+        with pytest.raises(EntryError) as ei:
             sm.evaluate([at], [])
         assert ei.value.index == 1
         assert str(ei.value) == message
@@ -530,10 +530,10 @@ def test_scheduling_error_blames_the_entry_the_vector_stopped_at():
     x1 = ("x1",)
     sm = SchedulingMap(entries=(pe("1/x1", x1), pe("ln(x1)", x1)),
                        var_names=x1)
-    with np.errstate(divide="ignore"), pytest.raises(SchedulingError) as ei:
+    with np.errstate(divide="ignore"), pytest.raises(EntryError) as ei:
         sm.evaluate(np.array([0.0]), np.array([]))
     assert (ei.value.index, str(ei.value)) == (1, "p2: ln of non-positive value")
-    with pytest.raises(SchedulingError) as ei:
+    with pytest.raises(EntryError) as ei:
         sm.evaluate([0.0], [])
     assert (ei.value.index, str(ei.value)) == (0, "p1: float division by zero")
 
@@ -658,7 +658,7 @@ def test_range_in_small_blocks_equals_one_block(monkeypatch):
         assert got == want, block
         # a NaN from a NaN constant raises no flag, and NaN is never a
         # block's new extremum: a later block holding one must fall back
-        with pytest.raises(SchedulingError, match="non-finite value nan at "
+        with pytest.raises(EntryError, match="non-finite value nan at "
                            "grid point x1=0.2"):
             estimate_range(late_nan, {"x1": (-1.0, 1.0)}, grid_per_dim=11)
 
@@ -715,7 +715,7 @@ def test_range_falls_back_to_the_scalar_scan(monkeypatch, text, box,
             # the one flagged block, then the two extremal points
             assert sum(calls.values()) == 11 + 2
         else:
-            with pytest.raises(SchedulingError) as ei:
+            with pytest.raises(EntryError) as ei:
                 estimate_range(sm, {"x1": box}, grid_per_dim=11)
             assert str(ei.value) == message
     assert [str(w.message) for w in caught] == []
@@ -741,7 +741,7 @@ def test_range_domain_error_names_the_grid_point():
     names = ("x1", "u1")
     sm = SchedulingMap((pe("u1^2", names), pe("sqrt(x1 + u1)", names)),
                        names)
-    with pytest.raises(SchedulingError) as ei:
+    with pytest.raises(EntryError) as ei:
         estimate_range(sm, {"x1": (-1.0, 1.0), "u1": (-1.0, 1.0)},
                        grid_per_dim=3)
     assert ei.value.index == 1
@@ -897,6 +897,18 @@ def test_verify_needs_a_sample(disk_doc, samples):
     m, sm = extract_factor(factorize(disk_doc.model))
     with pytest.raises(ValueError, match="^samples must be at least 1"):
         verify_embedding(disk_doc.model, m, sm, samples=samples)
+
+
+def test_verify_refuses_samples_over_the_float_budget(disk_doc,
+                                                      monkeypatch):
+    # the disk's points and residuals take 2*2 + 1 + 1 = 6 floats a sample
+    m, sm = extract_factor(factorize(disk_doc.model))
+    monkeypatch.setattr(lpv, "VERIFY_FLOAT_BUDGET", 60)
+    assert verify_embedding(disk_doc.model, m, sm, samples=10).samples == 10
+    with pytest.raises(ValueError) as ei:
+        verify_embedding(disk_doc.model, m, sm, samples=11)
+    assert str(ei.value) == ("samples = 11 needs 66 floats, over the "
+                             "verification budget of 60")
 
 
 def test_verify_max_residual_sees_a_non_finite_output_residual():

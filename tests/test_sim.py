@@ -9,8 +9,14 @@ import numpy as np
 import pytest
 
 from lpvembed import sim
-from lpvembed.factorize import ModelError, NlssModel, factorize
-from lpvembed.lpv import SchedulingMap, extract_factor
+from lpvembed.expr import EntryError
+from lpvembed.factorize import (
+    Anchor, DeferredIntegral, ModelError, NlssModel, factorize,
+)
+from lpvembed.lpv import (
+    LpvssModel, SchedulingMap, estimate_range, extract_factor,
+    verify_embedding,
+)
 from lpvembed.models import corpus, load_bundled
 from lpvembed.parser import parse_expr
 from lpvembed.sim import (
@@ -443,3 +449,96 @@ def test_self_scheduled_rejects_a_mismatched_scheduling_map(disk_doc):
     with pytest.raises(ModelError):
         simulate_lpv_self_scheduled(m, short, [0.0, 0.0], InputSignal.zero(1),
                                     1.0)
+
+
+# ------------------------------------------------ one error for a failing entry
+
+def _schedule():
+    sm = SchedulingMap((pe("x1", ("x1",)), pe("ln(x1)", ("x1",))), ("x1",))
+    sm.evaluate([-2.0], [])
+
+
+def _range_table_block():
+    # ln has numpy code: the block raises, and its walk names the point
+    sm = SchedulingMap((pe("ln(x1)", ("x1",)),), ("x1",))
+    estimate_range(sm, {"x1": (-1.0, 1.0)}, grid_per_dim=11)
+
+
+def _range_point_walk():
+    # a deferred entry has no numpy code: every block is walked
+    names = ("x1", "u1")
+    sm = SchedulingMap((pe("u1", names),
+                        DeferredIntegral(pe("ln(x1 + lam)", names + ("lam",)))),
+                       names)
+    estimate_range(sm, {"x1": (-1.0, 1.0), "u1": (-1.0, 1.0)},
+                   grid_per_dim=11)
+
+
+def _offsets():
+    factorize(make_model(["-x1 + u1"], ["1/x1"], 1, 1))
+
+
+def _simulate_f():
+    simulate_nl(make_model(["-x1", "ln(x1)"], ["x2"], 2, 1), [0.0, 1.0],
+                InputSignal.zero(1), 1.0)
+
+
+def _simulate_h():
+    simulate_nl(make_model(["-x1"], ["x1", "sqrt(x1)"], 1, 1), [-1.0],
+                InputSignal.zero(1), 1.0)
+
+
+def _simulate_input():
+    simulate_nl(DECAY, [1.0], InputSignal.from_exprs(["ln(t)"], 1), 1.0)
+
+
+def _simulate_schedule():
+    # p2 = integral01(ln(lam*x1 + 2)) fails at x1 = -2.5
+    m, sm = extract_factor(factorize(make_model(["-x1 + u1*ln(x1 + 2)"],
+                                                ["x1"], 1, 1)))
+    simulate_lpv_self_scheduled(m, sm, [-2.5], InputSignal.zero(1), 1.0)
+
+
+def _verify():
+    # an empty LPV model against f1 = ln(x1), which fails where x1 <= 0
+    model = make_model(["ln(x1)"], ["x1"], 1, 1)
+    zero = np.zeros((1, 1, 1))
+    m = LpvssModel.from_dense(zero, zero, zero, zero, nx=1, nu=1, ny=1, np=0,
+                              V=np.zeros(1), W=np.zeros(1),
+                              anchor=Anchor.origin(1, 1))
+    verify_embedding(model, m, SchedulingMap((), model.var_names), samples=50)
+
+
+@pytest.mark.parametrize("site, error, message, label, index", [
+    (_schedule, EntryError, "p2: ln of non-positive value", "p2", 1),
+    (_range_table_block, EntryError,
+     "p1: ln of non-positive value at grid point x1=-1.0", "p1", 0),
+    (_range_point_walk, EntryError,
+     "p2: ln of non-positive value at grid point x1=-1.0", "p2", 1),
+    (_offsets, EntryError,
+     "h1: division by zero at the anchor x1=0.0, u1=0.0", "h1", 0),
+    (_simulate_f, SolverError,
+     "model evaluation failed: f2: ln of non-positive value (t = 0.0)",
+     "f2", 1),
+    (_simulate_h, SolverError,
+     "model evaluation failed: h2: sqrt of negative value (t = 0.0)",
+     "h2", 1),
+    (_simulate_input, SolverError,
+     "input evaluation failed: u1: ln of non-positive value (t = 0.0)",
+     "u1", 0),
+    (_simulate_schedule, SolverError,
+     "scheduling evaluation failed: p2: ln of non-positive value (t = 0.0)",
+     "p2", 1),
+    (_verify, EntryError, "f1: ln of non-positive value", "f1", 0),
+], ids=["schedule", "range-table", "range-walk", "offsets", "simulate-f",
+        "simulate-h", "simulate-input", "simulate-p", "verify"])
+def test_every_evaluation_site_raises_one_entry_error(site, error, message,
+                                                      label, index):
+    with pytest.raises(error) as ei:
+        site()
+    assert type(ei.value) is error
+    assert str(ei.value) == message
+    entry = ei.value if error is EntryError else ei.value.__cause__
+    assert isinstance(entry, EntryError)
+    assert (entry.label, entry.index) == (label, index)
+    assert str(entry) == f"{label}: {entry.cause}"
