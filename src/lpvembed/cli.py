@@ -153,12 +153,13 @@ def cmd_range(args) -> int:
     _check_grid(args.grid)
     artifact = _is_artifact(args.target)
     if artifact:
-        if args.anchor:
-            raise ValueError("--anchor applies only to a model; an artifact "
-                             "keeps the anchor it was converted at")
+        for flag, kept in (("anchor", "anchor it was converted at"),
+                           ("mode", "integration mode it was converted with"),
+                           ("extract", "extraction it was converted with")):
+            if getattr(args, flag):
+                raise ValueError(f"--{flag} applies only to a model; an "
+                                 f"artifact keeps the {kept}")
         m, sm, _doc = load_artifact(args.target)
-        if m.range_box is None and not args.box:
-            raise ValueError("artifact has no stored box; pass --box")
         names = sm.var_names
         box = dict(m.range_box.box if m.range_box else {})
     else:
@@ -170,8 +171,8 @@ def cmd_range(args) -> int:
     if args.box:
         box.update(read_flag("box", args.box, names))
     if not artifact:
-        fs = factorize(doc.model, _anchor(args, doc), args.mode)
-        _, sm = _extractor(args.extract)(fs)
+        fs = factorize(doc.model, _anchor(args, doc), args.mode or "analytic")
+        _, sm = _extractor(args.extract or "factor")(fs)
     used = {n for fp in sm.footprints for n in fp}
     missing = [n for n in names if n in used and n not in box]
     if missing:
@@ -357,10 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="model file, bundled name, or artifact JSON")
     p.add_argument("--box", help="bounds, e.g. x1=-2*pi:2*pi,x2=-10:10")
     p.add_argument("--grid", type=int, default=10001)
-    p.add_argument("--mode", choices=("analytic", "numeric"),
-                   default="analytic")
-    p.add_argument("--extract", choices=("element", "factor"),
-                   default="factor")
+    # unset on a model means analytic and factor; an artifact refuses them
+    p.add_argument("--mode", choices=("analytic", "numeric"))
+    p.add_argument("--extract", choices=("element", "factor"))
     p.add_argument("--anchor")
     p.set_defaults(func=cmd_range)
 

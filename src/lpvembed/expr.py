@@ -9,6 +9,22 @@ parser, ``diff`` and :func:`substitute` build through them; :func:`simplify`
 is for trees built from the node classes.  All nodes are immutable, so
 every operation here is a pure function and safe to share across threads.
 
+Nodes are hash-consed: a node class called with fields equal to those
+of a live node returns that node, so two equal trees are one object,
+``==`` is ``is`` and a node hashes by identity.  The key is the class and
+the fields, with children compared by identity; a constant's key also
+holds its sign, so ``-0.0`` keeps its own node, and a NaN constant is
+never shared.  The table holds its nodes weakly, so a dropped tree is
+freed.  Each node stores the variables it uses (:meth:`Expr.free_vars`),
+joined from its children's once, when it is built.  Threads share the
+table without a lock, since each change to it is one atomic dictionary
+operation: a missing node is built and entered with ``setdefault``, so
+when threads build the same tree at once, all of them return the node
+that was entered first; and a dead node's entry is removed only while
+it is still dead (``_remove_dead_weakref``, as in
+:class:`weakref.WeakValueDictionary`), never taking out a live node
+entered after it.
+
 Besides the usual primitives (sin, cos, tan, tanh, exp, ln, sqrt, abs)
 the function set contains a small family for removable singularities:
 
@@ -48,6 +64,9 @@ the same source for two function tables:
 from __future__ import annotations
 
 import math
+import weakref
+from _weakref import _remove_dead_weakref
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -203,16 +222,58 @@ ARRAY_FUNCTIONS: dict[str, Callable] = {
 # ---------------------------------------------------------------------------
 # nodes
 # ---------------------------------------------------------------------------
+# the intern table of the module docstring: key -> weak reference to node
+
+_NODES: dict[tuple, weakref.ref] = {}
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def _forget(key, ref, nodes=_NODES, remove=_remove_dead_weakref):
+    # bound as defaults: the module's globals may be gone at interpreter exit
+    remove(nodes, key)
+
+
+def _intern(cls, key, fields) -> "Expr":
+    """A new ``cls`` built from ``fields`` and entered under ``key`` (a
+    None key: never), or the live node another thread entered first."""
+    node = object.__new__(cls)
+    node._build(*fields)
+    ref = weakref.ref(node, partial(_forget, key))
+    while key is not None:
+        live = _NODES.setdefault(key, ref)()  # ours, unless one was there
+        if live is not None:
+            return live
+        _remove_dead_weakref(_NODES, key)  # a dead node's entry
+    return node
+
+
+def _union(nodes) -> frozenset[str]:
+    """The nodes' footprints joined; a node's own set if it holds them all."""
+    out = _NO_VARS
+    for n in nodes:
+        if not n._free <= out:
+            out = out | n._free if out else n._free
+    return out
+
 
 class Expr:
     """Base node. Subclasses are Const, Var, Add, Mul, Div, Pow, Call."""
 
-    __slots__ = ()
+    __slots__ = ("_free", "__weakref__")
+    _fields: tuple[str, ...] = ()  # the constructor's arguments, as slots
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        ref = _NODES.get(key)
+        node = ref and ref()  # None when the key is missing or its node dead
+        return node if node is not None else _intern(cls, key, fields)
+
+    def _build(self, *fields) -> None:
+        for name, value in zip(self._fields, fields):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_free", _union(self.children()))
 
     # subclasses fill these in
-    def _key(self) -> tuple:
-        raise NotImplementedError
-
     def eval(self, bindings: Mapping[str, float]) -> float:
         raise NotImplementedError
 
@@ -220,18 +281,11 @@ class Expr:
         raise NotImplementedError
 
     def free_vars(self) -> frozenset[str]:
-        raise NotImplementedError
+        """The names of the variables the tree uses, stored at build."""
+        return self._free
 
     def children(self) -> tuple["Expr", ...]:
         return ()
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, Expr) and self._key() == other._key()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __str__(self) -> str:
         return to_string(self)
@@ -246,11 +300,16 @@ class Expr:
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: float):
-        object.__setattr__(self, "value", float(value))
+    def __new__(cls, value: float):
+        value = float(value)
+        if value != value:  # NaN, equal to nothing, is never shared
+            return _intern(cls, None, (value,))
+        # keyed with its sign, so -0.0 keeps its own node
+        return super().__new__(cls, value, math.copysign(1.0, value))
 
-    def _key(self):
-        return ("const", self.value)
+    def _build(self, value, sign=None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_free", _NO_VARS)
 
     def eval(self, bindings):
         return self.value
@@ -258,18 +317,13 @@ class Const(Expr):
     def diff(self, var):
         return ZERO
 
-    def free_vars(self):
-        return frozenset()
-
 
 class Var(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
+    def _build(self, name):
         object.__setattr__(self, "name", name)
-
-    def _key(self):
-        return ("var", self.name)
+        object.__setattr__(self, "_free", frozenset((name,)))
 
     def eval(self, bindings):
         try:
@@ -280,31 +334,16 @@ class Var(Expr):
     def diff(self, var):
         return ONE if self.name == var else ZERO
 
-    def free_vars(self):
-        return frozenset((self.name,))
-
 
 class _Nary(Expr):
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[Expr, ...]):
-        object.__setattr__(self, "terms", terms)
+    __slots__ = _fields = ("terms",)
 
     def children(self):
         return self.terms
 
-    def free_vars(self):
-        out: frozenset[str] = frozenset()
-        for t in self.terms:
-            out |= t.free_vars()
-        return out
-
 
 class Add(_Nary):
     __slots__ = ()
-
-    def _key(self):
-        return ("add",) + tuple(t._key() for t in self.terms)
 
     def eval(self, bindings):
         acc = 0.0
@@ -318,9 +357,6 @@ class Add(_Nary):
 
 class Mul(_Nary):
     __slots__ = ()
-
-    def _key(self):
-        return ("mul",) + tuple(t._key() for t in self.terms)
 
     def eval(self, bindings):
         acc = 1.0
@@ -338,14 +374,7 @@ class Mul(_Nary):
 
 
 class Div(Expr):
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Expr, den: Expr):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def _key(self):
-        return ("div", self.num._key(), self.den._key())
+    __slots__ = _fields = ("num", "den")
 
     def children(self):
         return (self.num, self.den)
@@ -363,19 +392,9 @@ class Div(Expr):
             pow_(self.den, Const(2.0)),
         )
 
-    def free_vars(self):
-        return self.num.free_vars() | self.den.free_vars()
-
 
 class Pow(Expr):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base: Expr, exponent: Expr):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-
-    def _key(self):
-        return ("pow", self.base._key(), self.exponent._key())
+    __slots__ = _fields = ("base", "exponent")
 
     def children(self):
         return (self.base, self.exponent)
@@ -400,21 +419,14 @@ class Pow(Expr):
         return mul(self, add(mul(expo.diff(var), call("ln", base)),
                              mul(expo, div(base.diff(var), base))))
 
-    def free_vars(self):
-        return self.base.free_vars() | self.exponent.free_vars()
-
 
 class Call(Expr):
-    __slots__ = ("fn", "arg")
+    __slots__ = _fields = ("fn", "arg")
 
-    def __init__(self, fn: str, arg: Expr):
+    def __new__(cls, fn: str, arg: Expr):
         if fn not in FUNCTIONS:
             raise ValueError(f"unknown function '{fn}'")
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "arg", arg)
-
-    def _key(self):
-        return ("call", self.fn, self.arg._key())
+        return super().__new__(cls, fn, arg)
 
     def children(self):
         return (self.arg,)
@@ -432,9 +444,6 @@ class Call(Expr):
             raise NonDifferentiableError(
                 f"'{self.fn}' has no derivative rule")
         return mul(rule(self.arg), self.arg.diff(var))
-
-    def free_vars(self):
-        return self.arg.free_vars()
 
 
 # outer derivative d/da f(a) as an expression in the argument

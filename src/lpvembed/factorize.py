@@ -48,6 +48,7 @@ from .quadrature import integrate
 
 # the integration variable; model variables may not use this name
 LAMBDA = "lam"
+_LAM = Var(LAMBDA)
 
 
 class ModelError(Exception):
@@ -181,25 +182,19 @@ class DeferredIntegral(Expr):
     """An entry kept as integral_0^1 integrand dlam, evaluated on demand.
 
     Behaves as an expression in the integrand's non-lam variables.  Each
-    evaluation runs adaptive quadrature on a compiled integrand.
+    evaluation runs adaptive quadrature on the integrand compiled at build.
     """
 
-    __slots__ = ("integrand", "_args", "_fn", "_free")
+    __slots__ = ("integrand", "_args", "_fn")
 
-    def __init__(self, integrand: Expr):
-        free = frozenset(integrand.free_vars() - {LAMBDA})
+    def _build(self, integrand: Expr):
+        free = integrand.free_vars() - {LAMBDA}
         args = tuple(sorted(free, key=var_sort_key))
         object.__setattr__(self, "integrand", integrand)
         object.__setattr__(self, "_args", args)
         object.__setattr__(self, "_fn",
                            compile_scalar(integrand, (LAMBDA,) + args))
         object.__setattr__(self, "_free", free)
-
-    def _key(self):
-        return ("defint", self.integrand._key())
-
-    def free_vars(self):
-        return self._free
 
     def display(self) -> str:
         return f"integral01({to_string(self.integrand)})"
@@ -245,7 +240,6 @@ def line_substitute(e: Expr, anchor: Anchor) -> Expr:
     footprint = e.free_vars()
     if LAMBDA in footprint:
         raise ModelError(f"'{LAMBDA}' is reserved for the integration variable")
-    lam = Var(LAMBDA)
     mapping: dict[str, Expr] = {}
     for name in footprint:
         m = _VAR_PAT.match(name)
@@ -258,10 +252,10 @@ def line_substitute(e: Expr, anchor: Anchor) -> Expr:
         ref = refs[k - 1]
         v = Var(name)
         if ref == 0.0:
-            mapping[name] = mul(lam, v)
+            mapping[name] = mul(_LAM, v)
         else:
             c = Const(ref)
-            mapping[name] = add(c, mul(lam, add(v, neg(c))))
+            mapping[name] = add(c, mul(_LAM, add(v, neg(c))))
     return substitute(e, mapping)
 
 

@@ -402,12 +402,26 @@ def test_range_box_flag_overrides_the_box_one_variable_at_a_time(
         2, "", "error: no bounds for x1; pass --box\n")
 
 
+def test_range_on_an_lti_artifact_has_nothing_to_range(tmp_path, capsys):
+    # np = 0 stores no range box, and no entry needs a bound
+    lti = str(tmp_path / "lti.json")
+    assert run(["convert", _model_file(tmp_path, "-x1 + u1"), "-o", lti],
+               capsys)[0] == 0
+    assert run(["range", lti], capsys) == (0, "np = 0: nothing to range\n", "")
+
+
 @pytest.mark.parametrize("target,flags,message", [
     ("artifact", ["--anchor", "x1=5"], "--anchor applies only to a model; an "
                                        "artifact keeps the anchor it was "
                                        "converted at"),
+    ("artifact", ["--mode", "numeric"], "--mode applies only to a model; an "
+                                        "artifact keeps the integration mode "
+                                        "it was converted with"),
+    ("artifact", ["--extract", "factor"], "--extract applies only to a model; "
+                                          "an artifact keeps the extraction "
+                                          "it was converted with"),
     ("unbalanced_disk", ["--grid", "1"], "--grid must be at least 2, got 1"),
-], ids=["artifact-anchor", "grid-1"])
+], ids=["artifact-anchor", "artifact-mode", "artifact-extract", "grid-1"])
 def test_range_bad_flags_exit_2(disk_artifact, capsys, no_factorize, target,
                                 flags, message):
     target = disk_artifact if target == "artifact" else target

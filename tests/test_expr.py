@@ -1,8 +1,12 @@
 """Expression trees: constructors, evaluation, derivatives, printing,
 parsing, and compilation."""
 
+import gc
 import math
 import random
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -359,3 +363,100 @@ def test_every_node_type_is_immutable():
             node.value = 2.0
     # simplify passes foreign nodes through untouched
     assert simplify(nodes[-1]) is nodes[-1]
+
+
+# ------------------------------------------------------------------- interning
+
+def test_equal_trees_are_one_object_whichever_way_they_are_built():
+    e = p("sin(x) + 2*y/z")
+    assert e is p("sin(x)+2*y/z")
+    assert e is add(call("sin", X), div(mul(2, Y), Var("z")))
+    assert e is substitute(p("sin(y) + 2*x/z"), {"x": Y, "y": X})
+    assert p("sin(x)^2").diff("x") is p("2*sin(x)*cos(x)")
+    assert p("x*y").diff("x") is Y
+
+
+def test_artifact_entries_load_as_the_nodes_converted(tmp_path):
+    from lpvembed.factorize import factorize
+    from lpvembed.lpv import extract_factor
+    from lpvembed.modelfile import load_artifact, save_artifact
+    from lpvembed.models import load_bundled
+
+    model = load_bundled("unbalanced_disk").model
+    for mode in ("analytic", "numeric"):  # numeric defers every entry
+        m, sm = extract_factor(factorize(model, mode=mode))
+        path = str(tmp_path / f"{mode}.json")
+        save_artifact(path, m, sm)
+        _, loaded, _ = load_artifact(path)
+        assert sm.np and all(a is b for a, b in
+                             zip(loaded.entries, sm.entries, strict=True))
+
+
+def test_signed_zeros_keep_their_own_nodes():
+    neg_zero = Const(-0.0)
+    assert neg_zero is not Const(0.0) and neg_zero is Const(-0.0)
+    assert math.copysign(1.0, compile_scalar(neg_zero, ())()) == -1.0
+    assert math.copysign(1.0, compile_scalar(Const(0.0), ())()) == 1.0
+    assert Const(math.nan) is not Const(math.nan)
+
+
+def test_a_dropped_tree_leaves_the_table():
+    from lpvembed import expr
+    e = add(Var("dropped"), call("tanh", Var("dropped")))
+    refs = [weakref.ref(n) for n in (e, e.terms[1], e.terms[0])]
+    size = len(expr._NODES)
+    del e
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert (Var, "dropped") not in expr._NODES
+    assert len(expr._NODES) <= size - len(refs)
+
+
+def test_threads_building_the_same_trees_share_their_nodes():
+    from lpvembed.synthetic import random_model
+    models = [random_model(s) for s in range(20)]
+    names = {n for m in models for n in m.var_names}
+    texts = [to_string(e) for m in models for e in m.f + m.h]
+    del models
+    start = threading.Barrier(4)
+
+    def build(results, k):
+        start.wait()
+        results[k] = [parse_expr(t, variables=names) for t in texts]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            results = [None] * 4
+            gc.collect()  # the trees are built anew, racing on every miss
+            threads = [threading.Thread(target=build, args=(results, k))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            for other in results[1:]:
+                assert all(a is b for a, b in
+                           zip(results[0], other, strict=True))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_equal_deferred_integrals_compile_once(monkeypatch):
+    from lpvembed import factorize as fz
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compile_scalar(*args)
+    monkeypatch.setattr(fz, "compile_scalar", counted)
+    lam, v = Var("lam"), Var("v_once")
+    first = fz.DeferredIntegral(call("tanh", mul(lam, v)))
+    assert fz.DeferredIntegral(call("tanh", mul(lam, v))) is first
+    assert len(calls) == 1
+    # the operand order differs, so the integrand and the node do
+    assert fz.DeferredIntegral(call("tanh", mul(v, lam))) is not first
+    assert len(calls) == 2
+    assert first.free_vars() == {"v_once"}
