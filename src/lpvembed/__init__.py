@@ -11,7 +11,7 @@ self-scheduled simulation against the original dynamics.
 __version__ = "0.1.0"
 
 from .expr import (                                    # noqa: F401
-    Const, DomainError, EntryError, EvalError, Expr, ExprError,
+    Const, EntryError, EvalError, Expr, ExprError,
     NonDifferentiableError, UnboundVariableError, Var,
     simplify, substitute, to_string,
 )

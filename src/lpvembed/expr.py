@@ -1,4 +1,4 @@
-"""Immutable scalar expression trees with evaluation and differentiation.
+"""Immutable scalar expression trees with compilation and differentiation.
 
 Trees are built from constants, named variables, the arithmetic operators
 ``+ - * / ^`` and a fixed set of unary functions, through constructors
@@ -41,8 +41,13 @@ the derivative table (:data:`DERIVATIVES`).
 
 Compilation
 -----------
-Trees compile to plain Python through one code generator, which writes
-the same source for two function tables:
+A tree is evaluated only by compiling it to plain Python, through one
+code generator.  One walk counts each distinct node's uses.  A node
+used once is written into its parent's code; one used twice or more,
+or nested deeper than ``_MAX_DEPTH``, is computed once per call into a
+local, in post-order, as is each run of ``_MAX_DEPTH`` terms of a
+longer sum or product.  So no code nests too deeply for the Python
+compiler.  The source is the same for two function tables:
 
 * The scalar table maps the functions to :data:`FUNCTIONS`, on Python
   floats.  :func:`compile_vector` turns a list of trees into one
@@ -92,10 +97,6 @@ class UnboundVariableError(EvalError):
     def __init__(self, name: str):
         super().__init__(f"unbound variable '{name}'")
         self.name = name
-
-
-class DomainError(EvalError):
-    """Evaluation hit a numeric domain violation (division by zero, ln <= 0, ...)."""
 
 
 class NonDifferentiableError(ExprError):
@@ -154,7 +155,7 @@ def _sqrt(a: float) -> float:
     return math.sqrt(a)
 
 
-# name -> numeric implementation; shared by tree evaluation and codegen
+# name -> numeric implementation: constant folding and the scalar table
 FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sin": math.sin,
     "cos": math.cos,
@@ -273,10 +274,7 @@ class Expr:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_free", _union(self.children()))
 
-    # subclasses fill these in
-    def eval(self, bindings: Mapping[str, float]) -> float:
-        raise NotImplementedError
-
+    # subclasses fill this in
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
 
@@ -311,9 +309,6 @@ class Const(Expr):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "_free", _NO_VARS)
 
-    def eval(self, bindings):
-        return self.value
-
     def diff(self, var):
         return ZERO
 
@@ -324,12 +319,6 @@ class Var(Expr):
     def _build(self, name):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_free", frozenset((name,)))
-
-    def eval(self, bindings):
-        try:
-            return float(bindings[self.name])
-        except KeyError:
-            raise UnboundVariableError(self.name) from None
 
     def diff(self, var):
         return ONE if self.name == var else ZERO
@@ -345,24 +334,12 @@ class _Nary(Expr):
 class Add(_Nary):
     __slots__ = ()
 
-    def eval(self, bindings):
-        acc = 0.0
-        for t in self.terms:
-            acc += t.eval(bindings)
-        return acc
-
     def diff(self, var):
         return add(*(t.diff(var) for t in self.terms))
 
 
 class Mul(_Nary):
     __slots__ = ()
-
-    def eval(self, bindings):
-        acc = 1.0
-        for t in self.terms:
-            acc *= t.eval(bindings)
-        return acc
 
     def diff(self, var):
         # product rule over n factors
@@ -379,12 +356,6 @@ class Div(Expr):
     def children(self):
         return (self.num, self.den)
 
-    def eval(self, bindings):
-        d = self.den.eval(bindings)
-        if d == 0.0:
-            raise DomainError("division by zero")
-        return self.num.eval(bindings) / d
-
     def diff(self, var):
         return div(
             add(mul(self.num.diff(var), self.den),
@@ -398,14 +369,6 @@ class Pow(Expr):
 
     def children(self):
         return (self.base, self.exponent)
-
-    def eval(self, bindings):
-        b = self.base.eval(bindings)
-        e = self.exponent.eval(bindings)
-        try:
-            return math.pow(b, e)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"pow({b!r}, {e!r}): {exc}") from None
 
     def diff(self, var):
         base, expo = self.base, self.exponent
@@ -430,13 +393,6 @@ class Call(Expr):
 
     def children(self):
         return (self.arg,)
-
-    def eval(self, bindings):
-        a = self.arg.eval(bindings)
-        try:
-            return FUNCTIONS[self.fn](a)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"{self.fn}({a!r}): {exc}") from None
 
     def diff(self, var):
         rule = DERIVATIVES.get(self.fn)
@@ -687,46 +643,48 @@ def _negated(e: Expr) -> Expr | None:
 # ---------------------------------------------------------------------------
 # compilation to plain Python for tight numeric loops
 # ---------------------------------------------------------------------------
-# One code generator: a list of expressions compiles to one lambda that
-# returns their values as a tuple, a single expression to one that
-# returns its value.  Numpy scalar arguments keep numpy semantics
-# (1/np.float64(0) is inf), where Expr.eval converts them to float, so a
-# failing entry is found again by calling compiled code with the same
-# arguments, never by tree walking.  The generated source is the same for
-# both function tables; only the namespace it runs in differs.
+# Numpy scalar arguments keep numpy semantics (1/np.float64(0) is inf), so
+# a failing entry is found again by compiled code on the same arguments.
 
-# what compiled code raises on a domain or range violation: the math
-# errors of generated code and the EvalError of tree-walked nodes
+# what compiled code raises on a domain or range violation: math errors,
+# and the EvalError of a deferred integral or an unbound variable
 EVAL_ERRORS = (EvalError, ValueError, ZeroDivisionError, OverflowError)
+
+
+def _unbound(name: str):
+    raise UnboundVariableError(name)
+
 
 # the only names compiled code sees besides its arguments: the function
 # table, and inf and nan, which repr prints for folded non-finite constants
 _TABLES = {
-    "scalar": {"_pow": math.pow,
+    "scalar": {"_pow": math.pow, "_unbound": _unbound,
                **{f"_fn_{fn}": impl for fn, impl in FUNCTIONS.items()}},
     "numpy": {"_pow": np.power,
               **{f"_fn_{fn}": impl for fn, impl in ARRAY_FUNCTIONS.items()}},
 }
 
+# the deepest code written inline, and the most terms of one inline sum
+# or product; a deeper node, or a run of further terms, gets a local
+_MAX_DEPTH = 32
 
-class _NoCode(Exception):
-    """The numpy table has no code for a node."""
 
-
-def _pycode(e: Expr, bind: Callable[[Expr], str]) -> str:
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Add):
-        return "(" + " + ".join(_pycode(t, bind) for t in e.terms) + ")"
-    if isinstance(e, Mul):
-        return "(" + " * ".join(_pycode(t, bind) for t in e.terms) + ")"
-    if isinstance(e, Div):
-        return f"({_pycode(e.num, bind)} / {_pycode(e.den, bind)})"
-    if isinstance(e, Pow):
-        return f"_pow({_pycode(e.base, bind)}, {_pycode(e.exponent, bind)})"
-    if isinstance(e, Call):
-        return f"_fn_{e.fn}({_pycode(e.arg, bind)})"
-    return bind(e)
+def _walk(roots) -> tuple[list[Expr], dict[Expr, int]]:
+    """The distinct nodes of ``roots``, children first, and the number of
+    references to each: from its parents, and as a root."""
+    order, uses = [], {}
+    stack = [(root, False) for root in reversed(roots)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif node in uses:
+            uses[node] += 1
+        else:
+            uses[node] = 1
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node.children()))
+    return order, uses
 
 
 def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], fail=None,
@@ -736,58 +694,77 @@ def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], fail=None,
     args = dict(zip(names, params))
     ns = {"__builtins__": {}, "inf": math.inf, "nan": math.nan,
           **_TABLES[table]}
+    lines: list[str] = []
 
-    # a variable is its argument; in the scalar table any other node (a
-    # deferred integral, a variable that is no argument) joins the
-    # namespace and runs its own eval over its free variables
-    def bind(node: Expr) -> str:
+    def local(src: str) -> str:
+        lines.append(f"_t{len(lines)} = {src}")
+        return f"_t{len(lines) - 1}"
+
+    # each node's code and the depth it nests to, children first
+    order, uses = _walk(exprs)
+    code: dict[Expr, tuple[str, int]] = {}
+    for node in order:
+        if isinstance(node, Const):
+            code[node] = (repr(node.value), 0)
+            continue
         if isinstance(node, Var) and node.name in args:
-            return args[node.name]
-        if table == "numpy":
-            raise _NoCode
-        ns[f"_node{len(ns)}"] = node
-        used = ", ".join(f"{n!r}: {args[n]}" for n in node.free_vars()
-                         if n in args)
-        return f"_node{len(ns) - 1}.eval({{{used}}})"
+            code[node] = (args[node.name], 0)
+            continue
+        src = [code[c][0] for c in node.children()]
+        d = 1 + max((code[c][1] for c in node.children()), default=-1)
+        if isinstance(node, (Add, Mul, Div)):
+            op = {Add: " + ", Mul: " * ", Div: " / "}[type(node)]
+            while len(src) > _MAX_DEPTH:  # left to right, as inline
+                src[:_MAX_DEPTH] = [local(f"({op.join(src[:_MAX_DEPTH])})")]
+            out = f"({op.join(src)})"
+            d += len(src) - 2  # a run of k terms nests k - 1 deep
+        elif isinstance(node, Pow):
+            out = f"_pow({src[0]}, {src[1]})"
+        elif isinstance(node, Call):
+            out = f"_fn_{node.fn}({src[0]})"
+        elif table == "numpy":
+            return None  # the numpy table has no code for the node
+        elif isinstance(node, Var):
+            out = f"_unbound({node.name!r})"
+        else:  # a deferred integral runs its own eval
+            ns[f"_node{len(ns)}"] = node
+            used = ", ".join(f"{n!r}: {args[n]}" for n in node.free_vars()
+                             if n in args)
+            out = f"_node{len(ns) - 1}.eval({{{used}}})"
+        if uses[node] > 1 or d > _MAX_DEPTH:
+            out, d = local(out), 0
+        code[node] = (out, d)
 
     # a vector hands what its entries raise, with its arguments, to fail
-    def emit(parts: list[str]):
-        sig = ", ".join(params)
-        if fail is None:
-            return eval(f"lambda {sig}: {parts[0]}", ns)
+    sig = ", ".join(params)
+    body = "".join(f"  {line}\n" for line in lines)
+    if fail is None:
+        src = f"def _f({sig}):\n{body}  return {code[exprs[0]][0]}\n"
+    else:
         ns.update(_errors=EVAL_ERRORS, _fail=fail)
-        exec(f"def _vector({sig}):\n"
-             f" try: return ({''.join(p + ', ' for p in parts)})\n"
-             f" except _errors as _exc: _fail(_exc, [{sig}])", ns)
-        return ns["_vector"]
-
-    try:
-        return emit([_pycode(e, bind) for e in exprs])
-    except _NoCode:
-        return None
-    except (SyntaxError, RecursionError):
-        if table == "numpy":
-            return None
-        # too deep for the Python compiler: every entry walks its tree
-        return emit([bind(e) for e in exprs])
+        values = "".join(code[e][0] + ", " for e in exprs)
+        src = (f"def _f({sig}):\n try:\n{body}  return ({values})\n"
+               f" except _errors as _exc: _fail(_exc, [{sig}])\n")
+    exec(src, ns)
+    # the function is the namespace's: kept out of it, it is in no
+    # reference cycle, so a dropped function is freed at once
+    return ns.pop("_f")
 
 
 def compile_vector(exprs: Iterable[Expr], arg_names: Iterable[str],
                    prefix: str) -> Callable[..., tuple]:
     """Compile ``exprs`` to one positional-argument Python function that
-    returns their values as a tuple, each entry evaluated in order as by
-    :func:`compile_scalar`.  Every entry walks its tree instead when the
-    code is nested too deeply for the Python compiler.  Where it raises
-    one of :data:`EVAL_ERRORS`, it raises EntryError for the first entry
-    that raises that class alone, labelled ``prefix`` and a number (p2).
-    """
+    returns their values as a tuple, each as by :func:`compile_scalar`.
+    Where it raises one of :data:`EVAL_ERRORS`, it raises EntryError for
+    the first entry that raises on its own, labelled ``prefix`` and a
+    number (p2)."""
     exprs, names = tuple(exprs), tuple(arg_names)
 
     def fail(exc: Exception, args: list):
         for i, e in enumerate(exprs):
             try:
                 compile_scalar(e, names)(*args)
-            except type(exc) as cause:
+            except EVAL_ERRORS as cause:
                 raise EntryError(f"{prefix}{i + 1}", i, cause) from cause
         raise exc
     return _compile(exprs, names, fail)
@@ -795,19 +772,25 @@ def compile_vector(exprs: Iterable[Expr], arg_names: Iterable[str],
 
 def compile_scalar(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     """The one-expression case of :func:`compile_vector`, raising what
-    ``e`` raises.  It evaluates in the tree's order, so on float arguments
-    it returns ``e.eval``'s values bit for bit, up to the sign of a zero
-    sum: ``e.eval`` adds the terms to 0.0, so where every term is -0.0 it
-    returns 0.0 and the compiled sum -0.0."""
+    ``e`` raises.  A sum adds its terms left to right from the first, so
+    where every term is -0.0 it is -0.0."""
     return _compile((e,), tuple(arg_names))
 
 
 def compile_array(e: Expr, arg_names: Iterable[str]) -> Callable | None:
     """``e`` through the numpy table: a function of equal-shaped float
     arrays, one per name, that returns ``e`` at every point, or None when
-    the table has no code for a node of ``e`` (a deferred integral, a
-    variable that is not an argument, or nesting too deep to compile);
-    :func:`compile_scalar` still evaluates such an ``e``, one point per
-    call.  Domain and range violations follow ``np.errstate``; a
-    constant ``e`` returns a scalar."""
+    the table has no code for a node of ``e`` (a deferred integral or a
+    variable that is not an argument).  Domain and range violations
+    follow ``np.errstate``; a constant ``e`` returns a scalar."""
     return _compile((e,), tuple(arg_names), table="numpy")
+
+
+def constant_value(e: Expr) -> float:
+    """The value of the variable-free tree ``e``; EvalError if it fails."""
+    if isinstance(e, Const):
+        return e.value
+    try:
+        return compile_scalar(e, ())()
+    except EVAL_ERRORS as exc:
+        raise EvalError(str(exc)) from exc

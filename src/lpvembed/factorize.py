@@ -42,7 +42,8 @@ import numpy as np
 from .expr import (
     DERIVATIVES, Add, Call, Const, Div, EntryError, EvalError, Expr, Mul,
     NonDifferentiableError, Pow, UnboundVariableError, Var, ZERO,
-    add, call, compile_scalar, div, mul, neg, substitute, to_string,
+    add, call, compile_scalar, compile_vector, div, mul, neg, substitute,
+    to_string,
 )
 from .quadrature import integrate
 
@@ -440,22 +441,31 @@ def _integrate_entry(integrand: Expr, mode: str, tag: str, i: int, j: int,
     return DeferredIntegral(integrand)
 
 
+def _sums_from_zero(e: Expr) -> Expr:
+    """``e`` with a trailing ZERO in every sum, through the node classes
+    (``add`` folds it away)."""
+    kids = tuple(map(_sums_from_zero, e.children()))
+    if isinstance(e, (Add, Mul)):
+        return type(e)(kids + (ZERO,) if isinstance(e, Add) else kids)
+    if isinstance(e, Call):
+        return Call(e.fn, *kids)
+    return type(e)(*kids) if kids else e  # Div, Pow; leaves as they are
+
+
 def _offsets(exprs: Sequence[Expr], tag: str,
              at: Mapping[str, float]) -> np.ndarray:
     """The equations' values at the anchor; a failing one raises EntryError.
 
-    Tree walking, not compiled code: a compiled sum of -0.0 terms is
-    -0.0 where ``Expr.eval`` gives 0.0, and the offsets are stored.
+    Each sum ends in ``+ 0.0``, so that a sum of -0.0 terms is stored as
+    0.0: (t0 + ... + tn) + 0.0 equals 0.0 + t0 + ... + tn for every double.
     """
-    out = []
-    for i, e in enumerate(exprs):
-        try:
-            out.append(e.eval(at))
-        except EvalError as exc:
-            where = ", ".join(f"{n}={v!r}" for n, v in at.items())
-            raise EntryError(f"{tag}{i + 1}", i, EvalError(
-                f"{exc} at the anchor {where}")) from exc
-    return np.array(out)
+    exprs = [_sums_from_zero(e) for e in exprs]
+    try:
+        return np.array(compile_vector(exprs, tuple(at), tag)(*at.values()))
+    except EntryError as exc:
+        where = ", ".join(f"{n}={v!r}" for n, v in at.items())
+        raise EntryError(exc.label, exc.index, EvalError(
+            f"{exc.cause} at the anchor {where}")) from exc
 
 
 def factorize(model: NlssModel, anchor: Anchor | None = None,

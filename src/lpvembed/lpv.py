@@ -33,8 +33,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (EVAL_ERRORS, Add, EntryError, EvalError, Expr, Mul,
-                   compile_array, compile_scalar, compile_vector, mul,
-                   to_string)
+                   compile_array, compile_scalar, compile_vector,
+                   constant_value, mul, to_string)
 from .factorize import (
     Anchor, FactorizedSystem, ModelError, NlssModel, var_sort_key,
 )
@@ -312,7 +312,7 @@ def _split_term(term: Expr):
     if not const_part:
         return 1.0, term
     try:
-        coeff = mul(*const_part).eval({})
+        coeff = constant_value(mul(*const_part))
     except EvalError:
         return 1.0, term
     return coeff, mul(*hot)
@@ -337,7 +337,7 @@ def _extract(fs: FactorizedSystem, split: bool):
                 terms = e.terms if split and isinstance(e, Add) else (e,)
                 for term in terms:
                     if not term.free_vars():
-                        k, coeff = 0, term.eval({})
+                        k, coeff = 0, constant_value(term)
                     else:
                         coeff, factor = (_split_term(term) if split
                                          else (1.0, term))

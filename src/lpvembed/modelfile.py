@@ -38,12 +38,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import __version__ as _version
-from .expr import Expr, ExprError
+from .expr import Expr, ExprError, constant_value
 from .factorize import (
     Anchor, DeferredIntegral, LAMBDA, ModelError, NlssModel,
     input_names, state_names,
@@ -83,7 +84,7 @@ def read_number(text: str,
                 constants: Mapping[str, float] | None = None) -> float:
     """The value of the constant expression ``text``; ValueError if bad."""
     try:
-        return parse_expr(text, variables=(), constants=constants).eval({})
+        return constant_value(parse_expr(text, (), constants))
     except (ParseError, ExprError) as exc:
         raise ValueError(f"bad value '{text}': {exc}") from None
 
@@ -154,10 +155,11 @@ def load_model_file(path: str) -> ModelDocument:
     box: dict[str, tuple[float, float]] = {}
     version_seen = False
 
-    def vocab() -> tuple[str, ...]:
+    @cache  # dimensions, once all declared, do not change
+    def vocab() -> frozenset[str]:
         if not all(k in dims for k in ("nx", "nu", "ny")):
             raise ValueError("nx, nu, ny must be declared before equations")
-        return state_names(dims["nx"]) + input_names(dims["nu"])
+        return frozenset(state_names(dims["nx"]) + input_names(dims["nu"]))
 
     # a line's errors are raised as ValueError and located here
     for no, rawline in enumerate(lines, start=1):

@@ -104,15 +104,15 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
-        e = self.term()
+        terms = [self.term()]  # one add builds no sum that is dropped
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.next()
                 rhs = self.term()
-                e = add(e, rhs) if value == "+" else add(e, neg(rhs))
+                terms.append(rhs if value == "+" else neg(rhs))
             else:
-                return e
+                return add(*terms)
 
     def term(self) -> Expr:
         e = self.unary()

@@ -21,6 +21,8 @@ from lpvembed.sim import (
 )
 from lpvembed.synthetic import random_model
 
+from conftest import tree_eval
+
 MGL_OVER_J = 0.07 * 9.8 * 0.042 / 2.2e-4
 BENCH_INPUT = ["2*sin(0.2*pi*t)"]
 
@@ -127,7 +129,7 @@ def test_criterion_6_matrices_finite_and_match_jacobians_at_origin(block_at):
             eqs = model.f if tag in ("A_bar", "B_bar") else model.h
             got = block_at(getattr(fs, tag), bind)
             finite = finite and bool(np.all(np.isfinite(got)))
-            want = np.array([[e.eval(bind) for e in row]
+            want = np.array([[tree_eval(e, bind) for e in row]
                              for row in jacobian(eqs, wrt)])
             worst = max(worst, float(np.max(np.abs(got - want))))
     ok = finite and worst <= 1e-12

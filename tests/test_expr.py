@@ -1,5 +1,6 @@
 """Expression trees: constructors, evaluation, derivatives, printing,
-parsing, and compilation."""
+parsing, and compilation.  The library evaluates a tree only by compiling
+it; ``tree_eval`` (conftest) walks the tree as the independent reference."""
 
 import gc
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from lpvembed.expr import (
-    ARRAY_FUNCTIONS, FUNCTIONS, Add, Call, Const, DomainError, EvalError, Mul,
+    ARRAY_FUNCTIONS, FUNCTIONS, Add, Call, Const, EntryError, Mul,
     NonDifferentiableError, UnboundVariableError, Var,
     Div, Pow, add, call, compile_array, compile_scalar, compile_vector,
     cosm1c, div, dsinc, expm1c, mul, neg, pow_, simplify, sinc, substitute,
@@ -20,11 +21,18 @@ from lpvembed.expr import (
 )
 from lpvembed.parser import ParseError, parse_expr
 
+from conftest import tree_eval
+
 X, Y = Var("x"), Var("y")
 
 
 def p(text):
     return parse_expr(text, variables=("x", "y", "z"))
+
+
+def ev(e, env):
+    """``e`` at ``env`` through the library's compiled code."""
+    return compile_scalar(e, tuple(env))(*env.values())
 
 
 # ---------------------------------------------------------------- constructors
@@ -84,21 +92,21 @@ EVAL_CASES = [
 
 @pytest.mark.parametrize("text,env,expected", EVAL_CASES)
 def test_eval(text, env, expected):
-    assert p(text).eval(env) == pytest.approx(expected, rel=1e-15, abs=1e-15)
+    assert ev(p(text), env) == pytest.approx(expected, rel=1e-15, abs=1e-15)
 
 
 def test_eval_unbound_variable():
     with pytest.raises(UnboundVariableError):
-        p("x + y").eval({"x": 1.0})
+        ev(p("x + y"), {"x": 1.0})
 
 
 def test_eval_domain_errors():
-    with pytest.raises(DomainError):
-        p("ln(x)").eval({"x": -1.0})
-    with pytest.raises(DomainError):
-        p("sqrt(x)").eval({"x": -4.0})
-    with pytest.raises(EvalError):
-        p("x/y").eval({"x": 1.0, "y": 0.0})
+    with pytest.raises(ValueError, match="ln of non-positive value"):
+        ev(p("ln(x)"), {"x": -1.0})
+    with pytest.raises(ValueError, match="sqrt of negative value"):
+        ev(p("sqrt(x)"), {"x": -4.0})
+    with pytest.raises(ZeroDivisionError):
+        ev(p("x/y"), {"x": 1.0, "y": 0.0})
 
 
 # ----------------------------------------------------- removable singularities
@@ -155,8 +163,8 @@ def test_derivative_matches_finite_difference(text, points):
     d = e.diff("x")
     h = 1e-6
     for x0 in points:
-        fd = (e.eval({"x": x0 + h}) - e.eval({"x": x0 - h})) / (2.0 * h)
-        got = d.eval({"x": x0})
+        fd = (ev(e, {"x": x0 + h}) - ev(e, {"x": x0 - h})) / (2.0 * h)
+        got = ev(d, {"x": x0})
         assert got == pytest.approx(fd, rel=5e-6, abs=5e-6), text
 
 
@@ -203,7 +211,7 @@ def test_roundtrip_preserves_value(text):
     e = p(text)
     e2 = parse_expr(to_string(e), variables=("x", "y", "z"))
     env = {"x": 0.37, "y": -1.21, "z": 2.05}
-    assert e2.eval(env) == e.eval(env)
+    assert ev(e2, env) == ev(e, env)
 
 
 def test_precedence_rendering():
@@ -234,9 +242,24 @@ def test_unknown_variable_rejected_when_vocabulary_given():
         parse_expr("x + q", variables=("x",))
 
 
+def test_a_run_of_terms_parses_into_one_sum(monkeypatch):
+    # the parser collects the terms, so it builds no sum it drops at once
+    from lpvembed import expr
+    built = []
+
+    def counted(cls, key, fields):
+        built.append(cls)
+        return intern(cls, key, fields)
+    intern = expr._intern
+    monkeypatch.setattr(expr, "_intern", counted)
+    e = parse_expr("run_a1 + run_a2 + run_a3 + run_a4")
+    assert built.count(Add) == 1
+    assert e is add(*(Var(f"run_a{i}") for i in range(1, 5)))
+
+
 def test_custom_constants():
     e = parse_expr("2*g", variables=(), constants={"g": 9.81})
-    assert e.eval({}) == pytest.approx(19.62)
+    assert ev(e, {}) == pytest.approx(19.62)
 
 
 # ----------------------------------------------------------- tree manipulation
@@ -244,7 +267,7 @@ def test_custom_constants():
 def test_substitute():
     e = substitute(p("sin(x) + x*y"), {"x": p("y + 1")})
     env = {"y": 0.4}
-    assert e.eval(env) == pytest.approx(math.sin(1.4) + 1.4 * 0.4)
+    assert ev(e, env) == pytest.approx(math.sin(1.4) + 1.4 * 0.4)
 
 
 def test_simplify_is_idempotent():
@@ -255,7 +278,7 @@ def test_simplify_is_idempotent():
         assert simplify(s1) == s1
         env = {"x": rng.uniform(0.1, 2), "y": rng.uniform(0.1, 2),
                "z": rng.uniform(0.1, 2)}
-        assert s1.eval(env) == pytest.approx(e.eval(env), rel=1e-12)
+        assert ev(s1, env) == pytest.approx(ev(e, env), rel=1e-12)
 
 
 def test_free_vars():
@@ -273,7 +296,7 @@ def test_compiled_matches_tree_eval_bitwise():
         for _ in range(5):
             env = {"x": rng.uniform(0.05, 2.0), "y": rng.uniform(0.05, 2.0),
                    "z": rng.uniform(0.05, 2.0)}
-            assert fn(env["x"], env["y"], env["z"]) == e.eval(env), text
+            assert fn(env["x"], env["y"], env["z"]) == tree_eval(e, env), text
 
 
 def test_compiled_domain_error():
@@ -288,21 +311,19 @@ def test_compiled_domain_error():
 def test_compiled_non_finite_constants_match_tree_eval(e):
     # repr prints these constants as the bare names inf and nan
     fn = compile_scalar(e, ("x",))
-    got, want = fn(0.5), e.eval({"x": 0.5})
+    got, want = fn(0.5), tree_eval(e, {"x": 0.5})
     assert got == want or (math.isnan(got) and math.isnan(want))
 
 
-def test_vector_with_a_deferred_entry_walks_no_tree(monkeypatch):
+def test_vector_with_a_deferred_entry_walks_no_tree():
     from lpvembed.factorize import DeferredIntegral
     d = DeferredIntegral(mul(Var("lam"), X, Y))
     exprs = (p("sin(x)*y + z^2"), d, add(X, mul(Y, d)), p("x/(y - z)"))
     args = (0.3, 0.7, 1.1)
     want = tuple(compile_scalar(e, ("x", "y", "z"))(*args) for e in exprs)
-
-    def walked(self, bindings):
-        raise AssertionError(f"tree walk of {self!r}")
+    # no node class can walk its tree: compiled code is the one evaluator
     for node in (Const, Var, Add, Mul, Div, Pow, Call):
-        monkeypatch.setattr(node, "eval", walked)
+        assert not hasattr(node, "eval"), node
     assert compile_vector(exprs, ("x", "y", "z"), "e")(*args) == want
 
 
@@ -313,6 +334,69 @@ def test_compiled_names_need_not_be_identifiers():
     assert compile_vector((), ("x",), "e")(1.0) == ()
     with pytest.raises(UnboundVariableError, match="'z'"):
         compile_scalar(add(X, Var("z")), ("x",))(1.0)
+
+
+def test_a_tree_that_shares_no_node_compiles_with_no_local():
+    # a local costs a store and a load: only a shared node pays for one
+    names = ("lam", "x1")
+    for text in ("0.7*(1 - tanh(1.3*lam*x1)^2)", "exp(-lam*x1^2)*x1",
+                 "sin(lam*x1)/x1"):
+        e = parse_expr(text, variables=names)
+        assert compile_scalar(e, names).__code__.co_nlocals == len(names)
+    shared = parse_expr("sin(x1)*sin(x1) + lam", variables=names)
+    fn = compile_scalar(shared, names)
+    assert fn.__code__.co_nlocals == len(names) + 1
+    assert fn(0.5, 0.3) == tree_eval(shared, {"lam": 0.5, "x1": 0.3})
+
+
+def test_a_shared_node_that_fails_first_names_the_first_failing_entry():
+    # the second entry's local runs before the first entry's code
+    inv = div(1.0, Y)
+    fn = compile_vector((call("ln", X), mul(inv, inv)), ("x", "y"), "e")
+    with pytest.raises(EntryError) as ei:
+        fn(-1.0, 0.0)
+    assert ei.value.label == "e1"
+    assert str(ei.value.cause) == "ln of non-positive value"
+
+
+def test_a_long_sum_compiles_in_its_own_order():
+    # more terms than one inline sum holds: the runs keep left to right
+    e = add(*(call("sin", mul(Const(k + 0.5), X)) for k in range(3000)))
+    for x in (0.3, -1.7):
+        assert compile_scalar(e, ("x",))(x) == tree_eval(e, {"x": x})
+
+
+def test_entries_that_share_a_deferred_integral_run_it_once(monkeypatch):
+    from lpvembed import factorize as fz
+    d = fz.DeferredIntegral(call("tanh", mul(Var("lam"), X, Y)))
+    exprs = (mul(2.0, d), add(X, d), d)
+    args = (0.3, 0.7)
+    want = tuple(compile_scalar(e, ("x", "y"))(*args) for e in exprs)
+    calls = []
+
+    def counted(*a, **k):
+        calls.append(a)
+        return integrate(*a, **k)
+    integrate = fz.integrate
+    monkeypatch.setattr(fz, "integrate", counted)
+    fn = compile_vector(exprs, ("x", "y"), "e")
+    assert fn(*args) == want
+    assert len(calls) == 1
+    fn(*args)
+    assert len(calls) == 2
+
+
+def test_a_dropped_vector_function_is_freed_at_once():
+    # the function is not in the namespace that is its globals, so it
+    # is in no reference cycle and needs no cyclic collection
+    fn = compile_vector((p("sin(x)*y"), p("x/y")), ("x", "y"), "e")
+    ref = weakref.ref(fn)
+    gc.disable()
+    try:
+        del fn
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("fn", ["sinc", "cosm1c", "expm1c", "dsinc"])
@@ -347,11 +431,15 @@ def test_array_table_has_no_code_for_foreign_nodes():
     d = DeferredIntegral(mul(Var("lam"), X, Y))
     assert compile_array(add(X, mul(Y, d)), ("x", "y")) is None
     assert compile_array(add(X, Var("z")), ("x",)) is None
+    # nesting is no foreign node: a tree too deep to write inline compiles
     deep = X
     for _ in range(200):
         deep = call("sin", add(X, deep))
-    assert compile_array(deep, ("x",)) is None
-    assert compile_scalar(deep, ("x",))(0.5) == deep.eval({"x": 0.5})
+    x = np.linspace(-2.0, 2.0, 7)
+    scalar = compile_scalar(deep, ("x",))
+    assert compile_array(deep, ("x",))(x) == \
+        pytest.approx([scalar(v) for v in x], rel=1e-15)
+    assert scalar(0.5) == tree_eval(deep, {"x": 0.5})
 
 
 def test_every_node_type_is_immutable():

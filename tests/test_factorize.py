@@ -29,6 +29,8 @@ from lpvembed.parser import parse_expr
 from lpvembed.quadrature import integrate
 from lpvembed.synthetic import corpus_models, random_model
 
+from conftest import tree_eval
+
 MGL_OVER_J = 0.07 * 9.8 * 0.042 / 2.2e-4
 
 
@@ -64,8 +66,9 @@ def test_jacobian_numeric_check():
     for j, n in enumerate(names):
         lo = dict(env); lo[n] -= h
         hi = dict(env); hi[n] += h
-        fd = (fvec[0].eval(hi) - fvec[0].eval(lo)) / (2 * h)
-        assert J[0][j].eval(env) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+        fd = (tree_eval(fvec[0], hi) - tree_eval(fvec[0], lo)) / (2 * h)
+        assert tree_eval(J[0][j], env) == pytest.approx(fd, rel=1e-6,
+                                                       abs=1e-8)
 
 
 # ------------------------------------------------------------ integration line
@@ -76,7 +79,8 @@ def test_line_substitute_origin():
     on_line = line_substitute(e, Anchor.origin(2, 0))
     assert to_string(on_line) == "sin(lam*x1) + lam*x2"
     env = {"x1": 1.3, "x2": -0.4, "lam": 0.6}
-    assert on_line.eval(env) == pytest.approx(math.sin(0.6 * 1.3) - 0.24)
+    assert tree_eval(on_line, env) == pytest.approx(
+        math.sin(0.6 * 1.3) - 0.24)
     # names that are not variables of the anchor stay as they are
     e = pe("x3*y + u1", ("x3", "y", "u1"))
     assert to_string(line_substitute(e, Anchor.origin(2, 0))) == "x3*y + u1"
@@ -90,10 +94,10 @@ def test_line_substitute_general_anchor():
         env = {"x1": 2.5, "u1": -1.0, "lam": lam}
         z1 = 1.0 + lam * (2.5 - 1.0)
         z2 = 2.0 + lam * (-1.0 - 2.0)
-        assert on_line.eval(env) == pytest.approx(z1 * z2, rel=1e-14)
+        assert tree_eval(on_line, env) == pytest.approx(z1 * z2, rel=1e-14)
     # endpoints recover the anchor and the point
-    assert on_line.eval({"x1": 2.5, "u1": -1.0, "lam": 0.0}) == 2.0
-    assert on_line.eval({"x1": 2.5, "u1": -1.0, "lam": 1.0}) == -2.5
+    assert tree_eval(on_line, {"x1": 2.5, "u1": -1.0, "lam": 0.0}) == 2.0
+    assert tree_eval(on_line, {"x1": 2.5, "u1": -1.0, "lam": 1.0}) == -2.5
 
 
 def test_line_substitute_rejects_reserved_name():
@@ -133,7 +137,7 @@ def test_rule_table_closed_forms():
         res = integrate_analytic(pe(text, names))
         assert res is not None, text
         assert "lam" not in res.free_vars(), text
-        assert res.eval(env) == pytest.approx(expected, rel=1e-13), text
+        assert tree_eval(res, env) == pytest.approx(expected, rel=1e-13), text
 
 
 def test_rule_table_trig_map_to_singularity_primitives():
@@ -161,7 +165,7 @@ def test_rule_table_agrees_with_quadrature():
     names = ("x", "y", "u", "lam")
     for text, _ in cases:
         e = pe(text, names)
-        sym = integrate_analytic(e).eval(env)
+        sym = tree_eval(integrate_analytic(e), env)
         num = DeferredIntegral(e).eval(env)
         assert sym == pytest.approx(num, rel=1e-10, abs=1e-12), text
 
@@ -172,9 +176,10 @@ def test_integrate_numeric_against_simpson():
     for x in (-3.0, -1.0, 0.5, 2.0):
         n = 20000
         h = 1.0 / n
-        s = sum((4.0 if i % 2 else 2.0) * e.eval({"x": x, "lam": i * h})
+        s = sum((4.0 if i % 2 else 2.0) * tree_eval(e, {"x": x, "lam": i * h})
                 for i in range(1, n))
-        s = (s + e.eval({"x": x, "lam": 0.0}) + e.eval({"x": x, "lam": 1.0})) * h / 3.0
+        s = (s + tree_eval(e, {"x": x, "lam": 0.0})
+             + tree_eval(e, {"x": x, "lam": 1.0})) * h / 3.0
         num = DeferredIntegral(e).eval({"x": x})
         assert num == pytest.approx(s, abs=1e-11)
         # the integral equals tanh(x)/x
@@ -261,7 +266,7 @@ def reconstruction_residual(model, fs, rng, block_at, n=40):
         for M, N, offset, eqs in ((fs.A_bar, fs.B_bar, fs.V, model.f),
                                   (fs.C_bar, fs.D_bar, fs.W, model.h)):
             got = block_at(M, b) @ dx + block_at(N, b) @ du + offset
-            ref = np.array([e.eval(b) for e in eqs])
+            ref = np.array([tree_eval(e, b) for e in eqs])
             worst = max(worst, np.max(np.abs(got - ref)))
     return worst
 
@@ -295,8 +300,10 @@ def test_identity_exact_at_general_anchor(f_texts, h_texts, nx, nu,
     assert reconstruction_residual(model, fs, rng, block_at) < 1e-9
     # offsets are the model evaluated at the anchor
     b = anchor.bindings(nx, nu)
-    assert fs.V == pytest.approx([e.eval(b) for e in model.f], rel=1e-14)
-    assert fs.W == pytest.approx([e.eval(b) for e in model.h], rel=1e-14)
+    assert fs.V == pytest.approx([tree_eval(e, b) for e in model.f],
+                                 rel=1e-14)
+    assert fs.W == pytest.approx([tree_eval(e, b) for e in model.h],
+                                 rel=1e-14)
 
 
 def test_modes_agree(disk_doc, block_at):
@@ -448,8 +455,8 @@ def reference_factorize(model, anchor, mode):
                   for j in range(len(wrt)))
             for i in range(len(fvec)))
         blocks[tag] = MatrixFunction(rows)
-    V = np.array([e.eval(at) for e in model.f])
-    W = np.array([e.eval(at) for e in model.h])
+    V = np.array([tree_eval(e, at) for e in model.f])
+    W = np.array([tree_eval(e, at) for e in model.h])
     return FactorizedSystem(model, anchor, blocks["A"], blocks["B"],
                             blocks["C"], blocks["D"], V, W, tuple(warnings))
 

@@ -27,6 +27,8 @@ from lpvembed.models import BUNDLED, corpus, load_bundled
 from lpvembed.parser import parse_expr
 from lpvembed.synthetic import corpus_models, random_model
 
+from conftest import tree_eval
+
 
 def pe(text, names):
     return parse_expr(text, variables=names)
@@ -106,7 +108,7 @@ def reference_extract(fs, split):
                 terms = e.terms if split and isinstance(e, Add) else (e,)
                 for term in terms:
                     if not term.free_vars():
-                        hits.append((tag, 0, i, j, term.eval({})))
+                        hits.append((tag, 0, i, j, tree_eval(term, {})))
                         continue
                     coeff, factor = _split_term(term) if split else (1.0, term)
                     k = index.setdefault(factor, len(index)) + 1
@@ -808,7 +810,7 @@ def test_verify_report_locates_worst_point(disk_doc, coeff_pos):
     p = sm.evaluate(x, u)
     A, B, _, _ = m.matrices(p)
     f_lpv = A @ np.asarray(x) + B @ np.asarray(u)
-    f_ref = [e.eval({"x1": x[0], "x2": x[1], "u1": u[0]})
+    f_ref = [tree_eval(e, {"x1": x[0], "x2": x[1], "u1": u[0]})
              for e in disk_doc.model.f]
     assert abs((f_lpv - f_ref)[1]) == pytest.approx(rep.f_max[1], rel=1e-12)
 

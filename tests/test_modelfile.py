@@ -61,6 +61,22 @@ def test_load_good_file(tmp_path):
     assert doc.box["u1"] == (-2.0, 2.0)
 
 
+def test_the_variable_names_are_built_once_per_file(tmp_path, monkeypatch):
+    from lpvembed import modelfile
+    calls = []
+
+    def counted(nx):
+        calls.append(nx)
+        return state_names(nx)
+    state_names = modelfile.state_names
+    monkeypatch.setattr(modelfile, "state_names", counted)
+    eqs = "".join(f"f{i} = -x{i} + u1\n" for i in range(1, 20))
+    doc = load_model_file(write(tmp_path, "format_version 1\nnx 19\nnu 1\n"
+                                "ny 1\n" + eqs + "h1 = x1\nbox x1 -1 1\n"))
+    assert doc.model.nx == 19 and doc.box == {"x1": (-1.0, 1.0)}
+    assert len(calls) <= 1
+
+
 def test_discrete_time_declarations(tmp_path):
     base = "format_version 1\nnx 1\nnu 1\nny 1\n{}\nf1 = 0.5*x1 + u1\nh1 = x1\n"
     doc = load_model_file(write(tmp_path, base.format("time discrete 0.25")))

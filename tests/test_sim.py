@@ -516,7 +516,7 @@ def _verify():
     (_range_point_walk, EntryError,
      "p2: ln of non-positive value at grid point x1=-1.0", "p2", 1),
     (_offsets, EntryError,
-     "h1: division by zero at the anchor x1=0.0, u1=0.0", "h1", 0),
+     "h1: float division by zero at the anchor x1=0.0, u1=0.0", "h1", 0),
     (_simulate_f, SolverError,
      "model evaluation failed: f2: ln of non-positive value (t = 0.0)",
      "f2", 1),
