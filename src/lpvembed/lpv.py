@@ -18,9 +18,10 @@ model an exact global embedding of the nonlinear system, which
 :func:`verify_embedding` checks by direct sampling.
 
 The scheduling map is compiled once, into one function that returns all
-of p (see :func:`compile_vector`).  A failing entry raises EntryError,
-which names it: ``p2: ln of non-positive value``, as the range scan
-does with the grid point.
+of p (see :func:`compile_vector`), and called on Python floats, with
+numpy scalars only as a retry (see :func:`call_floats`).  A failing
+entry raises EntryError, which names it: ``p2: ln of non-positive
+value``, as the range scan does with the grid point.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (EVAL_ERRORS, Add, EntryError, EvalError, Expr, Mul,
-                   compile_array, compile_scalar, compile_vector,
-                   constant_value, mul, to_string)
+                   call_floats, compile_array, compile_scalar,
+                   compile_vector, constant_value, mul, to_string)
 from .factorize import (
     Anchor, FactorizedSystem, ModelError, NlssModel, var_sort_key,
 )
@@ -79,7 +80,7 @@ class SchedulingMap:
         return compile_vector(self.entries, self.var_names, "p")
 
     def evaluate(self, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
-        return np.array(self._vector(*x, *u), dtype=float)
+        return np.array(call_floats(self._vector, x, u), dtype=float)
 
     def entry_strings(self) -> list[str]:
         return [to_string(e) for e in self.entries]
@@ -476,10 +477,11 @@ def estimate_range(sm: SchedulingMap, box: Mapping[str, tuple[float, float]],
     and the greatest value, and their values are the scalar function's
     at those points.  Only the scalar function raises: a domain error or
     a non-finite value raises EntryError naming the entry and the grid
-    point.  It runs on numpy scalars, as in ``simulate``, so
-    ``tanh(1/x1)`` is 1 at x1 = 0.  The table agrees with it to a few
-    ulp, so in an entry with walked and table blocks a near-tie may pick
-    another extremal point than a wholly scalar scan would.
+    point.  It runs on numpy scalars, so ``tanh(1/x1)`` is 1 at x1 = 0,
+    as in ``simulate``, which calls on floats and retries a failing call
+    on numpy scalars (:func:`call_floats`).  The table agrees with it to
+    a few ulp, so in an entry with walked and table blocks a near-tie
+    may pick another extremal point than a wholly scalar scan would.
     """
     if grid_per_dim < 2:
         raise RangeGridError("grid_per_dim must be at least 2")
@@ -576,7 +578,8 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
     At each point: p = eta(x, u), then A(p)(x - x_bar) + B(p)(u - u_bar)
     + V is checked against f(x, u) entrywise (outputs likewise), through
     the sparse maps of :meth:`LpvssModel.affine_maps`, built once per
-    call, and f and h each compiled by :func:`compile_vector`.  The
+    call, and f and h each compiled by :func:`compile_vector` and called
+    by :func:`call_floats`, as p is.  The
     report carries per-equation worst residuals and where they occurred:
     the first largest, or the first non-finite one (from a non-finite f
     or realization value), which fails the check; an entry of p, f or h
@@ -603,7 +606,7 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
         p = sm.evaluate(x, u)
         res[n] = np.abs(np.concatenate((state_map(p, x, u),
                                         output_map(p, x, u)))
-                        - (f(*row) + h(*row)))
+                        - (call_floats(f, x, u) + call_floats(h, x, u)))
     # per equation, the first non-finite residual if any, else the first
     # largest
     bad = ~np.isfinite(res)

@@ -12,9 +12,12 @@ stop at the first non-finite state.
 
 :func:`simulate_nl` hands the driver f and h, each compiled once into
 one function that returns the whole vector (see :func:`compile_vector`),
-as are the expressions of an input signal.  An EntryError from any of
-them, or from the scheduling map, stops the run with a SolverError
-naming the entry and the time.
+as are the expressions of an input signal.  f, h and the scheduling map
+run on the state and input as Python floats; only where that raises do
+they run again on numpy scalars, whose semantics they keep, so
+``tanh(1/x1)`` is still 1 at x1 = 0 (see :func:`call_floats`).  An
+EntryError from any of them stops the run with a SolverError naming the
+entry and the time.
 :func:`simulate_lpv_self_scheduled` hands it maps that close the
 scheduling map at every evaluation: p = eta(x, u(t)), then
 xi(x) = A(p)(x - x_bar) + B(p)(u - u_bar) + V, and likewise for y.
@@ -38,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import EntryError, Expr, compile_vector
+from .expr import EntryError, Expr, call_floats, compile_vector
 from .factorize import ModelError, NlssModel
 from .lpv import LpvssModel, SchedulingMap
 from .parser import parse_expr
@@ -419,8 +422,8 @@ def simulate_nl(model: NlssModel, x0: Sequence[float], u: InputSignal,
     f = compile_vector(model.f, model.var_names, "f")
     h = compile_vector(model.h, model.var_names, "h")
     return Trajectory(*_simulate(
-        _at_time("model", lambda t, x, uu: np.array(f(*x, *uu))),
-        _at_time("model", lambda t, x, uu: np.array(h(*x, *uu))),
+        _at_time("model", lambda t, x, uu: np.array(call_floats(f, x, uu))),
+        _at_time("model", lambda t, x, uu: np.array(call_floats(h, x, uu))),
         model.nx, model.nu, model.sample_time, x0, u, t_end, cfg))
 
 
@@ -473,14 +476,18 @@ def write_trajectory_csv(traj: Trajectory, path: str):
     blocks = [traj.t[:, None], traj.x, traj.y, traj.u]
     if traj.p is not None:
         blocks.append(traj.p)
-    data = np.hstack(blocks)
+    header = trajectory_header(traj.x.shape[1], traj.y.shape[1],
+                               traj.u.shape[1], n_p)
+    # CSV as csv.writer writes it, CRLF line ends included: no column
+    # name or float repr needs quoting.  One row at a time, since the
+    # whole file as one string, or all rows as one array, would raise
+    # the peak memory of a long run
     with open(path, "w", newline="") as fh:
         fh.write(f"# format_version: {TRAJECTORY_FORMAT_VERSION}\n")
-        w = csv.writer(fh)
-        w.writerow(trajectory_header(traj.x.shape[1], traj.y.shape[1],
-                                     traj.u.shape[1], n_p))
-        for row in data:
-            w.writerow([repr(float(v)) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for row in zip(*blocks):
+            fh.write(",".join(map(repr, np.concatenate(row).tolist()))
+                     + "\r\n")
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:

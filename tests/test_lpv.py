@@ -12,8 +12,8 @@ import pytest
 
 from lpvembed import lpv
 from lpvembed.expr import (
-    Add, Const, EntryError, Var, add, call, compile_array, compile_scalar,
-    compile_vector, pow_,
+    Add, Const, EntryError, Var, add, call, call_floats, compile_array,
+    compile_scalar, compile_vector, pow_,
 )
 from lpvembed.factorize import (
     Anchor, DeferredIntegral, ModelError, NlssModel, factorize, state_names,
@@ -538,6 +538,59 @@ def test_scheduling_error_blames_the_entry_the_vector_stopped_at():
     with pytest.raises(EntryError) as ei:
         sm.evaluate([0.0], [])
     assert (ei.value.index, str(ei.value)) == (0, "p1: float division by zero")
+
+
+def test_a_failing_float_call_is_redone_on_numpy_scalars_before_any_search():
+    # on floats ln(x1 - 1), computed once into a local, raises before the
+    # return tuple reaches 1/x1; a search on floats would blame p1 for a
+    # division by zero that numpy scalars pass as inf
+    x1 = ("x1",)
+    sm = SchedulingMap(entries=(pe("1/x1", x1),
+                                pe("ln(x1 - 1) + sin(ln(x1 - 1))", x1)),
+                       var_names=x1)
+    with np.errstate(divide="ignore"), pytest.raises(EntryError) as ei:
+        sm.evaluate(np.array([0.0]), np.array([]))
+    assert (ei.value.index, str(ei.value)) == (1, "p2: ln of non-positive value")
+    with pytest.raises(EntryError) as ei:
+        sm.evaluate([0.0], [])
+    assert (ei.value.index, str(ei.value)) == (0, "p1: float division by zero")
+
+
+def test_scheduling_map_at_a_float_zero_division_keeps_numpy_semantics():
+    x1 = ("x1",)
+    sm = SchedulingMap(entries=(pe("tanh(1/x1)", x1), pe("x1 - 1/x1", x1)),
+                       var_names=x1)
+    with np.errstate(divide="ignore"):
+        p = sm.evaluate(np.array([0.0]), np.array([]))
+    assert p.tolist() == [1.0, -math.inf]
+
+
+def outcome(call):
+    """The bits of what ``call`` returns, or the EntryError it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.array(call(), dtype=float).view(np.int64).tolist()
+    except EntryError as exc:
+        return exc.label, str(exc)
+
+
+@pytest.mark.parametrize("source", ORACLE_SOURCES)
+def test_floats_first_equal_the_call_on_numpy_scalars(source):
+    model = oracle_model(source)
+    names = model.var_names
+    _, sm = extract_factor(factorize(model))
+    vectors = (compile_vector(model.f, names, "f"),
+               compile_vector(model.h, names, "h"), sm._vector)
+    rng = np.random.default_rng(7)
+    # a random point, the origin and points with zeros in them, where
+    # 1/x, sinc and friends meet their removable singularities
+    rows = [4 * rng.random(len(names)) - 2 for _ in range(8)]
+    rows += [np.zeros(len(names)), np.where(rows[0] < 0, 0.0, rows[0])]
+    for row in rows:
+        x, u = row[:model.nx], row[model.nx:]
+        for vector in vectors:
+            assert (outcome(lambda: call_floats(vector, x, u))
+                    == outcome(lambda: vector(*x, *u)))
 
 
 # ------------------------------------------- range scan through the numpy table

@@ -1,14 +1,16 @@
 """Simulation engine: adaptive RK45, fixed RK4, discrete iteration, input
 signals, trajectory containers, and self-scheduled LPV runs."""
 
+import csv
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from lpvembed import sim
+from lpvembed import expr, sim
 from lpvembed.expr import EntryError
 from lpvembed.factorize import (
     Anchor, DeferredIntegral, ModelError, NlssModel, factorize,
@@ -354,6 +356,64 @@ def test_trajectory_csv_roundtrip(tmp_path, disk_doc):
     assert float(cells[0]) == traj.t[0]
 
 
+def reference_csv(traj, path):
+    """The trajectory writer as it was, through csv.writer."""
+    n_p = traj.p.shape[1] if traj.p is not None else None
+    blocks = [traj.t[:, None], traj.x, traj.y, traj.u]
+    if traj.p is not None:
+        blocks.append(traj.p)
+    with open(path, "w", newline="") as fh:
+        fh.write("# format_version: 1\n")
+        w = csv.writer(fh)
+        w.writerow(trajectory_header(traj.x.shape[1], traj.y.shape[1],
+                                     traj.u.shape[1], n_p))
+        for row in np.hstack(blocks):
+            w.writerow([repr(float(v)) for v in row])
+
+
+def test_trajectory_csv_bytes_equal_the_csv_writer(tmp_path, disk_doc):
+    v = np.array([-0.0, 5e-324, 1e16, 0.1 + 0.2, -1.5e-300])
+    scheduled = Trajectory(t=np.arange(5) * 0.1, x=np.stack([v, -v], 1),
+                           y=v[::-1, None], u=np.zeros((5, 0)),
+                           p=np.stack([np.roll(v, k) for k in range(3)], 1))
+    u = InputSignal.from_exprs(["2*sin(0.2*pi*t)"], 1)
+    nonlinear = simulate_nl(disk_doc.model, [0.0, 0.0], u, 1.0)
+    files = []
+    for traj in (scheduled, nonlinear):
+        write_trajectory_csv(traj, str(tmp_path / "new.csv"))
+        reference_csv(traj, str(tmp_path / "old.csv"))
+        files.append((tmp_path / "new.csv").read_bytes())
+        assert files[-1] == (tmp_path / "old.csv").read_bytes()
+        # the comment line ends in LF, the header and each row in CRLF
+        assert files[-1].count(b"\r\n") == files[-1].count(b"\n") - 1
+        assert files[-1].count(b"\r\n") == 1 + len(traj.t)
+    assert files[0].startswith(
+        b"# format_version: 1\n"
+        b"t,x1,x2,y1,p1,p2,p3\r\n"
+        b"0.0,-0.0,0.0,-1.5e-300,-0.0,-1.5e-300,0.30000000000000004\r\n"
+        b"0.1,5e-324,-5e-324,0.30000000000000004,5e-324,-0.0,-1.5e-300\r\n")
+    assert files[1].startswith(b"# format_version: 1\nt,x1,x2,y1,u1\r\n")
+
+
+def test_trajectory_csv_streams_its_rows(tmp_path):
+    # the shape of a 15 s chain-30 self-scheduled run: 1,501 samples of
+    # t, 60 states, an output, an input and 88 scheduling variables
+    rng = np.random.default_rng(0)
+    n = 1501
+    traj = Trajectory(np.linspace(0.0, 15.0, n), rng.standard_normal((n, 60)),
+                      rng.standard_normal((n, 1)), rng.standard_normal((n, 1)),
+                      rng.standard_normal((n, 88)))
+    path = tmp_path / "chain.csv"
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(traj, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole file as one string, or all rows as one array, is more
+    assert peak < path.stat().st_size / 4
+
+
 def test_trajectory_header_with_scheduling():
     assert trajectory_header(2, 1, 1, 1) == ["t", "x1", "x2", "y1", "u1", "p1"]
     assert trajectory_header(1, 2, 3, 0) == ["t", "x1", "y1", "y2", "u1", "u2",
@@ -542,3 +602,60 @@ def test_every_evaluation_site_raises_one_entry_error(site, error, message,
     assert isinstance(entry, EntryError)
     assert (entry.label, entry.index) == (label, index)
     assert str(entry) == f"{label}: {entry.cause}"
+
+
+# ------------------------------------- Python floats first, numpy scalars after
+# tanh(1/x1) at x1 = 0 raises on floats and is 1 on numpy scalars, as it
+# was when every site called on numpy scalars; each case below is held
+# at x1 = 0
+
+HELD = make_model(["-x1*tanh(1/x1)"], ["tanh(1/x1) + x1"], 1, 1)
+
+
+def held_lpv():
+    """xi = -p1*x1 and y = 1, with p1 = tanh(1/x1)."""
+    A = np.array([[[0.0]], [[-1.0]]])
+    zero = np.zeros((2, 1, 1))
+    m = LpvssModel.from_dense(A, zero, zero, zero, nx=1, nu=1, ny=1, np=1,
+                              V=np.zeros(1), W=np.ones(1),
+                              anchor=Anchor.origin(1, 1))
+    return m, SchedulingMap((pe("tanh(1/x1)", ("x1", "u1")),),
+                            HELD.var_names)
+
+
+@pytest.fixture
+def entry_searches(monkeypatch):
+    """The compile_scalar calls made while the fixture is live: a search
+    for a failing entry compiles the entries one by one."""
+    calls = []
+    real = expr.compile_scalar
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(expr, "compile_scalar", counted)
+    return calls
+
+
+def test_nonlinear_run_held_where_floats_divide_by_zero(entry_searches):
+    traj = simulate_nl(HELD, [0.0], InputSignal.zero(1), 5.0)
+    assert len(traj.t) == 501
+    assert not traj.x.any() and (traj.y == 1.0).all()
+    assert entry_searches == []
+
+
+def test_self_scheduled_run_held_where_floats_divide_by_zero(entry_searches):
+    m, sm = held_lpv()
+    traj = simulate_lpv_self_scheduled(m, sm, [0.0], InputSignal.zero(1), 5.0)
+    assert not traj.x.any()
+    assert (traj.p == 1.0).all() and (traj.y == 1.0).all()
+    assert entry_searches == []
+
+
+def test_verify_where_floats_divide_by_zero(entry_searches):
+    m, sm = held_lpv()
+    report = verify_embedding(HELD, m, sm, samples=20,
+                              box={"x1": (0.0, 0.0), "u1": (0.0, 0.0)})
+    assert report.f_max.tolist() == [0.0] and report.h_max.tolist() == [0.0]
+    assert report.f_worst == report.h_worst == [((0.0,), (0.0,))]
+    assert entry_searches == []
