@@ -54,8 +54,11 @@ compiler.  The source is the same for two function tables:
   function that returns their values as a tuple, and
   :func:`compile_scalar` is its one-expression case.  A node the
   generator has no code for (a deferred integral) is called through its
-  own ``eval``.  A vector function whose entry fails raises
-  :class:`EntryError`, the one error that names a failing entry.
+  own ``at``, on its ``arg_names`` in order.  A vector function whose
+  entry fails raises :class:`EntryError`, the one error that names a
+  failing entry.  :func:`compile_panel` writes a quadrature rule's first
+  panel of an integrand: the nodes free of the integration variable
+  once, the rest in a loop over the rule's node pairs.
 * The numpy table maps them to ufuncs and :data:`ARRAY_FUNCTIONS`, so
   :func:`compile_array` evaluates one tree at whole arrays of points.
   It agrees with the scalar table to a few ulp (the transcendental
@@ -68,6 +71,7 @@ compiler.  The source is the same for two function tables:
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from _weakref import _remove_dead_weakref
@@ -692,61 +696,109 @@ def _walk(roots) -> tuple[list[Expr], dict[Expr, int]]:
 
 
 def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], fail=None,
-             table: str = "scalar"):
+             table: str = "scalar", panel=None):
     # arguments are _a0, _a1, ... whatever the variable names are
     params = [f"_a{i}" for i in range(len(names))]
     args = dict(zip(names, params))
     ns = {"__builtins__": {}, "inf": math.inf, "nan": math.nan,
           **_TABLES[table]}
     lines: list[str] = []
+    count = itertools.count()
 
-    def local(src: str) -> str:
-        lines.append(f"_t{len(lines)} = {src}")
-        return f"_t{len(lines) - 1}"
+    def local(sink: list[str], src: str) -> str:
+        name = f"_t{next(count)}"
+        sink.append(f"{name} = {src}")
+        return name
 
-    # each node's code and the depth it nests to, children first
     order, uses = _walk(exprs)
-    code: dict[Expr, tuple[str, int]] = {}
-    for node in order:
-        if isinstance(node, Const):
-            code[node] = (repr(node.value), 0)
-            continue
-        if isinstance(node, Var) and node.name in args:
-            code[node] = (args[node.name], 0)
-            continue
-        src = [code[c][0] for c in node.children()]
-        d = 1 + max((code[c][1] for c in node.children()), default=-1)
-        if isinstance(node, (Add, Mul, Div)):
-            op = {Add: " + ", Mul: " * ", Div: " / "}[type(node)]
-            while len(src) > _MAX_DEPTH:  # left to right, as inline
-                src[:_MAX_DEPTH] = [local(f"({op.join(src[:_MAX_DEPTH])})")]
-            out = f"({op.join(src)})"
-            d += len(src) - 2  # a run of k terms nests k - 1 deep
-        elif isinstance(node, Pow):
-            out = f"_pow({src[0]}, {src[1]})"
-        elif isinstance(node, Call):
-            out = f"_fn_{node.fn}({src[0]})"
-        elif table == "numpy":
-            return None  # the numpy table has no code for the node
-        elif isinstance(node, Var):
-            out = f"_unbound({node.name!r})"
-        else:  # a deferred integral runs its own eval
-            ns[f"_node{len(ns)}"] = node
-            used = ", ".join(f"{n!r}: {args[n]}" for n in node.free_vars()
-                             if n in args)
-            out = f"_node{len(ns) - 1}.eval({{{used}}})"
-        if uses[node] > 1 or d > _MAX_DEPTH:
-            out, d = local(out), 0
-        code[node] = (out, d)
+    hoist: set[Expr] = set()  # nodes a panel computes once, out of its loop
 
-    # a vector hands what its entries raise, with its arguments, to fail,
-    # or to the _fail its caller passes
+    def emit(nodes, args, code, sink) -> bool:
+        """Each node's code and the depth it nests to into ``code``,
+        children first, and the locals they need into ``sink``; False
+        where the table has no code for a node."""
+        for node in nodes:
+            if isinstance(node, Const):
+                code[node] = (repr(node.value), 0)
+                continue
+            if isinstance(node, Var) and node.name in args:
+                code[node] = (args[node.name], 0)
+                continue
+            src = [code[c][0] for c in node.children()]
+            d = 1 + max((code[c][1] for c in node.children()), default=-1)
+            if isinstance(node, (Add, Mul, Div)):
+                op = {Add: " + ", Mul: " * ", Div: " / "}[type(node)]
+                while len(src) > _MAX_DEPTH:  # left to right, as inline
+                    src[:_MAX_DEPTH] = [
+                        local(sink, f"({op.join(src[:_MAX_DEPTH])})")]
+                out = f"({op.join(src)})"
+                d += len(src) - 2  # a run of k terms nests k - 1 deep
+            elif isinstance(node, Pow):
+                out = f"_pow({src[0]}, {src[1]})"
+            elif isinstance(node, Call):
+                out = f"_fn_{node.fn}({src[0]})"
+            elif table == "numpy":
+                return False
+            elif isinstance(node, Var):
+                out = f"_unbound({node.name!r})"
+            else:  # a deferred integral, called on its arguments in order
+                ns[f"_node{len(ns)}"] = node
+                vals = ", ".join(args.get(n) or f"_unbound({n!r})"
+                                 for n in node.arg_names)
+                out = f"_node{len(ns) - 1}.at({vals})"
+            if uses[node] > 1 or d > _MAX_DEPTH or node in hoist:
+                out, d = local(sink, out), 0
+            code[node] = (out, d)
+        return True
+
     sig = ", ".join(params)
-    body = "".join(f"  {line}\n" for line in lines)
-    if fail is None:
+    code: dict[Expr, tuple[str, int]] = {}
+    if panel is not None:
+        # nodes free of lam are computed once, before the loop over the
+        # node pairs, into a local where a lam node uses them; the rest
+        # is written out for a pair's lo and hi node and for the centre
+        lam, (half, pairs, (mid, wk_center, wg_center)) = panel
+        e = exprs[0]
+        inner = [n for n in order if lam in n.free_vars()]
+        hoist.update(c for n in inner for c in n.children()
+                     if lam not in c.free_vars())
+        if lam not in e.free_vars():
+            hoist.add(e)
+        emit([n for n in order if lam not in n.free_vars()], args, code,
+             lines)
+        at = []
+        for node_src in ("_lo", "_hi", repr(mid)):
+            at_lines, at_code = [], dict(code)
+            emit(inner, {**args, lam: node_src}, at_code, at_lines)
+            at.append((at_lines, at_code[e][0]))
+        (lo_lines, lo), (hi_lines, hi), (c_lines, c) = at
+        ns["_pairs"] = pairs
+        src = (f"def _f({sig}):\n"
+               + "".join(f"  {line}\n" for line in lines)
+               + "  _k = 0.0\n  _g = 0.0\n"
+               "  for _lo, _hi, _wk, _wg in _pairs:\n"
+               + "".join(f"    {line}\n" for line in lo_lines + hi_lines)
+               + f"    _p = {lo} + {hi}\n"
+               "    _k += _wk * _p\n"
+               "    if _wg is not None:\n"
+               "      _g += _wg * _p\n"
+               + "".join(f"  {line}\n" for line in c_lines)
+               + f"  _c = {c}\n"
+               f"  _k += {wk_center!r} * _c\n"
+               f"  _g += {wg_center!r} * _c\n"
+               f"  _k = {half!r} * _k\n"
+               f"  _g = {half!r} * _g\n"
+               "  return _k, _g, _fn_abs(_k - _g)\n")
+    elif not emit(order, args, code, lines):
+        return None
+    elif fail is None:
+        body = "".join(f"  {line}\n" for line in lines)
         src = f"def _f({sig}):\n{body}  return {code[exprs[0]][0]}\n"
     else:
+        # a vector hands what its entries raise, with its arguments, to
+        # fail, or to the _fail its caller passes
         ns.update(_errors=EVAL_ERRORS, _fail=fail)
+        body = "".join(f"  {line}\n" for line in lines)
         values = "".join(code[e][0] + ", " for e in exprs)
         head = ", ".join(params + ["*", "_fail=_fail"])
         src = (f"def _f({head}):\n try:\n{body}  return ({values})\n"
@@ -810,6 +862,18 @@ def compile_array(e: Expr, arg_names: Iterable[str]) -> Callable | None:
     variable that is not an argument).  Domain and range violations
     follow ``np.errstate``; a constant ``e`` returns a scalar."""
     return _compile((e,), tuple(arg_names), table="numpy")
+
+
+def compile_panel(integrand: Expr, lam: str, arg_names: Iterable[str],
+                  rule) -> Callable[..., tuple[float, float, float]]:
+    """The first panel of the integral of ``integrand`` over ``lam`` as
+    straight-line code: a positional function of ``arg_names`` that
+    returns ``(kronrod, gauss, |kronrod - gauss|)``, the value of
+    :func:`lpvembed.quadrature._panel` on the compiled integrand, bit for
+    bit.  ``rule`` is ``(half, pairs, centre)`` as
+    :data:`lpvembed.quadrature.RULE01` gives it; the sums accumulate pair
+    by pair, centre last.  Raises what the integrand raises at a node."""
+    return _compile((integrand,), tuple(arg_names), panel=(lam, rule))
 
 
 def constant_value(e: Expr) -> float:

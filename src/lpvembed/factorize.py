@@ -40,12 +40,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    DERIVATIVES, Add, Call, Const, Div, EntryError, EvalError, Expr, Mul,
-    NonDifferentiableError, Pow, UnboundVariableError, Var, ZERO,
-    add, call, compile_scalar, compile_vector, div, mul, neg, substitute,
-    to_string,
+    DERIVATIVES, EVAL_ERRORS, Add, Call, Const, Div, EntryError, EvalError,
+    Expr, Mul, NonDifferentiableError, Pow, UnboundVariableError, Var, ZERO,
+    add, call, compile_panel, compile_scalar, compile_vector, div, mul, neg,
+    substitute, to_string,
 )
-from .quadrature import integrate
+from .quadrature import RULE01, integrate
 
 # the integration variable; model variables may not use this name
 LAMBDA = "lam"
@@ -182,31 +182,48 @@ class Anchor:
 class DeferredIntegral(Expr):
     """An entry kept as integral_0^1 integrand dlam, evaluated on demand.
 
-    Behaves as an expression in the integrand's non-lam variables.  Each
-    evaluation runs adaptive quadrature on the integrand compiled at build.
+    Behaves as an expression in the integrand's non-lam variables,
+    ``arg_names``.  Both of its functions are compiled at build: the
+    integrand, and the first Gauss-Kronrod panel on [0, 1] as
+    straight-line code (:func:`compile_panel`).  Each evaluation runs the
+    panel and hands it to adaptive quadrature as its first, which
+    accepts it or subdivides; where the panel raises, quadrature runs on
+    its own and raises what the integrand raises.
     """
 
-    __slots__ = ("integrand", "_args", "_fn")
+    __slots__ = ("integrand", "arg_names", "_fn", "_panel")
 
     def _build(self, integrand: Expr):
         free = integrand.free_vars() - {LAMBDA}
         args = tuple(sorted(free, key=var_sort_key))
         object.__setattr__(self, "integrand", integrand)
-        object.__setattr__(self, "_args", args)
+        object.__setattr__(self, "arg_names", args)
         object.__setattr__(self, "_fn",
                            compile_scalar(integrand, (LAMBDA,) + args))
+        object.__setattr__(self, "_panel",
+                           compile_panel(integrand, LAMBDA, args, RULE01))
         object.__setattr__(self, "_free", free)
 
     def display(self) -> str:
         return f"integral01({to_string(self.integrand)})"
 
-    def eval(self, bindings):
+    def at(self, *values) -> float:
+        """The integral at the values of ``arg_names``, in order."""
+        vals = tuple(map(float, values))
         try:
-            vals = tuple(float(bindings[a]) for a in self._args)
+            first = self._panel(*vals)
+        except EVAL_ERRORS:
+            first = None  # integrate raises it again, from its own panel
+        fn = self._fn
+        return integrate(lambda l: fn(l, *vals), 0.0, 1.0, first=first).value
+
+    def eval(self, bindings) -> float:
+        """The integral at ``bindings``, a mapping of the variable names."""
+        try:
+            values = [bindings[a] for a in self.arg_names]
         except KeyError as exc:
             raise UnboundVariableError(exc.args[0]) from None
-        fn = self._fn
-        return integrate(lambda l: fn(l, *vals), 0.0, 1.0).value
+        return self.at(*values)
 
     def diff(self, var):
         raise NonDifferentiableError(

@@ -14,6 +14,14 @@ order.  Both rules then integrate constants without rounding error, so
 a constant integrand converges in a single panel with a zero error
 estimate.  The remaining weights and nodes are the standard 15-digit
 values.
+
+A caller that can evaluate the first panel faster than through a Python
+call per node passes it to :func:`integrate` as ``first``; the
+tolerance test and any subdivision stay here.  Deferred integral
+entries do so: each generates the panel on [0, 1] as straight-line code
+(:func:`lpvembed.expr.compile_panel`), from :data:`RULE01`, the rule
+:func:`_panel` applies on that interval, node for node and in its order
+of accumulation.
 """
 
 from __future__ import annotations
@@ -64,6 +72,27 @@ for _w in _WG_PAIRS:
 _WG_CENTER = 2.0 - _s
 del _s, _w
 
+# the node pairs in _panel's order: (node, Kronrod weight, Gauss weight
+# or None where the Gauss rule has no node)
+_RULE = tuple((x, wk, _WG_PAIRS[i // 2] if i % 2 == 1 else None)
+              for i, (x, wk) in enumerate(zip(_XK, _WK_PAIRS)))
+
+
+def _rule_on(a: float, b: float):
+    """The rule on [a, b] as _panel places it: ``(half, pairs, centre)``,
+    each pair ``(lo, hi, Kronrod weight, Gauss weight or None)`` and the
+    centre ``(mid, Kronrod weight, Gauss weight)``; the panel's estimates
+    are ``half`` times the weighted sums."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    pairs = tuple((mid - half * x, mid + half * x, wk, wg)
+                  for x, wk, wg in _RULE)
+    return half, pairs, (mid, _WK_CENTER, _WG_CENTER)
+
+
+# the rule on [0, 1], for first panels evaluated outside _panel
+RULE01 = _rule_on(0.0, 1.0)
+
 
 # integrate's tolerances and budget, which every deferred integral entry uses
 ABS_TOL = 1e-10
@@ -101,14 +130,12 @@ def _panel(f: Callable[[float], float], a: float, b: float):
     half = 0.5 * (b - a)
     acc_k = 0.0
     acc_g = 0.0
-    gi = 0
-    for i in range(7):
-        dx = half * _XK[i]
+    for x, wk, wg in _RULE:
+        dx = half * x
         pair = f(mid - dx) + f(mid + dx)
-        acc_k += _WK_PAIRS[i] * pair
-        if i % 2 == 1:
-            acc_g += _WG_PAIRS[gi] * pair
-            gi += 1
+        acc_k += wk * pair
+        if wg is not None:
+            acc_g += wg * pair
     fc = f(mid)
     acc_k += _WK_CENTER * fc
     acc_g += _WG_CENTER * fc
@@ -117,16 +144,19 @@ def _panel(f: Callable[[float], float], a: float, b: float):
     return k, g, abs(k - g)
 
 
-def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
+def integrate(f: Callable[[float], float], a: float, b: float,
+              first: tuple[float, float, float] | None = None) -> QuadResult:
     """Integrate ``f`` over [a, b] adaptively to ABS_TOL and REL_TOL.
 
-    Raises QuadratureConvergenceError when the error bound is still above
-    tolerance after MAX_SUBDIVISIONS bisections.
+    ``first`` is ``_panel(f, a, b)`` if the caller has computed it, and
+    counts as its 15 evaluations.  Raises QuadratureConvergenceError when
+    the error bound is still above tolerance after MAX_SUBDIVISIONS
+    bisections.
     """
     if a == b:
         return QuadResult(0.0, 0.0, 0, 0)
 
-    k, g, err = _panel(f, a, b)
+    k, g, err = _panel(f, a, b) if first is None else first
     evals = 15
     # heap of (-error, insertion counter, a, b, estimate); the counter
     # breaks ties deterministically and keeps tuples orderable

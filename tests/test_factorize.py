@@ -26,6 +26,7 @@ from lpvembed.factorize import (
 from lpvembed.modelfile import load_model_file
 from lpvembed.models import BUNDLED, load_bundled
 from lpvembed.parser import parse_expr
+from lpvembed import quadrature
 from lpvembed.quadrature import integrate
 from lpvembed.synthetic import corpus_models, random_model
 
@@ -565,11 +566,16 @@ def test_factorize_work_follows_the_footprint(monkeypatch):
 GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
 
-def canonical_sweep_models(tmp_path, monkeypatch):
+def bench_gen(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_gen", GEN)
     gen = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, gen)  # for its dataclasses
     spec.loader.exec_module(gen)
+    return gen
+
+
+def canonical_sweep_models(tmp_path, monkeypatch):
+    gen = bench_gen(monkeypatch)
     models = [load_bundled(b).model for b in BUNDLED]
     models += corpus_models() + [random_model(k) for k in range(60)]
     for case in (gen.chain(1, 0), gen.network(1, 0)):
@@ -607,3 +613,142 @@ def test_stages_build_canonical_trees(tmp_path, monkeypatch):
                     for row in block.entries:
                         for e in row:
                             assert_canonical(e)
+
+
+# ------------------------------------------------ the generated first panel
+# A deferred entry evaluates quadrature's first panel on [0, 1] through
+# generated straight-line code and hands it to integrate.  Its panel must
+# be quadrature._panel's and its value integrate's, bit for bit, over the
+# network entries, the corpus and random_model(0..59) in both modes.
+
+def same(a, b):
+    """Bitwise equal floats: -0.0 is not 0.0, and NaN is NaN."""
+    if a != a:
+        return b != b
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def outcome(call):
+    """What ``call()`` returns, or the class, message and estimate of
+    what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "estimate", None)
+
+
+def same_outcome(a, b):
+    """``same`` on floats and on the floats of tuples, ``==`` otherwise."""
+    if isinstance(a, float):
+        return isinstance(b, float) and same(a, b)
+    if isinstance(a, tuple):
+        return (isinstance(b, tuple) and len(a) == len(b)
+                and all(map(same_outcome, a, b)))
+    return a == b
+
+
+def reference(entry, vals):
+    fn = entry._fn
+    return lambda l: fn(l, *vals)
+
+
+def deferred_entries(tmp_path, monkeypatch):
+    gen = bench_gen(monkeypatch)
+    models = corpus_models() + [random_model(k) for k in range(60)]
+    for index in range(4):
+        case = gen.network(1, index)
+        path = tmp_path / f"{case.name}.nlss"
+        path.write_text(case.text)
+        models.append(load_model_file(str(path)).model)
+    entries = {}
+    for model in models:
+        for mode in ("analytic", "numeric"):
+            fs = factorize(model, mode=mode)
+            for block in (fs.A_bar, fs.B_bar, fs.C_bar, fs.D_bar):
+                for row in block.entries:
+                    for e in row:
+                        if isinstance(e, DeferredIntegral):
+                            entries[e] = None
+    return list(entries)
+
+
+def test_generated_panel_and_value_match_quadrature_bitwise(tmp_path,
+                                                            monkeypatch):
+    rng = random.Random(19)
+    settled = subdivided = raised = 0
+    for entry in deferred_entries(tmp_path, monkeypatch):
+        for _ in range(12):
+            vals = []
+            for _ in entry.arg_names:
+                r = rng.random()
+                vals.append(0.0 if r < 0.1 else -0.0 if r < 0.2 else
+                            rng.choice((-1.0, 1.0))
+                            * rng.choice((0.1, 1.0, 3.0, 10.0, 30.0))
+                            * rng.random())
+            f = reference(entry, vals)
+            panel = outcome(lambda: entry._panel(*vals))
+            assert same_outcome(panel, outcome(
+                lambda: quadrature._panel(f, 0.0, 1.0))), (entry, vals)
+            want = outcome(lambda: integrate(f, 0.0, 1.0))
+            got = outcome(lambda: entry.eval(dict(zip(entry.arg_names,
+                                                      vals))))
+            if isinstance(want, tuple):
+                raised += 1
+            else:
+                settled += want.subdivisions == 0
+                subdivided += want.subdivisions > 0
+                want = want.value
+            assert same_outcome(got, want), (entry, vals)
+    # both paths of integrate run: the panel accepted, and subdivided
+    assert settled > 1000 and subdivided > 50, (settled, subdivided, raised)
+
+
+def test_an_integrand_that_raises_raises_as_quadrature_does():
+    entry = DeferredIntegral(pe("ln(lam*x)", ("x", LAMBDA)))
+    with pytest.raises(ValueError, match="ln of non-positive value"):
+        entry._panel(-1.0)
+    want = outcome(lambda: integrate(reference(entry, [-1.0]), 0.0, 1.0))
+    assert want[0] is ValueError
+    assert same_outcome(outcome(lambda: entry.eval({"x": -1.0})), want)
+    assert same_outcome(outcome(lambda: entry.at(-1.0)), want)
+
+
+def test_an_exhausted_budget_carries_quadratures_estimate(monkeypatch):
+    entry = DeferredIntegral(pe("sqrt(abs(lam - x))", ("x", LAMBDA)))
+    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-15)
+    monkeypatch.setattr(quadrature, "REL_TOL", 0.0)
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 2)
+    x = 1.0 / 3.0
+    want = outcome(lambda: integrate(reference(entry, [x]), 0.0, 1.0))
+    assert want[0] is quadrature.QuadratureConvergenceError
+    assert same_outcome(outcome(lambda: entry.eval({"x": x})), want)
+
+
+@pytest.mark.parametrize("text, want", [("lam*x*x", math.inf),
+                                        ("x*x*lam - x*x", math.nan)],
+                         ids=["inf", "nan"])
+def test_a_first_panel_that_is_not_finite_is_quadratures(text, want):
+    entry = DeferredIntegral(pe(text, ("x", LAMBDA)))
+    f = reference(entry, [1e200])
+    panel = entry._panel(1e200)
+    assert not math.isfinite(panel[0])
+    assert all(same(a, b)
+               for a, b in zip(panel, quadrature._panel(f, 0.0, 1.0)))
+    got = entry.eval({"x": 1e200})
+    assert same(got, integrate(f, 0.0, 1.0).value) and same(got, want)
+
+
+def test_tolerances_govern_a_deferred_entry_as_they_govern_integrate(
+        monkeypatch):
+    # the settle test is integrate's: a tolerance tight enough to reject
+    # the first panel changes the entry's value exactly as integrate's
+    entry = DeferredIntegral(pe("tanh(lam*x)*x", ("x", LAMBDA)))
+    f = reference(entry, [1.0])
+    loose = integrate(f, 0.0, 1.0)
+    assert loose.subdivisions == 0
+    assert same(entry.eval({"x": 1.0}), loose.value)
+    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-16)
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-16)
+    tight = integrate(f, 0.0, 1.0)
+    assert tight.subdivisions > 0 and tight.value != loose.value
+    assert same(entry.eval({"x": 1.0}), tight.value)

@@ -106,3 +106,35 @@ def test_result_is_deterministic():
     a = integrate(f, 0.0, 1.0)
     b = integrate(f, 0.0, 1.0)
     assert a.value == b.value and a.error == b.error
+
+
+def test_rule01_is_the_rule_panel_applies_on_0_1():
+    # the nodes _panel evaluates on [0, 1], in its order: each pair's lo
+    # and hi node, the centre last
+    seen = []
+    quadrature._panel(lambda t: seen.append(t) or 0.0, 0.0, 1.0)
+    half, pairs, (mid, wk_center, wg_center) = quadrature.RULE01
+    assert seen == [t for lo, hi, _, _ in pairs for t in (lo, hi)] + [mid]
+    assert half == 0.5
+    assert [wg is not None for _, _, _, wg in pairs] == [i % 2 == 1
+                                                         for i in range(7)]
+    # the weights sum to 2 exactly, accumulated in _panel's order
+    for column, centre in ((2, wk_center), (3, wg_center)):
+        acc = 0.0
+        for pair in pairs:
+            if pair[column] is not None:
+                acc += 2.0 * pair[column]
+        assert acc + centre == 2.0
+
+
+@pytest.mark.parametrize("f", [math.cos, lambda t: math.sin(40.0 * t),
+                               lambda t: math.sqrt(abs(t - 1.0 / 3.0))],
+                         ids=["settled", "subdivided", "kink"])
+def test_a_first_panel_handed_in_is_the_one_integrate_computes(f):
+    for a, b in ((0.0, 1.0), (-2.0, 3.0)):
+        first = quadrature._panel(f, a, b)
+        calls = []
+        got = integrate(lambda t: calls.append(t) or f(t), a, b, first=first)
+        assert got == integrate(f, a, b)
+        # the panel is counted, not computed again
+        assert len(calls) == got.evaluations - 15
