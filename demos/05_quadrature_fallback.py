@@ -36,10 +36,10 @@ def main():
     print("antiderivative in the line parameter - quadrature evaluates it:")
     print(f"  {'x1':>6}  {'deferred entry':>18}  {'tanh(x1)/x1':>18}")
     for x in (-3.0, -1.0, 0.5, 2.0):
-        got = entry.eval({"x1": x})
+        got = entry.at(x)
         ref = math.tanh(x) / x
         print(f"  {x:6.1f}  {got:18.15f}  {ref:18.15f}")
-    at0 = entry.eval({"x1": 0.0})
+    at0 = entry.at(0.0)
     print(f"  {0.0:6.1f}  {at0:18.15f}  {'1 (limit)':>18}")
     print("the removable singularity at x1 = 0 costs nothing: the")
     print("integrand is constant there and the quadrature is exact.")

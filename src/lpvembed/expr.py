@@ -56,9 +56,10 @@ compiler.  The source is the same for two function tables:
   generator has no code for (a deferred integral) is called through its
   own ``at``, on its ``arg_names`` in order.  A vector function whose
   entry fails raises :class:`EntryError`, the one error that names a
-  failing entry.  :func:`compile_panel` writes a quadrature rule's first
-  panel of an integrand: the nodes free of the integration variable
-  once, the rest in a loop over the rule's node pairs.
+  failing entry.  :func:`compile_panel` writes a quadrature rule's
+  panel of an integrand on any interval, the one function a deferred
+  integral compiles: the nodes free of the integration variable once,
+  the rest in a loop over the rule's node pairs.
 * The numpy table maps them to ufuncs and :data:`ARRAY_FUNCTIONS`, so
   :func:`compile_array` evaluates one tree at whole arrays of points.
   It agrees with the scalar table to a few ulp (the transcendental
@@ -756,8 +757,9 @@ def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], fail=None,
     if panel is not None:
         # nodes free of lam are computed once, before the loop over the
         # node pairs, into a local where a lam node uses them; the rest
-        # is written out for a pair's lo and hi node and for the centre
-        lam, (half, pairs, (mid, wk_center, wg_center)) = panel
+        # is written out for a pair's lo and hi node and for the centre,
+        # which are placed on [_pa, _pb] as quadrature.panel places them
+        lam, (pairs, wk_center, wg_center) = panel
         e = exprs[0]
         inner = [n for n in order if lam in n.free_vars()]
         hoist.update(c for n in inner for c in n.children()
@@ -767,16 +769,24 @@ def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], fail=None,
         emit([n for n in order if lam not in n.free_vars()], args, code,
              lines)
         at = []
-        for node_src in ("_lo", "_hi", repr(mid)):
+        for node_src in ("_lo", "_hi", "_mid"):
             at_lines, at_code = [], dict(code)
             emit(inner, {**args, lam: node_src}, at_code, at_lines)
             at.append((at_lines, at_code[e][0]))
         (lo_lines, lo), (hi_lines, hi), (c_lines, c) = at
+        if hi_lines:  # lo is done before hi's code runs, as panel has it
+            lo_lines.append(f"_flo = {lo}")
+            lo = "_flo"
         ns["_pairs"] = pairs
-        src = (f"def _f({sig}):\n"
+        src = (f"def _f({', '.join(params + ['_pa', '_pb'])}):\n"
                + "".join(f"  {line}\n" for line in lines)
-               + "  _k = 0.0\n  _g = 0.0\n"
-               "  for _lo, _hi, _wk, _wg in _pairs:\n"
+               + "  _mid = 0.5 * (_pa + _pb)\n"
+               "  _half = 0.5 * (_pb - _pa)\n"
+               "  _k = 0.0\n  _g = 0.0\n"
+               "  for _x, _wk, _wg in _pairs:\n"
+               "    _dx = _half * _x\n"
+               "    _lo = _mid - _dx\n"
+               "    _hi = _mid + _dx\n"
                + "".join(f"    {line}\n" for line in lo_lines + hi_lines)
                + f"    _p = {lo} + {hi}\n"
                "    _k += _wk * _p\n"
@@ -786,8 +796,8 @@ def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], fail=None,
                + f"  _c = {c}\n"
                f"  _k += {wk_center!r} * _c\n"
                f"  _g += {wg_center!r} * _c\n"
-               f"  _k = {half!r} * _k\n"
-               f"  _g = {half!r} * _g\n"
+               "  _k = _half * _k\n"
+               "  _g = _half * _g\n"
                "  return _k, _g, _fn_abs(_k - _g)\n")
     elif not emit(order, args, code, lines):
         return None
@@ -866,13 +876,16 @@ def compile_array(e: Expr, arg_names: Iterable[str]) -> Callable | None:
 
 def compile_panel(integrand: Expr, lam: str, arg_names: Iterable[str],
                   rule) -> Callable[..., tuple[float, float, float]]:
-    """The first panel of the integral of ``integrand`` over ``lam`` as
-    straight-line code: a positional function of ``arg_names`` that
-    returns ``(kronrod, gauss, |kronrod - gauss|)``, the value of
-    :func:`lpvembed.quadrature._panel` on the compiled integrand, bit for
-    bit.  ``rule`` is ``(half, pairs, centre)`` as
-    :data:`lpvembed.quadrature.RULE01` gives it; the sums accumulate pair
-    by pair, centre last.  Raises what the integrand raises at a node."""
+    """One quadrature panel of the integral of ``integrand`` over ``lam``
+    as straight-line code: a positional function of ``arg_names`` and
+    then the interval's ends ``a, b`` that returns ``(kronrod, gauss,
+    |kronrod - gauss|)`` on [a, b], the value of
+    ``lpvembed.quadrature.panel`` on the integrand, bit for bit.  ``rule``
+    is ``(pairs, kronrod centre weight, gauss centre weight)`` as
+    :data:`lpvembed.quadrature.RULE` gives it; the nodes are placed and
+    the sums accumulate as that function does, pair by pair, centre last.
+    Raises what the integrand raises at a node; a failing node free of
+    ``lam`` raises before any node is placed."""
     return _compile((integrand,), tuple(arg_names), panel=(lam, rule))
 
 

@@ -35,17 +35,17 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .expr import (
-    DERIVATIVES, EVAL_ERRORS, Add, Call, Const, Div, EntryError, EvalError,
-    Expr, Mul, NonDifferentiableError, Pow, UnboundVariableError, Var, ZERO,
-    add, call, compile_panel, compile_scalar, compile_vector, div, mul, neg,
-    substitute, to_string,
+    DERIVATIVES, Add, Call, Const, Div, EntryError, EvalError, Expr, Mul,
+    NonDifferentiableError, Pow, Var, ZERO, add, call, compile_panel,
+    compile_vector, div, mul, neg, substitute, to_string,
 )
-from .quadrature import RULE01, integrate
+from .quadrature import RULE, integrate
 
 # the integration variable; model variables may not use this name
 LAMBDA = "lam"
@@ -183,25 +183,21 @@ class DeferredIntegral(Expr):
     """An entry kept as integral_0^1 integrand dlam, evaluated on demand.
 
     Behaves as an expression in the integrand's non-lam variables,
-    ``arg_names``.  Both of its functions are compiled at build: the
-    integrand, and the first Gauss-Kronrod panel on [0, 1] as
-    straight-line code (:func:`compile_panel`).  Each evaluation runs the
-    panel and hands it to adaptive quadrature as its first, which
-    accepts it or subdivides; where the panel raises, quadrature runs on
-    its own and raises what the integrand raises.
+    ``arg_names``.  Its one compiled function, built with it, is a
+    Gauss-Kronrod panel of the integrand on any interval as straight-line
+    code (:func:`compile_panel`); adaptive quadrature calls it for every
+    panel it needs and raises what the integrand raises.
     """
 
-    __slots__ = ("integrand", "arg_names", "_fn", "_panel")
+    __slots__ = ("integrand", "arg_names", "_panel")
 
     def _build(self, integrand: Expr):
         free = integrand.free_vars() - {LAMBDA}
         args = tuple(sorted(free, key=var_sort_key))
         object.__setattr__(self, "integrand", integrand)
         object.__setattr__(self, "arg_names", args)
-        object.__setattr__(self, "_fn",
-                           compile_scalar(integrand, (LAMBDA,) + args))
         object.__setattr__(self, "_panel",
-                           compile_panel(integrand, LAMBDA, args, RULE01))
+                           compile_panel(integrand, LAMBDA, args, RULE))
         object.__setattr__(self, "_free", free)
 
     def display(self) -> str:
@@ -209,21 +205,8 @@ class DeferredIntegral(Expr):
 
     def at(self, *values) -> float:
         """The integral at the values of ``arg_names``, in order."""
-        vals = tuple(map(float, values))
-        try:
-            first = self._panel(*vals)
-        except EVAL_ERRORS:
-            first = None  # integrate raises it again, from its own panel
-        fn = self._fn
-        return integrate(lambda l: fn(l, *vals), 0.0, 1.0, first=first).value
-
-    def eval(self, bindings) -> float:
-        """The integral at ``bindings``, a mapping of the variable names."""
-        try:
-            values = [bindings[a] for a in self.arg_names]
-        except KeyError as exc:
-            raise UnboundVariableError(exc.args[0]) from None
-        return self.at(*values)
+        panel = partial(self._panel, *map(float, values))
+        return integrate(panel, 0.0, 1.0).value
 
     def diff(self, var):
         raise NonDifferentiableError(

@@ -15,21 +15,20 @@ a constant integrand converges in a single panel with a zero error
 estimate.  The remaining weights and nodes are the standard 15-digit
 values.
 
-A caller that can evaluate the first panel faster than through a Python
-call per node passes it to :func:`integrate` as ``first``; the
-tolerance test and any subdivision stay here.  Deferred integral
-entries do so: each generates the panel on [0, 1] as straight-line code
-(:func:`lpvembed.expr.compile_panel`), from :data:`RULE01`, the rule
-:func:`_panel` applies on that interval, node for node and in its order
-of accumulation.
+The adaptive loop works on panels, not on an integrand:
+:func:`integrate` takes a function that returns one panel's estimates on
+any interval.  :func:`panel` is that function for a Python integrand,
+one call per node; deferred integral entries instead generate theirs as
+straight-line code (:func:`lpvembed.expr.compile_panel`) from
+:data:`RULE`, with :func:`panel`'s arithmetic, node for node and in its
+order of accumulation, so both give the same floats.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 # Kronrod nodes on (0, 1], paired symmetrically about the interval
 # midpoint.  Odd entries (indices 1, 3, 5) are the Gauss-7 nodes.
@@ -60,7 +59,7 @@ _WG_PAIRS = (
 )
 
 # central weights chosen so each rule's weights sum to exactly 2.0 when
-# accumulated pair-first, centre-last (the order _panel uses)
+# accumulated pair-first, centre-last (the order panel uses)
 _s = 0.0
 for _w in _WK_PAIRS:
     _s += 2.0 * _w
@@ -72,26 +71,14 @@ for _w in _WG_PAIRS:
 _WG_CENTER = 2.0 - _s
 del _s, _w
 
-# the node pairs in _panel's order: (node, Kronrod weight, Gauss weight
+# the node pairs in panel's order: (node, Kronrod weight, Gauss weight
 # or None where the Gauss rule has no node)
 _RULE = tuple((x, wk, _WG_PAIRS[i // 2] if i % 2 == 1 else None)
               for i, (x, wk) in enumerate(zip(_XK, _WK_PAIRS)))
 
-
-def _rule_on(a: float, b: float):
-    """The rule on [a, b] as _panel places it: ``(half, pairs, centre)``,
-    each pair ``(lo, hi, Kronrod weight, Gauss weight or None)`` and the
-    centre ``(mid, Kronrod weight, Gauss weight)``; the panel's estimates
-    are ``half`` times the weighted sums."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pairs = tuple((mid - half * x, mid + half * x, wk, wg)
-                  for x, wk, wg in _RULE)
-    return half, pairs, (mid, _WK_CENTER, _WG_CENTER)
-
-
-# the rule on [0, 1], for first panels evaluated outside _panel
-RULE01 = _rule_on(0.0, 1.0)
+# the rule as panel applies it, for panels generated as code: the node
+# pairs and the two centre weights
+RULE = (_RULE, _WK_CENTER, _WG_CENTER)
 
 
 # integrate's tolerances and budget, which every deferred integral entry uses
@@ -116,15 +103,14 @@ class QuadratureConvergenceError(Exception):
         self.subdivisions = subdivisions
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     error: float          # summed |K15 - G7| over all panels
     evaluations: int      # integrand calls
     subdivisions: int     # bisections performed
 
 
-def _panel(f: Callable[[float], float], a: float, b: float):
+def panel(f: Callable[[float], float], a: float, b: float):
     """One K15/G7 evaluation over [a, b]: (kronrod, gauss, |diff|)."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -144,19 +130,21 @@ def _panel(f: Callable[[float], float], a: float, b: float):
     return k, g, abs(k - g)
 
 
-def integrate(f: Callable[[float], float], a: float, b: float,
-              first: tuple[float, float, float] | None = None) -> QuadResult:
-    """Integrate ``f`` over [a, b] adaptively to ABS_TOL and REL_TOL.
+def integrate(panel: Callable[[float, float], tuple[float, float, float]],
+              a: float, b: float) -> QuadResult:
+    """Integrate over [a, b] adaptively to ABS_TOL and REL_TOL.
 
-    ``first`` is ``_panel(f, a, b)`` if the caller has computed it, and
-    counts as its 15 evaluations.  Raises QuadratureConvergenceError when
-    the error bound is still above tolerance after MAX_SUBDIVISIONS
+    ``panel(p, q)`` returns one panel's ``(kronrod, gauss, |diff|)`` on
+    [p, q], for the first panel and each half of every bisection, and
+    counts as 15 evaluations; ``partial(quadrature.panel, f)`` is that
+    function for an integrand ``f``.  Raises QuadratureConvergenceError
+    when the error bound is still above tolerance after MAX_SUBDIVISIONS
     bisections.
     """
     if a == b:
         return QuadResult(0.0, 0.0, 0, 0)
 
-    k, g, err = _panel(f, a, b) if first is None else first
+    k, g, err = panel(a, b)
     evals = 15
     # heap of (-error, insertion counter, a, b, estimate); the counter
     # breaks ties deterministically and keeps tuples orderable
@@ -184,8 +172,8 @@ def integrate(f: Callable[[float], float], a: float, b: float,
             if not heap:
                 break
             continue
-        k1, _, e1 = _panel(f, pa, pm)
-        k2, _, e2 = _panel(f, pm, pb)
+        k1, _, e1 = panel(pa, pm)
+        k2, _, e2 = panel(pm, pb)
         evals += 30
         subdivisions += 1
         total += (k1 + k2) - pk

@@ -11,7 +11,7 @@ def tree_eval(e, bindings):
     """``e`` at ``bindings`` by walking its tree: the independent reference
     for the library's compiled code.  Sums start from 0.0 and products
     from 1.0, powers are ``math.pow`` and functions :data:`FUNCTIONS`; a
-    deferred integral runs its own ``eval``."""
+    deferred integral runs its own ``at``."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -33,7 +33,7 @@ def tree_eval(e, bindings):
                         tree_eval(e.exponent, bindings))
     if isinstance(e, Call):
         return FUNCTIONS[e.fn](tree_eval(e.arg, bindings))
-    return e.eval(bindings)
+    return e.at(*(bindings[a] for a in e.arg_names))
 
 
 @pytest.fixture(scope="session")

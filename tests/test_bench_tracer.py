@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import lpvembed.cli
+import lpvembed.factorize as fz
 from lpvembed.lpv import LpvssModel, SchedulingMap
 from lpvembed.sim import InputSignal
 
@@ -18,13 +19,17 @@ def test_bench_tracer_installs_and_removes():
     before = {name: getattr(lpvembed.cli, name) for name in spans.CLI_LAYERS}
     methods = (SchedulingMap.evaluate, LpvssModel.matrices,
                InputSignal.__call__)
+    integrate = fz.integrate
     tracer = spans.Tracer()
     tracer.install()
     try:
         for name, fn in before.items():
             assert getattr(lpvembed.cli, name) is not fn, name
+        # the quadrature layer: the name deferred entries call
+        assert fz.integrate is not integrate
     finally:
         tracer.remove()
     assert {name: getattr(lpvembed.cli, name) for name in before} == before
+    assert fz.integrate is integrate
     assert (SchedulingMap.evaluate, LpvssModel.matrices,
             InputSignal.__call__) == methods

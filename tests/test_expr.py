@@ -15,9 +15,9 @@ import pytest
 from lpvembed.expr import (
     ARRAY_FUNCTIONS, FUNCTIONS, Add, Call, Const, EntryError, Mul,
     NonDifferentiableError, UnboundVariableError, Var,
-    Div, Pow, add, call, compile_array, compile_scalar, compile_vector,
-    cosm1c, div, dsinc, expm1c, mul, neg, pow_, simplify, sinc, substitute,
-    to_string,
+    Div, Pow, add, call, compile_array, compile_panel, compile_scalar,
+    compile_vector, cosm1c, div, dsinc, expm1c, mul, neg, pow_, simplify,
+    sinc, substitute, to_string,
 )
 from lpvembed.parser import ParseError, parse_expr
 
@@ -538,8 +538,8 @@ def test_equal_deferred_integrals_compile_once(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return compile_scalar(*args)
-    monkeypatch.setattr(fz, "compile_scalar", counted)
+        return compile_panel(*args)
+    monkeypatch.setattr(fz, "compile_panel", counted)
     lam, v = Var("lam"), Var("v_once")
     first = fz.DeferredIntegral(call("tanh", mul(lam, v)))
     assert fz.DeferredIntegral(call("tanh", mul(lam, v))) is first

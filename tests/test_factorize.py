@@ -7,14 +7,15 @@ import math
 import random
 import sys
 import types
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lpvembed.expr import (
-    Add, Call, Const, Div, Mul, NonDifferentiableError, Pow,
-    UnboundVariableError, Var, add, mul, neg, simplify, substitute, to_string,
+    Add, Call, Const, Div, Mul, NonDifferentiableError, Pow, Var, add,
+    compile_scalar, mul, neg, simplify, substitute, to_string,
 )
 import lpvembed
 import lpvembed.factorize as fz
@@ -27,7 +28,7 @@ from lpvembed.modelfile import load_model_file
 from lpvembed.models import BUNDLED, load_bundled
 from lpvembed.parser import parse_expr
 from lpvembed import quadrature
-from lpvembed.quadrature import integrate
+from lpvembed.quadrature import QuadResult, integrate
 from lpvembed.synthetic import corpus_models, random_model
 
 from conftest import tree_eval
@@ -167,7 +168,8 @@ def test_rule_table_agrees_with_quadrature():
     for text, _ in cases:
         e = pe(text, names)
         sym = tree_eval(integrate_analytic(e), env)
-        num = DeferredIntegral(e).eval(env)
+        node = DeferredIntegral(e)
+        num = node.at(*(env[a] for a in node.arg_names))
         assert sym == pytest.approx(num, rel=1e-10, abs=1e-12), text
 
 
@@ -181,7 +183,7 @@ def test_integrate_numeric_against_simpson():
                 for i in range(1, n))
         s = (s + tree_eval(e, {"x": x, "lam": 0.0})
              + tree_eval(e, {"x": x, "lam": 1.0})) * h / 3.0
-        num = DeferredIntegral(e).eval({"x": x})
+        num = DeferredIntegral(e).at(x)
         assert num == pytest.approx(s, abs=1e-11)
         # the integral equals tanh(x)/x
         assert num == pytest.approx(math.tanh(x) / x, abs=1e-11)
@@ -193,10 +195,7 @@ def test_deferred_integral_eval_and_errors():
     names = ("x", "lam")
     node = DeferredIntegral(pe("1 - tanh(lam*x)^2", names))
     assert to_string(node) == "integral01(-tanh(lam*x)^2 + 1)"
-    assert node.eval({"x": 2.0}) == pytest.approx(math.tanh(2.0) / 2.0,
-                                                  abs=1e-10)
-    with pytest.raises(UnboundVariableError):
-        node.eval({})
+    assert node.at(2.0) == pytest.approx(math.tanh(2.0) / 2.0, abs=1e-10)
     with pytest.raises(NonDifferentiableError):
         node.diff("x")
 
@@ -204,7 +203,7 @@ def test_deferred_integral_eval_and_errors():
 def test_deferred_integral_constant_integrand_is_exact():
     # a constant integrand must integrate with zero quadrature error
     node = DeferredIntegral(Const(130.9636363636364))
-    assert node.eval({}) == 130.9636363636364
+    assert node.at() == 130.9636363636364
 
 
 # ----------------------------------------------------------- disk benchmark
@@ -615,11 +614,12 @@ def test_stages_build_canonical_trees(tmp_path, monkeypatch):
                             assert_canonical(e)
 
 
-# ------------------------------------------------ the generated first panel
-# A deferred entry evaluates quadrature's first panel on [0, 1] through
-# generated straight-line code and hands it to integrate.  Its panel must
-# be quadrature._panel's and its value integrate's, bit for bit, over the
-# network entries, the corpus and random_model(0..59) in both modes.
+# ------------------------------------------------------ the generated panel
+# A deferred entry's one compiled function is its integrand's quadrature
+# panel as straight-line code, which integrate calls for every panel.
+# Over the network entries, the corpus and random_model(0..59) in both
+# modes, that panel on [0, 1] must be quadrature.panel's, and the entry's
+# value integrate's on quadrature.panel, bit for bit.
 
 def same(a, b):
     """Bitwise equal floats: -0.0 is not 0.0, and NaN is NaN."""
@@ -648,8 +648,14 @@ def same_outcome(a, b):
 
 
 def reference(entry, vals):
-    fn = entry._fn
+    """The entry's integrand in lam at ``vals``, compiled on its own."""
+    fn = compile_scalar(entry.integrand, (LAMBDA,) + entry.arg_names)
     return lambda l: fn(l, *vals)
+
+
+def quad(f):
+    """``integrate`` on [0, 1] on the panels of the integrand ``f``."""
+    return integrate(partial(quadrature.panel, f), 0.0, 1.0)
 
 
 def deferred_entries(tmp_path, monkeypatch):
@@ -676,6 +682,10 @@ def test_generated_panel_and_value_match_quadrature_bitwise(tmp_path,
                                                             monkeypatch):
     rng = random.Random(19)
     settled = subdivided = raised = 0
+    # values near 1e200 overflow (OverflowError) or make integrands too
+    # large to converge (QuadratureConvergenceError); a smaller budget
+    # keeps the second kind cheap, on both sides alike
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 100)
     for entry in deferred_entries(tmp_path, monkeypatch):
         for _ in range(12):
             vals = []
@@ -683,34 +693,64 @@ def test_generated_panel_and_value_match_quadrature_bitwise(tmp_path,
                 r = rng.random()
                 vals.append(0.0 if r < 0.1 else -0.0 if r < 0.2 else
                             rng.choice((-1.0, 1.0))
-                            * rng.choice((0.1, 1.0, 3.0, 10.0, 30.0))
+                            * rng.choice((0.1, 1.0, 3.0, 10.0, 30.0, 1e200))
                             * rng.random())
             f = reference(entry, vals)
-            panel = outcome(lambda: entry._panel(*vals))
+            panel = outcome(lambda: entry._panel(*vals, 0.0, 1.0))
             assert same_outcome(panel, outcome(
-                lambda: quadrature._panel(f, 0.0, 1.0))), (entry, vals)
-            want = outcome(lambda: integrate(f, 0.0, 1.0))
-            got = outcome(lambda: entry.eval(dict(zip(entry.arg_names,
-                                                      vals))))
-            if isinstance(want, tuple):
-                raised += 1
-            else:
+                lambda: quadrature.panel(f, 0.0, 1.0))), (entry, vals)
+            want = outcome(lambda: quad(f))
+            got = outcome(lambda: entry.at(*vals))
+            if isinstance(want, QuadResult):
                 settled += want.subdivisions == 0
                 subdivided += want.subdivisions > 0
                 want = want.value
+            else:
+                raised += 1
             assert same_outcome(got, want), (entry, vals)
-    # both paths of integrate run: the panel accepted, and subdivided
-    assert settled > 1000 and subdivided > 50, (settled, subdivided, raised)
+    # every path of integrate runs: the first panel accepted, subdivided,
+    # and raised
+    assert settled > 1000 and subdivided > 50 and raised > 0, (
+        settled, subdivided, raised)
 
 
 def test_an_integrand_that_raises_raises_as_quadrature_does():
     entry = DeferredIntegral(pe("ln(lam*x)", ("x", LAMBDA)))
     with pytest.raises(ValueError, match="ln of non-positive value"):
-        entry._panel(-1.0)
-    want = outcome(lambda: integrate(reference(entry, [-1.0]), 0.0, 1.0))
+        entry._panel(-1.0, 0.0, 1.0)
+    want = outcome(lambda: quad(reference(entry, [-1.0])))
     assert want[0] is ValueError
-    assert same_outcome(outcome(lambda: entry.eval({"x": -1.0})), want)
     assert same_outcome(outcome(lambda: entry.at(-1.0)), want)
+
+
+def test_a_failing_part_free_of_lam_raises_first():
+    # the panel computes the nodes free of lam once, before it places any
+    # node; where one of them fails and so does a part in lam, the entry
+    # raises the first, and the integrand on its own, node by node, the
+    # part in lam, which it computes first
+    entry = DeferredIntegral(pe("ln(lam - 2) + 1/x", ("x", LAMBDA)))
+    with pytest.raises(ZeroDivisionError, match="float division by zero"):
+        entry.at(0.0)
+    with pytest.raises(ValueError, match="ln of non-positive value"):
+        quad(reference(entry, [0.0]))
+    # where only one part fails, both raise what it raises
+    for text, x, error in (("ln(lam - 2) + 1/x", 1.0, ValueError),
+                           ("ln(lam + 2) + 1/x", 0.0, ZeroDivisionError)):
+        entry = DeferredIntegral(pe(text, ("x", LAMBDA)))
+        want = outcome(lambda: quad(reference(entry, [x])))
+        assert want[0] is error
+        assert same_outcome(outcome(lambda: entry.at(x)), want)
+
+
+def test_a_pairs_lo_node_raises_before_its_hi_node():
+    # the shared sqrt is a local, computed for the hi node before the
+    # pair's sum; at the first pair ln fails at the lo node and sqrt at
+    # the hi node, and the panel raises ln's error, as quadrature does
+    entry = DeferredIntegral(pe("ln(lam - 0.5)*x + sqrt(0.9 - lam)"
+                                "*sqrt(0.9 - lam)", ("x", LAMBDA)))
+    want = outcome(lambda: quad(reference(entry, [1.0])))
+    assert want[:2] == (ValueError, "ln of non-positive value")
+    assert same_outcome(outcome(lambda: entry.at(1.0)), want)
 
 
 def test_an_exhausted_budget_carries_quadratures_estimate(monkeypatch):
@@ -719,9 +759,9 @@ def test_an_exhausted_budget_carries_quadratures_estimate(monkeypatch):
     monkeypatch.setattr(quadrature, "REL_TOL", 0.0)
     monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 2)
     x = 1.0 / 3.0
-    want = outcome(lambda: integrate(reference(entry, [x]), 0.0, 1.0))
+    want = outcome(lambda: quad(reference(entry, [x])))
     assert want[0] is quadrature.QuadratureConvergenceError
-    assert same_outcome(outcome(lambda: entry.eval({"x": x})), want)
+    assert same_outcome(outcome(lambda: entry.at(x)), want)
 
 
 @pytest.mark.parametrize("text, want", [("lam*x*x", math.inf),
@@ -730,12 +770,12 @@ def test_an_exhausted_budget_carries_quadratures_estimate(monkeypatch):
 def test_a_first_panel_that_is_not_finite_is_quadratures(text, want):
     entry = DeferredIntegral(pe(text, ("x", LAMBDA)))
     f = reference(entry, [1e200])
-    panel = entry._panel(1e200)
+    panel = entry._panel(1e200, 0.0, 1.0)
     assert not math.isfinite(panel[0])
     assert all(same(a, b)
-               for a, b in zip(panel, quadrature._panel(f, 0.0, 1.0)))
-    got = entry.eval({"x": 1e200})
-    assert same(got, integrate(f, 0.0, 1.0).value) and same(got, want)
+               for a, b in zip(panel, quadrature.panel(f, 0.0, 1.0)))
+    got = entry.at(1e200)
+    assert same(got, quad(f).value) and same(got, want)
 
 
 def test_tolerances_govern_a_deferred_entry_as_they_govern_integrate(
@@ -744,11 +784,11 @@ def test_tolerances_govern_a_deferred_entry_as_they_govern_integrate(
     # the first panel changes the entry's value exactly as integrate's
     entry = DeferredIntegral(pe("tanh(lam*x)*x", ("x", LAMBDA)))
     f = reference(entry, [1.0])
-    loose = integrate(f, 0.0, 1.0)
+    loose = quad(f)
     assert loose.subdivisions == 0
-    assert same(entry.eval({"x": 1.0}), loose.value)
+    assert same(entry.at(1.0), loose.value)
     monkeypatch.setattr(quadrature, "ABS_TOL", 1e-16)
     monkeypatch.setattr(quadrature, "REL_TOL", 1e-16)
-    tight = integrate(f, 0.0, 1.0)
+    tight = quad(f)
     assert tight.subdivisions > 0 and tight.value != loose.value
-    assert same(entry.eval({"x": 1.0}), tight.value)
+    assert same(entry.at(1.0), tight.value)
