@@ -57,17 +57,20 @@ compiler.  The source is the same for two function tables:
   own ``at``, on its ``arg_names`` in order.  A vector function whose
   entry fails raises :class:`EntryError`, the one error that names a
   failing entry.  :func:`compile_panel` writes a quadrature rule's
-  panel of an integrand on any interval, the one function a deferred
+  panel of an integrand on any interval, the function a deferred
   integral compiles: the nodes free of the integration variable once,
   the rest in a loop over the rule's node pairs.
 * The numpy table maps them to ufuncs and :data:`ARRAY_FUNCTIONS`, so
   :func:`compile_array` evaluates one tree at whole arrays of points.
   It agrees with the scalar table to a few ulp (the transcendental
   functions are other implementations; the arithmetic is the same).  A
-  node it has no code for makes the whole tree "no code": it returns
-  None, and the caller keeps to the scalar table (the range scan walks
-  every block of such an entry point by point).  Domain and range
-  violations raise only as numpy's ``errstate`` says.
+  deferred integral is called through its own ``at_array``, which runs
+  its panel in this table on the whole array and integrates only the
+  points that panel does not settle through ``at``.  A node it has no
+  code for (a foreign node with no ``at_array``, or a variable that is
+  not an argument) makes the whole tree "no code": it returns None, and
+  the caller keeps to the scalar table.  Domain and range violations
+  raise only as numpy's ``errstate`` says.
 """
 
 from __future__ import annotations
@@ -673,6 +676,9 @@ _TABLES = {
               **{f"_fn_{fn}": impl for fn, impl in ARRAY_FUNCTIONS.items()}},
 }
 
+# the method through which each table calls a deferred integral
+_DEFERRED_CALL = {"scalar": "at", "numpy": "at_array"}
+
 # the deepest code written inline, and the most terms of one inline sum
 # or product; a deeper node, or a run of further terms, gets a local
 _MAX_DEPTH = 32
@@ -738,15 +744,20 @@ def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], fail=None,
                 out = f"_pow({src[0]}, {src[1]})"
             elif isinstance(node, Call):
                 out = f"_fn_{node.fn}({src[0]})"
-            elif table == "numpy":
-                return False
-            elif isinstance(node, Var):
+            elif isinstance(node, Var):  # not an argument
+                if table == "numpy":
+                    return False
                 out = f"_unbound({node.name!r})"
             else:  # a deferred integral, called on its arguments in order
+                method = _DEFERRED_CALL[table]
+                srcs = [args.get(n) for n in node.arg_names]
+                if table == "numpy" and (None in srcs
+                                         or not hasattr(node, method)):
+                    return False
                 ns[f"_node{len(ns)}"] = node
-                vals = ", ".join(args.get(n) or f"_unbound({n!r})"
-                                 for n in node.arg_names)
-                out = f"_node{len(ns) - 1}.at({vals})"
+                vals = ", ".join(v or f"_unbound({n!r})"
+                                 for n, v in zip(node.arg_names, srcs))
+                out = f"_node{len(ns) - 1}.{method}({vals})"
             if uses[node] > 1 or d > _MAX_DEPTH or node in hoist:
                 out, d = local(sink, out), 0
             code[node] = (out, d)
@@ -766,12 +777,14 @@ def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], fail=None,
                      if lam not in c.free_vars())
         if lam not in e.free_vars():
             hoist.add(e)
-        emit([n for n in order if lam not in n.free_vars()], args, code,
-             lines)
+        if not emit([n for n in order if lam not in n.free_vars()], args,
+                    code, lines):
+            return None
         at = []
         for node_src in ("_lo", "_hi", "_mid"):
             at_lines, at_code = [], dict(code)
-            emit(inner, {**args, lam: node_src}, at_code, at_lines)
+            if not emit(inner, {**args, lam: node_src}, at_code, at_lines):
+                return None
             at.append((at_lines, at_code[e][0]))
         (lo_lines, lo), (hi_lines, hi), (c_lines, c) = at
         if hi_lines:  # lo is done before hi's code runs, as panel has it
@@ -868,14 +881,16 @@ def compile_scalar(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
 def compile_array(e: Expr, arg_names: Iterable[str]) -> Callable | None:
     """``e`` through the numpy table: a function of equal-shaped float
     arrays, one per name, that returns ``e`` at every point, or None when
-    the table has no code for a node of ``e`` (a deferred integral or a
-    variable that is not an argument).  Domain and range violations
-    follow ``np.errstate``; a constant ``e`` returns a scalar."""
+    the table has no code for a node of ``e`` (a foreign node with no
+    ``at_array`` method, or a variable that is not an argument).  A
+    deferred integral runs its ``at_array`` on its arguments.  Domain and
+    range violations follow ``np.errstate``; a constant ``e`` returns a
+    scalar."""
     return _compile((e,), tuple(arg_names), table="numpy")
 
 
 def compile_panel(integrand: Expr, lam: str, arg_names: Iterable[str],
-                  rule) -> Callable[..., tuple[float, float, float]]:
+                  rule, table: str = "scalar") -> Callable[..., tuple]:
     """One quadrature panel of the integral of ``integrand`` over ``lam``
     as straight-line code: a positional function of ``arg_names`` and
     then the interval's ends ``a, b`` that returns ``(kronrod, gauss,
@@ -885,8 +900,13 @@ def compile_panel(integrand: Expr, lam: str, arg_names: Iterable[str],
     :data:`lpvembed.quadrature.RULE` gives it; the nodes are placed and
     the sums accumulate as that function does, pair by pair, centre last.
     Raises what the integrand raises at a node; a failing node free of
-    ``lam`` raises before any node is placed."""
-    return _compile((integrand,), tuple(arg_names), panel=(lam, rule))
+    ``lam`` raises before any node is placed.  With ``table="numpy"``
+    the same source runs on equal-shaped arrays of the arguments, ``a``
+    and ``b`` and the nodes staying scalars, and gives the three as
+    arrays, equal to the scalar panel's to a few ulp, as
+    :func:`compile_array` does; None where that table has no code."""
+    return _compile((integrand,), tuple(arg_names), table=table,
+                    panel=(lam, rule))
 
 
 def constant_value(e: Expr) -> float:

@@ -45,7 +45,7 @@ from .expr import (
     NonDifferentiableError, Pow, Var, ZERO, add, call, compile_panel,
     compile_vector, div, mul, neg, substitute, to_string,
 )
-from .quadrature import RULE, integrate
+from .quadrature import RULE, integrate, unsettled
 
 # the integration variable; model variables may not use this name
 LAMBDA = "lam"
@@ -183,13 +183,16 @@ class DeferredIntegral(Expr):
     """An entry kept as integral_0^1 integrand dlam, evaluated on demand.
 
     Behaves as an expression in the integrand's non-lam variables,
-    ``arg_names``.  Its one compiled function, built with it, is a
+    ``arg_names``.  Its compiled function, built with it, is a
     Gauss-Kronrod panel of the integrand on any interval as straight-line
     code (:func:`compile_panel`); adaptive quadrature calls it for every
-    panel it needs and raises what the integrand raises.
+    panel it needs and raises what the integrand raises.  The same panel
+    in the numpy table, for :meth:`at_array`, is compiled on that
+    method's first call, so an entry that is only evaluated point by
+    point (loaded, simulated, verified) never compiles it.
     """
 
-    __slots__ = ("integrand", "arg_names", "_panel")
+    __slots__ = ("integrand", "arg_names", "_panel", "_array_panel")
 
     def _build(self, integrand: Expr):
         free = integrand.free_vars() - {LAMBDA}
@@ -198,6 +201,7 @@ class DeferredIntegral(Expr):
         object.__setattr__(self, "arg_names", args)
         object.__setattr__(self, "_panel",
                            compile_panel(integrand, LAMBDA, args, RULE))
+        object.__setattr__(self, "_array_panel", None)
         object.__setattr__(self, "_free", free)
 
     def display(self) -> str:
@@ -207,6 +211,27 @@ class DeferredIntegral(Expr):
         """The integral at the values of ``arg_names``, in order."""
         panel = partial(self._panel, *map(float, values))
         return integrate(panel, 0.0, 1.0).value
+
+    def at_array(self, *values) -> np.ndarray:
+        """:meth:`at` at every point of equal-shaped float arrays, one per
+        name of ``arg_names``, in order.  One panel on [0, 1] in the numpy
+        table gives each point's first estimate; a point it settles, by
+        quadrature's own test (:func:`unsettled`), keeps that estimate,
+        equal to :meth:`at`'s to a few ulp, and every other point is
+        :meth:`at`'s value, bit for bit.  Raises what :meth:`at` raises,
+        and floating-point errors as ``np.errstate`` says."""
+        panel = self._array_panel
+        if panel is None:
+            panel = compile_panel(self.integrand, LAMBDA, self.arg_names,
+                                  RULE, table="numpy")
+            object.__setattr__(self, "_array_panel", panel)
+        k, _, err = panel(*values, 0.0, 1.0)
+        shape = np.broadcast_shapes(*map(np.shape, values))
+        out = np.array(np.broadcast_to(k, shape), dtype=float)
+        flat, cols = out.reshape(-1), [np.ravel(v) for v in values]
+        for n in np.flatnonzero(unsettled(err, out)):
+            flat[n] = self.at(*(c[n] for c in cols))
+        return out
 
     def diff(self, var):
         raise NonDifferentiableError(

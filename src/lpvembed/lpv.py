@@ -39,6 +39,7 @@ from .expr import (EVAL_ERRORS, Add, EntryError, EvalError, Expr, Mul,
 from .factorize import (
     Anchor, FactorizedSystem, ModelError, NlssModel, var_sort_key,
 )
+from .quadrature import QuadratureConvergenceError
 
 RANGE_GRID_BUDGET = 10_000_000
 RANGE_BLOCK = 1 << 16      # grid points per numpy evaluation in the scan
@@ -442,7 +443,8 @@ def _scan(idx: int, fp: Sequence[str], axes, fn, vec) -> tuple[float, float]:
                 with np.errstate(all="raise", under="ignore"):
                     # a constant is one number
                     v = np.broadcast_to(vec(*columns(flat)), flat.shape)
-            except (FloatingPointError, *EVAL_ERRORS):
+            except (FloatingPointError, QuadratureConvergenceError,
+                    *EVAL_ERRORS):
                 pass
         if v is None or not np.isfinite(v).all():
             v = walk(flat)
@@ -470,18 +472,23 @@ def estimate_range(sm: SchedulingMap, box: Mapping[str, tuple[float, float]],
     at most ``RANGE_BLOCK`` points, so memory does not grow with the
     grid.  Each block is evaluated at once through the numpy table
     (:func:`compile_array`) with every floating-point flag but underflow
-    raised.  A block the table has no code for (a deferred integral),
-    or that raises or gives a non-finite value, is walked point by point
+    raised.  There a deferred integral runs one quadrature panel at every
+    point and integrates through ``at`` only the points that panel does
+    not settle (``DeferredIntegral.at_array``).  A block the table has
+    no code for, or that raises (a quadrature that does not converge
+    included) or gives a non-finite value, is walked point by point
     through the entry's compiled scalar function (:func:`compile_scalar`)
     instead.  The raw extrema are the first grid points with the least
     and the greatest value, and their values are the scalar function's
-    at those points.  Only the scalar function raises: a domain error or
-    a non-finite value raises EntryError naming the entry and the grid
+    at those points.  Only the scalar function raises, so the scan
+    raises what a wholly scalar scan raises: a domain error or a
+    non-finite value raises EntryError naming the entry and the grid
     point.  It runs on numpy scalars, so ``tanh(1/x1)`` is 1 at x1 = 0,
     as in ``simulate``, which calls on floats and retries a failing call
     on numpy scalars (:func:`call_floats`).  The table agrees with it to
-    a few ulp, so in an entry with walked and table blocks a near-tie
-    may pick another extremal point than a wholly scalar scan would.
+    a few ulp (a deferred integral's panel may then settle a point that
+    ``at`` subdivides, within quadrature's tolerance), so a near-tie may
+    pick another extremal point than a wholly scalar scan would.
     """
     if grid_per_dim < 2:
         raise RangeGridError("grid_per_dim must be at least 2")

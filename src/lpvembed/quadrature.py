@@ -4,9 +4,11 @@ Each interval is estimated with the 15-point Kronrod rule; the embedded
 7-point Gauss rule shares its odd nodes and the absolute difference of
 the two estimates serves as the interval's error bound.  The interval
 with the largest bound is bisected until the summed bounds fall below
-``max(ABS_TOL, REL_TOL * |integral|)`` or the subdivision budget runs
-out, in which case :class:`QuadratureConvergenceError` is raised still
-carrying the best estimate.
+``max(ABS_TOL, REL_TOL * |integral|)`` (:func:`unsettled`, which a
+caller holding many first panels at once applies to all of them) or the
+subdivision budget runs out, in which case
+:class:`QuadratureConvergenceError` is raised still carrying the best
+estimate.
 
 The two central weights are not the textbook values but are derived at
 import time as ``2 - sum(other weights)`` accumulated in evaluation
@@ -87,6 +89,18 @@ REL_TOL = 1e-8
 MAX_SUBDIVISIONS = 2000
 
 
+def unsettled(err, value):
+    """``err > max(ABS_TOL, REL_TOL * abs(value))``, integrate's test that
+    an estimate ``value`` with error bound ``err`` needs more panels, on
+    floats or elementwise on arrays, with the tolerances read at call
+    time.  As there, a NaN ``REL_TOL * abs(value)`` leaves ABS_TOL as the
+    bound and a NaN ``err`` settles."""
+    rel = REL_TOL * abs(value)
+    # max keeps ABS_TOL unless rel > ABS_TOL; on bools, a <= b is "a
+    # implies b", so this holds on floats and on numpy arrays alike
+    return (err > ABS_TOL) & ((rel > ABS_TOL) <= (err > rel))
+
+
 class QuadratureConvergenceError(Exception):
     """Subdivision budget exhausted before meeting the tolerance.
 
@@ -154,7 +168,7 @@ def integrate(panel: Callable[[float, float], tuple[float, float, float]],
     total_err = err
     subdivisions = 0
 
-    while total_err > max(ABS_TOL, REL_TOL * abs(total)):
+    while unsettled(total_err, total):
         if subdivisions >= MAX_SUBDIVISIONS:
             raise QuadratureConvergenceError(total, total_err, subdivisions)
         neg_err, _, pa, pb, pk = heapq.heappop(heap)

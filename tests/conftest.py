@@ -1,10 +1,40 @@
+import functools
+import importlib.util
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lpvembed.expr import FUNCTIONS, Add, Call, Const, Div, Mul, Pow, Var
+from lpvembed.modelfile import load_model_file
 from lpvembed.models import load_bundled
+
+GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+
+
+@functools.cache
+def bench_gen():
+    """The benchmark's model generators, ``bench/gen.py``."""
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # for its dataclasses
+    spec.loader.exec_module(gen)
+    return gen
+
+
+@functools.cache
+def network_doc(index, seed=1):
+    """The benchmark's network case ``index`` of ``seed``, loaded from a
+    model file that is gone afterwards: 8 states, 10 deferred entries in
+    analytic mode."""
+    case = bench_gen().network(seed, index)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{case.name}.nlss"
+        path.write_text(case.text)
+        return load_model_file(str(path))
 
 
 def tree_eval(e, bindings):

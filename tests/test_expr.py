@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from lpvembed.expr import (
-    ARRAY_FUNCTIONS, FUNCTIONS, Add, Call, Const, EntryError, Mul,
+    ARRAY_FUNCTIONS, FUNCTIONS, Add, Call, Const, EntryError, Expr, Mul,
     NonDifferentiableError, UnboundVariableError, Var,
     Div, Pow, add, call, compile_array, compile_panel, compile_scalar,
     compile_vector, cosm1c, div, dsinc, expm1c, mul, neg, pow_, simplify,
@@ -426,11 +426,36 @@ def test_array_table_evaluates_whole_arrays():
         compile_array(p("ln(x)"), ("x",))(np.array([1.0, -1.0]))
 
 
+class Foreign(Expr):
+    """A node with a scalar ``at`` on its ``arg_names`` and no batched
+    ``at_array``."""
+
+    __slots__ = ("arg_names",)
+
+    def _build(self, *names):
+        object.__setattr__(self, "arg_names", names)
+        object.__setattr__(self, "_free", frozenset(names))
+
+    def at(self, *values):
+        return sum(values)
+
+
 def test_array_table_has_no_code_for_foreign_nodes():
     from lpvembed.factorize import DeferredIntegral
+    # a deferred integral has code: its own at_array, on its arguments
     d = DeferredIntegral(mul(Var("lam"), X, Y))
-    assert compile_array(add(X, mul(Y, d)), ("x", "y")) is None
+    e = add(X, mul(Y, d))
+    x = np.linspace(-2.0, 2.0, 7)
+    y = np.linspace(3.0, -1.0, 7)
+    want = np.array([tree_eval(e, {"x": a, "y": b}) for a, b in zip(x, y)])
+    got = compile_array(e, ("x", "y"))(x, y)
+    assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max())
+    # a node with no batched method, or a variable that is not an
+    # argument (on its own or as a deferred integral's) has none
+    assert compile_array(add(X, Foreign("x")), ("x",)) is None
+    assert compile_scalar(add(X, Foreign("x")), ("x",))(2.0) == 4.0
     assert compile_array(add(X, Var("z")), ("x",)) is None
+    assert compile_array(add(X, d), ("x",)) is None
     # nesting is no foreign node: a tree too deep to write inline compiles
     deep = X
     for _ in range(200):

@@ -2,13 +2,10 @@
 the closed-form rule table, quadrature fallback, and exactness of the
 resulting matrix functions."""
 
-import importlib.util
 import math
 import random
-import sys
 import types
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +21,7 @@ from lpvembed.factorize import (
     ModelError, NlssModel, _integrate_entry, factorize, input_names,
     integrate_analytic, jacobian, line_substitute, state_names,
 )
+from lpvembed.lpv import SchedulingMap, estimate_range
 from lpvembed.modelfile import load_model_file
 from lpvembed.models import BUNDLED, load_bundled
 from lpvembed.parser import parse_expr
@@ -31,7 +29,7 @@ from lpvembed import quadrature
 from lpvembed.quadrature import QuadResult, integrate
 from lpvembed.synthetic import corpus_models, random_model
 
-from conftest import tree_eval
+from conftest import bench_gen, network_doc, tree_eval
 
 MGL_OVER_J = 0.07 * 9.8 * 0.042 / 2.2e-4
 
@@ -562,26 +560,14 @@ def test_factorize_work_follows_the_footprint(monkeypatch):
 # models, the corpus, random_model(0..59) and the benchmark's generated
 # chain and network, in both modes, at the origin and a shifted anchor.
 
-GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
-
-
-def bench_gen(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
-    gen = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, gen)  # for its dataclasses
-    spec.loader.exec_module(gen)
-    return gen
-
-
-def canonical_sweep_models(tmp_path, monkeypatch):
-    gen = bench_gen(monkeypatch)
+def canonical_sweep_models(tmp_path):
     models = [load_bundled(b).model for b in BUNDLED]
     models += corpus_models() + [random_model(k) for k in range(60)]
-    for case in (gen.chain(1, 0), gen.network(1, 0)):
-        path = tmp_path / f"{case.name}.nlss"
-        path.write_text(case.text)
-        models.append(load_model_file(str(path)).model)
-    return models
+    case = bench_gen().chain(1, 0)
+    path = tmp_path / f"{case.name}.nlss"
+    path.write_text(case.text)
+    models.append(load_model_file(str(path)).model)
+    return models + [network_doc(0).model]
 
 
 def assert_canonical(e):
@@ -590,8 +576,8 @@ def assert_canonical(e):
     assert simplify(e) is e, to_string(e)
 
 
-def test_stages_build_canonical_trees(tmp_path, monkeypatch):
-    for model in canonical_sweep_models(tmp_path, monkeypatch):
+def test_stages_build_canonical_trees(tmp_path):
+    for model in canonical_sweep_models(tmp_path):
         for e in model.f + model.h:
             assert_canonical(e)
             assert_canonical(pe(to_string(e), model.var_names))
@@ -658,14 +644,9 @@ def quad(f):
     return integrate(partial(quadrature.panel, f), 0.0, 1.0)
 
 
-def deferred_entries(tmp_path, monkeypatch):
-    gen = bench_gen(monkeypatch)
+def deferred_entries():
     models = corpus_models() + [random_model(k) for k in range(60)]
-    for index in range(4):
-        case = gen.network(1, index)
-        path = tmp_path / f"{case.name}.nlss"
-        path.write_text(case.text)
-        models.append(load_model_file(str(path)).model)
+    models += [network_doc(index).model for index in range(4)]
     entries = {}
     for model in models:
         for mode in ("analytic", "numeric"):
@@ -678,15 +659,14 @@ def deferred_entries(tmp_path, monkeypatch):
     return list(entries)
 
 
-def test_generated_panel_and_value_match_quadrature_bitwise(tmp_path,
-                                                            monkeypatch):
+def test_generated_panel_and_value_match_quadrature_bitwise(monkeypatch):
     rng = random.Random(19)
     settled = subdivided = raised = 0
     # values near 1e200 overflow (OverflowError) or make integrands too
     # large to converge (QuadratureConvergenceError); a smaller budget
     # keeps the second kind cheap, on both sides alike
     monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 100)
-    for entry in deferred_entries(tmp_path, monkeypatch):
+    for entry in deferred_entries():
         for _ in range(12):
             vals = []
             for _ in entry.arg_names:
@@ -781,14 +761,39 @@ def test_a_first_panel_that_is_not_finite_is_quadratures(text, want):
 def test_tolerances_govern_a_deferred_entry_as_they_govern_integrate(
         monkeypatch):
     # the settle test is integrate's: a tolerance tight enough to reject
-    # the first panel changes the entry's value exactly as integrate's
+    # the first panel changes the entry's value exactly as integrate's.
+    # at_array and the range scan settle a point by the same test: at
+    # the loose tolerances the numpy panel settles every grid point, and
+    # the scan calls at only at its two extrema; at the tight ones every
+    # point goes to at, and the batch is at's values bit for bit
     entry = DeferredIntegral(pe("tanh(lam*x)*x", ("x", LAMBDA)))
+    sm = SchedulingMap((entry,), ("x",))
+    x = np.linspace(0.5, 1.0, 5)
+    calls = []
+    at = DeferredIntegral.at
+    monkeypatch.setattr(DeferredIntegral, "at",
+                        lambda self, *v: calls.append(v) or at(self, *v))
+
+    def batched(batch_calls):
+        want = [quad(reference(entry, [v])).value for v in x]
+        calls.clear()
+        got = entry.at_array(x)
+        assert len(calls) == batch_calls
+        assert np.abs(got - want).max() <= 4 * np.spacing(max(want))
+        calls.clear()
+        rb = estimate_range(sm, {"x": (0.5, 1.0)}, grid_per_dim=x.size)
+        assert len(calls) == batch_calls + 2
+        assert rb.raw == ((want[0], want[-1]),)
+        return got.tobytes() == np.array(want).tobytes()
+
     f = reference(entry, [1.0])
     loose = quad(f)
     assert loose.subdivisions == 0
     assert same(entry.at(1.0), loose.value)
+    batched(0)
     monkeypatch.setattr(quadrature, "ABS_TOL", 1e-16)
     monkeypatch.setattr(quadrature, "REL_TOL", 1e-16)
     tight = quad(f)
     assert tight.subdivisions > 0 and tight.value != loose.value
     assert same(entry.at(1.0), tight.value)
+    assert batched(x.size)

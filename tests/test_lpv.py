@@ -25,9 +25,10 @@ from lpvembed.lpv import (
 )
 from lpvembed.models import BUNDLED, corpus, load_bundled
 from lpvembed.parser import parse_expr
+from lpvembed.quadrature import unsettled
 from lpvembed.synthetic import corpus_models, random_model
 
-from conftest import tree_eval
+from conftest import network_doc, tree_eval
 
 
 def pe(text, names):
@@ -140,6 +141,10 @@ def chain_model(n):
 
 def oracle_model(source):
     kind, _, key = source.partition(":")
+    if kind == "numeric":
+        return oracle_model(key)
+    if kind == "network":
+        return network_doc(int(key)).model
     if kind == "bundled":
         return load_bundled(key).model
     if kind == "corpus":
@@ -597,21 +602,27 @@ def test_floats_first_equal_the_call_on_numpy_scalars(source):
 
 # the oracle sweep and 30 more random models
 TABLE_SOURCES = ORACLE_SOURCES + [f"random:{k}" for k in range(30, 60)]
+# sources with deferred entries: the benchmark's networks, and a chain
+# factorized in numeric mode ("numeric:" + source), which defers every
+# lam-dependent entry
+DEFERRED_SOURCES = [f"network:{k}" for k in range(4)] + ["numeric:chain:5"]
 
 
-def source_box(source, model):
+def source_box(source):
     kind, _, key = source.partition(":")
-    return load_bundled(key).box if kind == "bundled" else default_box(model)
+    if kind == "numeric":
+        return source_box(key)
+    if kind == "bundled":
+        return load_bundled(key).box
+    if kind == "network":
+        return network_doc(int(key)).box
+    return default_box(oracle_model(source))
 
 
 def scheduling_maps(source):
-    fs = factorize(oracle_model(source))
+    mode = "numeric" if source.startswith("numeric:") else "analytic"
+    fs = factorize(oracle_model(source), mode=mode)
     return [extract(fs)[1] for extract in (extract_element, extract_factor)]
-
-
-def is_deferred(e):
-    return isinstance(e, DeferredIntegral) or any(
-        is_deferred(c) for c in e.children())
 
 
 def reference_range(sm, box, grid_per_dim):
@@ -635,19 +646,18 @@ def bits(raw):
     return np.array(raw, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("source", TABLE_SOURCES)
+@pytest.mark.parametrize("source", TABLE_SOURCES + DEFERRED_SOURCES)
 def test_numpy_table_equals_the_scalar_functions_within_4_ulp(source):
     # a 9-point grid per footprint component (0 included, where the
     # removable singularities sit) and random points; an ulp is taken at
     # the entry's largest magnitude there, since tanh, exp, expm1 and tan
-    # differ from math's by a few ulp and sums may cancel
+    # differ from math's by a few ulp and sums may cancel.  A deferred
+    # entry keeps its numpy panel's estimate only where that panel
+    # settles, and is at's value bit for bit at every other point
     rng = np.random.default_rng(5)
     for sm in scheduling_maps(source):
         for e, fp in zip(sm.entries, sm.footprints):
             vec = compile_array(e, fp)
-            assert (vec is None) == is_deferred(e), e
-            if vec is None:
-                continue
             grid = np.array(list(product(np.linspace(-1.5, 1.5, 9),
                                          repeat=len(fp))))
             pts = np.concatenate((grid, rng.uniform(-1.5, 1.5, (20, len(fp)))))
@@ -657,25 +667,115 @@ def test_numpy_table_equals_the_scalar_functions_within_4_ulp(source):
             want = np.array([fn(*row) for row in pts])
             ulp = np.spacing(np.abs(want).max())
             assert np.abs(got - want).max() <= 4 * ulp, e
+            if isinstance(e, DeferredIntegral):
+                k, _, err = e._array_panel(*pts.T, 0.0, 1.0)
+                redo = unsettled(err, k)
+                assert got[redo].tobytes() == want[redo].tobytes(), e
 
 
-def split_deferred(sm):
-    """(table entries, deferred entries) of ``sm``, each as a map."""
-    return tuple(SchedulingMap(tuple(e for e in sm.entries
-                                     if is_deferred(e) == deferred),
-                               sm.var_names)
-                 for deferred in (False, True))
-
-
-@pytest.mark.parametrize("source", TABLE_SOURCES)
+@pytest.mark.parametrize("source", TABLE_SOURCES + DEFERRED_SOURCES)
 def test_range_equals_the_scalar_scan_bit_for_bit(source):
-    # deferred entries are walked point by point through quadrature, so
-    # they run on a coarser grid
+    box = source_box(source)
     for sm in scheduling_maps(source):
-        box = source_box(source, oracle_model(source))
-        for sub, grid in zip(split_deferred(sm), (41, 11)):
-            rb = estimate_range(sub, box, grid_per_dim=grid)
-            assert bits(rb.raw) == bits(reference_range(sub, box, grid))
+        rb = estimate_range(sm, box, grid_per_dim=41)
+        assert bits(rb.raw) == bits(reference_range(sm, box, 41))
+
+
+def count_at_calls(monkeypatch):
+    """Counter of DeferredIntegral.at calls, per node."""
+    calls = Counter()
+    at = DeferredIntegral.at
+
+    def counted(self, *values):
+        calls[self] += 1
+        return at(self, *values)
+    monkeypatch.setattr(DeferredIntegral, "at", counted)
+    return calls
+
+
+def test_network_range_integrates_only_where_the_panel_does_not_settle(
+        monkeypatch):
+    # at runs at the points the numpy panel rejects, then at the two
+    # extrema, where the scalar function re-evaluates the entry
+    doc = network_doc(0)
+    _m, sm = extract_factor(factorize(doc.model))
+    calls = count_at_calls(monkeypatch)
+    estimate_range(sm, doc.box, grid_per_dim=101)
+    want, points = {}, 0
+    for e, fp in zip(sm.entries, sm.footprints):
+        if isinstance(e, DeferredIntegral):
+            cols = product(*(np.linspace(*doc.box[n], 101) for n in fp))
+            k, _, err = e._array_panel(*np.array(list(cols)).T, 0.0, 1.0)
+            want[e] = int(np.count_nonzero(unsettled(err, k))) + 2
+            points += k.size
+    # a scan walking every point would call at 21,230 times
+    assert len(want) == 10 and points + 2 * len(want) == 21_230
+    assert calls == want
+    assert sum(want.values()) < points / 20
+
+
+def test_a_convert_compiles_one_numpy_panel_per_scanned_entry(
+        monkeypatch, tmp_path):
+    # and loading the artifact, simulating it and verifying it compile
+    # none: the entries built at load time keep no numpy panel
+    import gc
+    from lpvembed import factorize as fz
+    from lpvembed.modelfile import load_artifact, save_artifact
+    from lpvembed.sim import InputSignal, simulate_lpv_self_scheduled
+    compiled = Counter()
+    compile_panel = fz.compile_panel
+
+    def counted(*args, **kwargs):
+        compiled[kwargs.get("table", "scalar")] += 1
+        return compile_panel(*args, **kwargs)
+    monkeypatch.setattr(fz, "compile_panel", counted)
+
+    def convert(path):
+        doc = network_doc(1, seed=2)
+        fs = factorize(doc.model)
+        m, sm = extract_factor(fs)
+        m.range_box = estimate_range(sm, doc.box, grid_per_dim=21)
+        verify_embedding(doc.model, m, sm, samples=50, box=doc.box)
+        save_artifact(str(path), m, sm)
+        return sum(isinstance(e, DeferredIntegral) for e in sm.entries)
+    path = tmp_path / "network.json"
+    scanned = convert(path)
+    assert scanned and compiled["numpy"] == scanned
+    gc.collect()
+    compiled.clear()
+    m, sm, _doc = load_artifact(str(path))
+    assert compiled["scalar"] == scanned   # the nodes are built anew
+    simulate_lpv_self_scheduled(m, sm, np.full(8, 0.5),
+                                InputSignal.from_exprs(["sin(t)"], 1), 1.0)
+    doc = network_doc(1, seed=2)
+    verify_embedding(doc.model, m, sm, samples=50, box=doc.box)
+    assert compiled["numpy"] == 0
+    assert all(e._array_panel is None for e in sm.entries
+               if isinstance(e, DeferredIntegral))
+
+
+@pytest.mark.parametrize("text, budget", [
+    ("ln(lam*x1 + 0.5)", None),         # a flag in the numpy panel
+    ("x1/(lam - 0.25)", None),          # at raises: 0.25 is a bisection's
+    ("sqrt(abs(lam - 0.3*x1))", 3),     # centre; the budget runs out
+], ids=["ln", "pole", "budget"])
+def test_a_failing_deferred_entry_raises_as_the_walk_does(monkeypatch, text,
+                                                          budget):
+    from lpvembed import quadrature
+    if budget is not None:
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", budget)
+    e = DeferredIntegral(pe(text, ("x1", "lam")))
+    sm = SchedulingMap((e,), ("x1",))
+    box = {"x1": (-1.0, 1.0)}
+    assert compile_array(e, ("x1",)) is not None
+
+    def raised():
+        with pytest.raises(Exception) as ei:
+            estimate_range(sm, box, grid_per_dim=11)
+        return type(ei.value), str(ei.value)
+    got = raised()
+    monkeypatch.setattr(lpv, "compile_array", lambda e, names: None)
+    assert got == raised()
 
 
 def test_range_ties_keep_the_first_signed_zero():
@@ -689,17 +789,15 @@ def test_range_ties_keep_the_first_signed_zero():
 
 
 def test_range_in_small_blocks_equals_one_block(monkeypatch):
-    # deferred entries run on a coarser grid, as above
     names = ("x1", "x2")
     ties = SchedulingMap((pe("x1*x2", names),), names)
     cases = [(ties, {"x1": (-1.0, 1.0), "x2": (0.0, 0.0)}, 21)]
     for source in ("bundled:unbalanced_disk", "bundled:tanh_example",
-                   "chain:5", "random:3", "random:8"):
+                   "chain:5", "random:3", "random:8", "network:0"):
         for sm in scheduling_maps(source):
-            box = source_box(source, oracle_model(source))
-            for sub, grid in zip(split_deferred(sm), (21, 11)):
-                cases.append((sub, box, grid))
-    assert any(sub.np and grid == 11 for sub, _box, grid in cases)
+            cases.append((sm, source_box(source), 21))
+    assert any(isinstance(e, DeferredIntegral)
+               for sm, _box, _grid in cases for e in sm.entries)
     want = [bits(estimate_range(sm, box, grid_per_dim=grid).raw)
             for sm, box, grid in cases]
     # 1^nan is 1: NaN for x1 > 0 only

@@ -3,14 +3,16 @@ independent composite-Simpson oracle."""
 
 import math
 from functools import partial
+from itertools import product
 
+import numpy as np
 import pytest
 
 from lpvembed import quadrature
 from lpvembed.expr import compile_panel, compile_scalar
 from lpvembed.parser import parse_expr
 from lpvembed.quadrature import (
-    RULE, QuadratureConvergenceError, QuadResult, integrate, panel,
+    RULE, QuadratureConvergenceError, QuadResult, integrate, panel, unsettled,
 )
 
 
@@ -173,3 +175,36 @@ def test_a_generated_panel_is_panel_on_any_interval(text, xs):
         # so integrate on either gives the same result
         assert all(map(same, integrate(partial(generated, x), 0.0, 1.0),
                        integrate(partial(panel, f), 0.0, 1.0)))
+
+
+def around(v):
+    """``v`` and its two neighbouring floats."""
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+def test_unsettled_is_integrates_test_on_floats_and_arrays():
+    # every pair of special values and the tolerances' boundaries: the
+    # error bound at ABS_TOL and at REL_TOL (the relative bound of 1.0),
+    # and the value where the relative bound reaches ABS_TOL
+    abs_tol, rel_tol = quadrature.ABS_TOL, quadrature.REL_TOL
+    values = ([0.0, -0.0, 5e-324, 1.0, math.inf, -math.inf, math.nan]
+              + around(abs_tol) + around(rel_tol) + around(abs_tol / rel_tol))
+    pairs = list(product(values, repeat=2))
+    want = [err > max(abs_tol, rel_tol * abs(value)) for err, value in pairs]
+    got = [unsettled(err, value) for err, value in pairs]
+    assert got == want
+    assert all(type(g) is bool for g in got)  # no numpy on floats
+    assert 0 < sum(want) < len(want)
+    errs, vals = np.array(pairs).T
+    with np.errstate(all="raise", under="ignore"):
+        batch = unsettled(errs, vals)
+    assert batch.dtype == bool and batch.tolist() == want
+
+
+def test_unsettled_reads_the_tolerances_at_call_time(monkeypatch):
+    assert not unsettled(1e-11, 1.0)
+    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-12)
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-12)
+    assert unsettled(1e-11, 1.0)
+    assert unsettled(np.array([1e-11, 1e-13]), np.array([1.0, 1.0])).tolist() \
+        == [True, False]
