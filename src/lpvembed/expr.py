@@ -47,16 +47,20 @@ used once is written into its parent's code; one used twice or more,
 or nested deeper than ``_MAX_DEPTH``, is computed once per call into a
 local, in post-order, as is each run of ``_MAX_DEPTH`` terms of a
 longer sum or product.  So no code nests too deeply for the Python
-compiler.  The source is the same for two function tables:
+compiler.  The source is the same for two function tables.  A node the
+generator has no code of its own for supplies ``arg_names``, ``at`` and
+``at_array``, and is called positionally on its ``arg_names``, through
+``at`` in the scalar table and ``at_array`` in the numpy one; a deferred
+integral is the only such node.  A variable that is not an argument, on
+its own or as such a node's, is code that raises
+:class:`UnboundVariableError` when it runs.
 
 * The scalar table maps the functions to :data:`FUNCTIONS`, on Python
   floats.  :func:`compile_vector` turns a list of trees into one
   function that returns their values as a tuple, and
-  :func:`compile_scalar` is its one-expression case.  A node the
-  generator has no code for (a deferred integral) is called through its
-  own ``at``, on its ``arg_names`` in order.  A vector function whose
-  entry fails raises :class:`EntryError`, the one error that names a
-  failing entry.  :func:`compile_panel` writes a quadrature rule's
+  :func:`compile_scalar` is its one-expression case.  A vector function
+  whose entry fails raises :class:`EntryError`, the one error that names
+  a failing entry.  :func:`compile_panel` writes a quadrature rule's
   panel of an integrand on any interval, the function a deferred
   integral compiles: the nodes free of the integration variable once,
   the rest in a loop over the rule's node pairs.
@@ -64,13 +68,10 @@ compiler.  The source is the same for two function tables:
   :func:`compile_array` evaluates one tree at whole arrays of points.
   It agrees with the scalar table to a few ulp (the transcendental
   functions are other implementations; the arithmetic is the same).  A
-  deferred integral is called through its own ``at_array``, which runs
-  its panel in this table on the whole array and integrates only the
-  points that panel does not settle through ``at``.  A node it has no
-  code for (a foreign node with no ``at_array``, or a variable that is
-  not an argument) makes the whole tree "no code": it returns None, and
-  the caller keeps to the scalar table.  Domain and range violations
-  raise only as numpy's ``errstate`` says.
+  deferred integral's ``at_array`` runs its panel in this table on the
+  whole array and integrates through ``at`` only the points that panel
+  does not settle.  Domain and range violations raise only as numpy's
+  ``errstate`` says.
 """
 
 from __future__ import annotations
@@ -668,9 +669,10 @@ def _unbound(name: str):
 
 
 # the only names compiled code sees besides its arguments: the function
-# table, and inf and nan, which repr prints for folded non-finite constants
+# table, _unbound, and inf and nan, which repr prints for folded
+# non-finite constants
 _TABLES = {
-    "scalar": {"_pow": math.pow, "_unbound": _unbound,
+    "scalar": {"_pow": math.pow,
                **{f"_fn_{fn}": impl for fn, impl in FUNCTIONS.items()}},
     "numpy": {"_pow": np.power,
               **{f"_fn_{fn}": impl for fn, impl in ARRAY_FUNCTIONS.items()}},
@@ -708,7 +710,7 @@ def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], fail=None,
     params = [f"_a{i}" for i in range(len(names))]
     args = dict(zip(names, params))
     ns = {"__builtins__": {}, "inf": math.inf, "nan": math.nan,
-          **_TABLES[table]}
+          "_unbound": _unbound, **_TABLES[table]}
     lines: list[str] = []
     count = itertools.count()
 
@@ -720,10 +722,9 @@ def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], fail=None,
     order, uses = _walk(exprs)
     hoist: set[Expr] = set()  # nodes a panel computes once, out of its loop
 
-    def emit(nodes, args, code, sink) -> bool:
+    def emit(nodes, args, code, sink) -> None:
         """Each node's code and the depth it nests to into ``code``,
-        children first, and the locals they need into ``sink``; False
-        where the table has no code for a node."""
+        children first, and the locals they need into ``sink``."""
         for node in nodes:
             if isinstance(node, Const):
                 code[node] = (repr(node.value), 0)
@@ -745,23 +746,15 @@ def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], fail=None,
             elif isinstance(node, Call):
                 out = f"_fn_{node.fn}({src[0]})"
             elif isinstance(node, Var):  # not an argument
-                if table == "numpy":
-                    return False
                 out = f"_unbound({node.name!r})"
             else:  # a deferred integral, called on its arguments in order
-                method = _DEFERRED_CALL[table]
-                srcs = [args.get(n) for n in node.arg_names]
-                if table == "numpy" and (None in srcs
-                                         or not hasattr(node, method)):
-                    return False
                 ns[f"_node{len(ns)}"] = node
-                vals = ", ".join(v or f"_unbound({n!r})"
-                                 for n, v in zip(node.arg_names, srcs))
-                out = f"_node{len(ns) - 1}.{method}({vals})"
+                vals = ", ".join(args.get(n, f"_unbound({n!r})")
+                                 for n in node.arg_names)
+                out = f"_node{len(ns) - 1}.{_DEFERRED_CALL[table]}({vals})"
             if uses[node] > 1 or d > _MAX_DEPTH or node in hoist:
                 out, d = local(sink, out), 0
             code[node] = (out, d)
-        return True
 
     sig = ", ".join(params)
     code: dict[Expr, tuple[str, int]] = {}
@@ -777,14 +770,12 @@ def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], fail=None,
                      if lam not in c.free_vars())
         if lam not in e.free_vars():
             hoist.add(e)
-        if not emit([n for n in order if lam not in n.free_vars()], args,
-                    code, lines):
-            return None
+        emit([n for n in order if lam not in n.free_vars()], args, code,
+             lines)
         at = []
         for node_src in ("_lo", "_hi", "_mid"):
             at_lines, at_code = [], dict(code)
-            if not emit(inner, {**args, lam: node_src}, at_code, at_lines):
-                return None
+            emit(inner, {**args, lam: node_src}, at_code, at_lines)
             at.append((at_lines, at_code[e][0]))
         (lo_lines, lo), (hi_lines, hi), (c_lines, c) = at
         if hi_lines:  # lo is done before hi's code runs, as panel has it
@@ -812,20 +803,19 @@ def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], fail=None,
                "  _k = _half * _k\n"
                "  _g = _half * _g\n"
                "  return _k, _g, _fn_abs(_k - _g)\n")
-    elif not emit(order, args, code, lines):
-        return None
-    elif fail is None:
-        body = "".join(f"  {line}\n" for line in lines)
-        src = f"def _f({sig}):\n{body}  return {code[exprs[0]][0]}\n"
     else:
-        # a vector hands what its entries raise, with its arguments, to
-        # fail, or to the _fail its caller passes
-        ns.update(_errors=EVAL_ERRORS, _fail=fail)
+        emit(order, args, code, lines)
         body = "".join(f"  {line}\n" for line in lines)
-        values = "".join(code[e][0] + ", " for e in exprs)
-        head = ", ".join(params + ["*", "_fail=_fail"])
-        src = (f"def _f({head}):\n try:\n{body}  return ({values})\n"
-               f" except _errors as _exc: _fail(_exc, [{sig}])\n")
+        if fail is None:
+            src = f"def _f({sig}):\n{body}  return {code[exprs[0]][0]}\n"
+        else:
+            # a vector hands what its entries raise, with its arguments,
+            # to fail, or to the _fail its caller passes
+            ns.update(_errors=EVAL_ERRORS, _fail=fail)
+            values = "".join(code[e][0] + ", " for e in exprs)
+            head = ", ".join(params + ["*", "_fail=_fail"])
+            src = (f"def _f({head}):\n try:\n{body}  return ({values})\n"
+                   f" except _errors as _exc: _fail(_exc, [{sig}])\n")
     exec(src, ns)
     # the function is the namespace's: kept out of it, it is in no
     # reference cycle, so a dropped function is freed at once
@@ -878,13 +868,11 @@ def compile_scalar(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     return _compile((e,), tuple(arg_names))
 
 
-def compile_array(e: Expr, arg_names: Iterable[str]) -> Callable | None:
+def compile_array(e: Expr, arg_names: Iterable[str]) -> Callable:
     """``e`` through the numpy table: a function of equal-shaped float
-    arrays, one per name, that returns ``e`` at every point, or None when
-    the table has no code for a node of ``e`` (a foreign node with no
-    ``at_array`` method, or a variable that is not an argument).  A
-    deferred integral runs its ``at_array`` on its arguments.  Domain and
-    range violations follow ``np.errstate``; a constant ``e`` returns a
+    arrays, one per name, that returns ``e`` at every point.  A deferred
+    integral runs its ``at_array`` on its arguments.  Domain and range
+    violations follow ``np.errstate``; a constant ``e`` returns a
     scalar."""
     return _compile((e,), tuple(arg_names), table="numpy")
 
@@ -904,7 +892,7 @@ def compile_panel(integrand: Expr, lam: str, arg_names: Iterable[str],
     the same source runs on equal-shaped arrays of the arguments, ``a``
     and ``b`` and the nodes staying scalars, and gives the three as
     arrays, equal to the scalar panel's to a few ulp, as
-    :func:`compile_array` does; None where that table has no code."""
+    :func:`compile_array` does."""
     return _compile((integrand,), tuple(arg_names), table=table,
                     panel=(lam, rule))
 

@@ -408,8 +408,8 @@ def _check_interval(name: str, lo: float, hi: float) -> None:
 
 def _scan(idx: int, fp: Sequence[str], axes, fn, vec) -> tuple[float, float]:
     """(lo, hi) of entry ``idx`` over the grid of ``axes``, as
-    :func:`estimate_range` describes: blocks through ``vec`` (None when
-    the numpy table has no code), or point by point through ``fn``."""
+    :func:`estimate_range` describes: blocks through ``vec``, and point
+    by point through ``fn`` where a block raises or is not finite."""
     shape = tuple(len(a) for a in axes)
     total = math.prod(shape)
 
@@ -438,14 +438,13 @@ def _scan(idx: int, fp: Sequence[str], axes, fn, vec) -> tuple[float, float]:
     for start in range(0, total, RANGE_BLOCK):
         flat = np.arange(start, min(start + RANGE_BLOCK, total))
         v = None
-        if vec is not None:
-            try:
-                with np.errstate(all="raise", under="ignore"):
-                    # a constant is one number
-                    v = np.broadcast_to(vec(*columns(flat)), flat.shape)
-            except (FloatingPointError, QuadratureConvergenceError,
-                    *EVAL_ERRORS):
-                pass
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                # a constant is one number
+                v = np.broadcast_to(vec(*columns(flat)), flat.shape)
+        except (FloatingPointError, QuadratureConvergenceError,
+                *EVAL_ERRORS):
+            pass
         if v is None or not np.isfinite(v).all():
             v = walk(flat)
         i, j = int(v.argmin()), int(v.argmax())
@@ -474,10 +473,10 @@ def estimate_range(sm: SchedulingMap, box: Mapping[str, tuple[float, float]],
     (:func:`compile_array`) with every floating-point flag but underflow
     raised.  There a deferred integral runs one quadrature panel at every
     point and integrates through ``at`` only the points that panel does
-    not settle (``DeferredIntegral.at_array``).  A block the table has
-    no code for, or that raises (a quadrature that does not converge
-    included) or gives a non-finite value, is walked point by point
-    through the entry's compiled scalar function (:func:`compile_scalar`)
+    not settle (``DeferredIntegral.at_array``).  A block that raises (a
+    quadrature that does not converge, or an unbound variable, included)
+    or gives a non-finite value is walked point by point through the
+    entry's compiled scalar function (:func:`compile_scalar`)
     instead.  The raw extrema are the first grid points with the least
     and the greatest value, and their values are the scalar function's
     at those points.  Only the scalar function raises, so the scan

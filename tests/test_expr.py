@@ -427,8 +427,8 @@ def test_array_table_evaluates_whole_arrays():
 
 
 class Foreign(Expr):
-    """A node with a scalar ``at`` on its ``arg_names`` and no batched
-    ``at_array``."""
+    """A node the generator has no code for: it supplies ``arg_names``,
+    ``at`` and ``at_array``."""
 
     __slots__ = ("arg_names",)
 
@@ -439,10 +439,13 @@ class Foreign(Expr):
     def at(self, *values):
         return sum(values)
 
+    at_array = at
 
-def test_array_table_has_no_code_for_foreign_nodes():
+
+def test_array_table_compiles_foreign_nodes_and_unbound_variables():
     from lpvembed.factorize import DeferredIntegral
-    # a deferred integral has code: its own at_array, on its arguments
+    # a deferred integral is called through its own at_array, on its
+    # arguments
     d = DeferredIntegral(mul(Var("lam"), X, Y))
     e = add(X, mul(Y, d))
     x = np.linspace(-2.0, 2.0, 7)
@@ -450,12 +453,17 @@ def test_array_table_has_no_code_for_foreign_nodes():
     want = np.array([tree_eval(e, {"x": a, "y": b}) for a, b in zip(x, y)])
     got = compile_array(e, ("x", "y"))(x, y)
     assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max())
-    # a node with no batched method, or a variable that is not an
-    # argument (on its own or as a deferred integral's) has none
-    assert compile_array(add(X, Foreign("x")), ("x",)) is None
-    assert compile_scalar(add(X, Foreign("x")), ("x",))(2.0) == 4.0
-    assert compile_array(add(X, Var("z")), ("x",)) is None
-    assert compile_array(add(X, d), ("x",)) is None
+    foreign = add(X, Foreign("x"))
+    assert compile_array(foreign, ("x",))(x).tolist() == (2 * x).tolist()
+    assert compile_scalar(foreign, ("x",))(2.0) == 4.0
+    # a variable that is not an argument, on its own or as a deferred
+    # integral's, compiles in both tables and raises when called
+    for tree, name in ((add(X, Var("z")), "z"), (add(X, d), "y")):
+        for fn, arg in ((compile_scalar(tree, ("x",)), 1.0),
+                        (compile_array(tree, ("x",)), x)):
+            with pytest.raises(UnboundVariableError) as ei:
+                fn(arg)
+            assert str(ei.value) == f"unbound variable '{name}'"
     # nesting is no foreign node: a tree too deep to write inline compiles
     deep = X
     for _ in range(200):

@@ -12,8 +12,8 @@ import pytest
 
 from lpvembed import lpv
 from lpvembed.expr import (
-    Add, Const, EntryError, Var, add, call, call_floats, compile_array,
-    compile_scalar, compile_vector, pow_,
+    Add, Const, EntryError, EvalError, Var, add, call, call_floats,
+    compile_array, compile_scalar, compile_vector, pow_,
 )
 from lpvembed.factorize import (
     Anchor, DeferredIntegral, ModelError, NlssModel, factorize, state_names,
@@ -767,14 +767,16 @@ def test_a_failing_deferred_entry_raises_as_the_walk_does(monkeypatch, text,
     e = DeferredIntegral(pe(text, ("x1", "lam")))
     sm = SchedulingMap((e,), ("x1",))
     box = {"x1": (-1.0, 1.0)}
-    assert compile_array(e, ("x1",)) is not None
 
     def raised():
         with pytest.raises(Exception) as ei:
             estimate_range(sm, box, grid_per_dim=11)
         return type(ei.value), str(ei.value)
     got = raised()
-    monkeypatch.setattr(lpv, "compile_array", lambda e, names: None)
+
+    def refuse(*columns):  # every block walked point by point
+        raise EvalError("refused")
+    monkeypatch.setattr(lpv, "compile_array", lambda e, names: refuse)
     assert got == raised()
 
 
