@@ -271,9 +271,29 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _report_lines(rep) -> list[str]:
+    """The lines ``info`` prints for an artifact's conversion report."""
+    warnings = rep.get("warnings", [])
+    if not isinstance(warnings, list):  # a string would print per letter
+        raise TypeError("warnings must be a list")
+    lines = [f"  warning: {w}" for w in warnings]
+    ver = rep.get("verify")
+    if ver:
+        # non-finite residuals are stored as "nan", "inf" or "-inf"
+        lines.append(f"  verified max residual "
+                     f"{float(ver['max_residual']):.3e} over "
+                     f"{ver['samples']} samples")
+    return lines
+
+
 def cmd_info(args) -> int:
     if _is_artifact(args.target):
         m, sm, doc = load_artifact(args.target)
+        try:
+            report = _report_lines(doc.get("report", {}))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ModelFileError(f"malformed report: {exc!r}",
+                                 args.target) from None
         print(f"LPV model artifact: {doc.get('name', args.target)}")
         print(f"  nx={m.nx} nu={m.nu} ny={m.ny} np={m.np}  "
               f"sample_time={m.sample_time:g}")
@@ -283,14 +303,8 @@ def cmd_info(args) -> int:
         print("  coefficients: " + ", ".join(
             f"{t} {m.coeffs[t].c.size}" for t in "ABCD") + " nonzero")
         _print_sched(sm, m.range_box)
-        rep = doc.get("report", {})
-        for w in rep.get("warnings", ()):
-            print(f"  warning: {w}")
-        ver = rep.get("verify")
-        if ver:
-            # non-finite residuals are stored as "nan", "inf" or "-inf"
-            print(f"  verified max residual {float(ver['max_residual']):.3e} "
-                  f"over {ver['samples']} samples")
+        for line in report:
+            print(line)
     else:
         doc = _load_model(args.target)
         model = doc.model

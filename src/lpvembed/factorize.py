@@ -79,6 +79,15 @@ def var_sort_key(name: str):
 # model and anchor
 # ---------------------------------------------------------------------------
 
+def check_sample_time(sample_time: float) -> None:
+    """Refuse a ``sample_time`` that breaks :class:`NlssModel`'s
+    convention: one that is not finite, or not 0, > 0 or -1."""
+    if not math.isfinite(sample_time):
+        raise ModelError(f"sample_time must be finite, got {sample_time!r}")
+    if sample_time < 0.0 and sample_time != -1.0:
+        raise ModelError("sample_time must be 0 (continuous), > 0, or -1")
+
+
 @dataclass(frozen=True)
 class NlssModel:
     """Nonlinear state-space model  xi(x) = f(x, u),  y = h(x, u).
@@ -105,10 +114,7 @@ class NlssModel:
             raise ModelError(f"expected {self.nx} state equations, got {len(self.f)}")
         if len(self.h) != self.ny:
             raise ModelError(f"expected {self.ny} output equations, got {len(self.h)}")
-        if not math.isfinite(self.sample_time):
-            raise ModelError(f"sample_time must be finite, got {self.sample_time!r}")
-        if self.sample_time < 0.0 and self.sample_time != -1.0:
-            raise ModelError("sample_time must be 0 (continuous), > 0, or -1")
+        check_sample_time(self.sample_time)
         allowed = set(self.var_names)
         for label, vec in (("f", self.f), ("h", self.h)):
             for i, e in enumerate(vec):

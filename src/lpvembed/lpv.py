@@ -37,7 +37,8 @@ from .expr import (EVAL_ERRORS, Add, EntryError, EvalError, Expr, Mul,
                    call_floats, compile_array, compile_scalar,
                    compile_vector, constant_value, mul, to_string)
 from .factorize import (
-    Anchor, FactorizedSystem, ModelError, NlssModel, var_sort_key,
+    Anchor, FactorizedSystem, ModelError, NlssModel, check_sample_time,
+    var_sort_key,
 )
 from .quadrature import QuadratureConvergenceError
 
@@ -195,7 +196,8 @@ class LpvssModel:
     verification, simulation and the artifact all work on the nonzeros.
     ``A`` to ``D`` build fresh read-only dense arrays on each access, for
     inspection; edit the triplets instead.  Every coefficient and offset
-    must be finite.  :meth:`from_dense` builds a model from dense arrays.
+    must be finite, and ``sample_time`` follows :class:`NlssModel`'s
+    convention.  :meth:`from_dense` builds a model from dense arrays.
     """
 
     nx: int
@@ -229,6 +231,7 @@ class LpvssModel:
                 at = np.argwhere(~np.isfinite(arr))[0].tolist()
                 raise ModelError(f"{name}{at} = {arr[tuple(at)]} is not finite")
         self.anchor.bindings(self.nx, self.nu)  # checks its dimensions
+        check_sample_time(self.sample_time)
 
     @classmethod
     def from_dense(cls, A, B, C, D, **fields) -> LpvssModel:

@@ -351,7 +351,7 @@ def _range_box_from_json(rb, n_p: int, path: str) -> RangeBox:
                 if not (lo <= hi and finite):     # lo <= hi fails on NaN
                     raise ValueError(
                         f"invalid {key} interval for p{i + 1}: [{lo}, {hi}]")
-        box = {k: (float(v[0]), float(v[1])) for k, v in rb["box"].items()}
+        box = {k: (float(lo), float(hi)) for k, (lo, hi) in rb["box"].items()}
         for name, (lo, hi) in box.items():
             _check_interval(name, lo, hi)
         return RangeBox(**pairs, grid_per_dim=int(rb["grid_per_dim"]),

@@ -713,6 +713,31 @@ def test_info_artifact(disk_artifact, capsys):
     assert "  coefficients: A 3, B 1, C 1, D 0 nonzero\n" in text
 
 
+def _without_samples(report):
+    del report["verify"]["samples"]
+    return report
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda report: [], "AttributeError"),
+    (_without_samples, "KeyError('samples')"),
+    (lambda report: {**report, "warnings": 5},
+     "TypeError('warnings must be a list')"),
+    (lambda report: {**report, "warnings": "abc"},
+     "TypeError('warnings must be a list')"),
+], ids=["list", "no-samples", "warnings-int", "warnings-str"])
+def test_info_refuses_a_malformed_report(tmp_path, disk_artifact, capsys,
+                                         edit, needle):
+    doc = json.load(open(disk_artifact))
+    doc["report"] = edit(doc["report"])
+    bad = str(tmp_path / "bad.json")
+    json.dump(doc, open(bad, "w"))
+    code, text, err = run(["info", bad], capsys)
+    assert (code, text) == (2, "")
+    assert err.startswith(f"error: {bad}: malformed report: {needle}")
+    assert "Traceback" not in err
+
+
 def test_info_reads_a_version_1_artifact(capsys):
     v1 = str(Path(__file__).parent / "data" / "unbalanced_disk_v1.json")
     code, text, _ = run(["info", v1], capsys)

@@ -341,6 +341,8 @@ ARTIFACT_BAD_FIELD_CASES = [
      "range_box: invalid box for x1: [nan, 1.0]"),
     (_edit("range_box", "box", "x1", value=[-1e308, 1e308]),
      "range_box: invalid box for x1: width"),
+    (_edit("range_box", "box", "x1", value=[1.0]),
+     "range_box: not enough values to unpack (expected 2, got 1)"),
     (_edit("range_box", "raw", value=[[1.0, -1.0]]),
      "range_box: invalid raw interval for p1: [1.0, -1.0]"),
     (_edit("range_box", "raw", value=[["-inf", 1.0]]),
@@ -358,6 +360,13 @@ ARTIFACT_BAD_FIELD_CASES = [
      "anchor entries must be finite"),
     (_edit("anchor", "u", value=[float("inf")]),
      "anchor entries must be finite"),
+    (_edit("sample_time", value=-5.0),
+     "sample_time must be 0 (continuous), > 0, or -1"),
+    (_edit("sample_time", value=float("nan")),
+     "sample_time must be finite, got nan"),
+    # 1e400 is inf, in Python and in json alike
+    (_edit("sample_time", value=1e400),
+     "sample_time must be finite, got inf"),
 ]
 
 

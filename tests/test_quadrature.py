@@ -113,6 +113,50 @@ def test_tolerances_are_respected(monkeypatch):
     assert tight.value == pytest.approx(truth, abs=1e-10)
 
 
+def scripted(errors):
+    """A panel giving each interval its width as both estimates and the
+    error ``errors`` holds for it (0.0 if none), recording its calls."""
+    calls = []
+
+    def panel(p, q):
+        calls.append((p, q))
+        return q - p, q - p, errors.get((p, q), 0.0)
+    return panel, calls
+
+
+def test_an_empty_interval_calls_no_panel():
+    panel, calls = scripted({})
+    assert integrate(panel, 2.0, 2.0) == QuadResult(0.0, 0.0, 0, 0)
+    assert calls == []
+
+
+def test_drift_above_tolerance_stops_at_a_zero_error_panel(monkeypatch):
+    # with no tolerance, any error above 0 needs another panel; the
+    # bounds 1.0, then 0.1 + 0.2, then 0.0 everywhere leave rounding
+    # drift in the summed bound, so the loop ends where the worst panel
+    # has a zero bound, with the bound set to 0.0
+    monkeypatch.setattr(quadrature, "ABS_TOL", 0.0)
+    monkeypatch.setattr(quadrature, "REL_TOL", 0.0)
+    assert 1.0 + ((0.1 + 0.2) - 1.0) - 0.2 - 0.1 > 0.0
+    panel, calls = scripted({(0.0, 1.0): 1.0, (0.0, 0.5): 0.1,
+                             (0.5, 1.0): 0.2})
+    assert integrate(panel, 0.0, 1.0) == QuadResult(1.0, 0.0, 105, 3)
+    assert calls == [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0),
+                     (0.5, 0.75), (0.75, 1.0), (0.0, 0.25), (0.25, 0.5)]
+
+
+def test_a_panel_at_floating_point_resolution_is_accepted():
+    # [1, 1 + 2 ulp] bisects once into two panels with no float between
+    # their ends; each is accepted as it is, its bound dropped from the
+    # sum, worst first, and the loop ends when none is left
+    a = 1.0
+    m = math.nextafter(a, 2.0)
+    b = math.nextafter(m, 2.0)
+    panel, calls = scripted({(a, b): 1.0, (a, m): 0.5, (m, b): 0.25})
+    assert integrate(panel, a, b) == QuadResult((m - a) + (b - m), 0.0, 45, 1)
+    assert calls == [(a, b), (a, m), (m, b)]
+
+
 def test_result_is_deterministic():
     f = lambda t: math.tanh(4.0 * t) / (1.0 + t * t)
     a = quad(f, 0.0, 1.0)
