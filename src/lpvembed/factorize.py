@@ -22,12 +22,12 @@ deferred-quadrature node for that entry alone and a warning is recorded.
 Every tree here is built through the constructors of :mod:`lpvembed.expr`
 and is canonical as built, so no step normalizes it again.
 
-Cost follows each equation's footprint, the variables it uses: only
-those are differentiated and mapped onto the integration line, and every
-other Jacobian entry is a structural zero that passes through at constant
-cost.  A model whose equations each touch a few variables (a chain of
-coupled pendulums, say) factorizes in time about linear in its size,
-although the matrices hold (nx + nu) * (nx + ny) entries.
+Each factor matrix is stored sparse (:class:`MatrixFunction`): an entry
+outside its equation's footprint, the variables it uses, is identically
+zero and is never formed.  Only the footprint is differentiated, mapped
+onto the integration line and integrated, so a model whose equations each
+touch a few variables (a chain of coupled pendulums, say) factorizes in
+time about linear in its size.
 """
 
 from __future__ import annotations
@@ -248,17 +248,16 @@ class DeferredIntegral(Expr):
 # Jacobians and the integration line
 # ---------------------------------------------------------------------------
 
-def jacobian(fvec: Sequence[Expr], wrt: Sequence[str]) -> list[list[Expr]]:
+def jacobian(fvec: Sequence[Expr], wrt: Sequence[str]) -> MatrixFunction:
     """Matrix of partial derivatives, entry (i,j) = d fvec[i] / d wrt[j].
 
     Only variables in an equation's own footprint (``free_vars()``) are
-    differentiated; every other entry is a structural ``ZERO``.
+    differentiated and stored; every other entry is a structural zero.
     """
-    rows = []
-    for e in fvec:
-        footprint = e.free_vars()
-        rows.append([e.diff(v) if v in footprint else ZERO for v in wrt])
-    return rows
+    col = {v: j for j, v in enumerate(wrt)}
+    return MatrixFunction((len(fvec), len(wrt)), {
+        (i, j): e.diff(wrt[j]) for i, e in enumerate(fvec)
+        for j in sorted(col[v] for v in e.free_vars() if v in col)})
 
 
 def line_substitute(e: Expr, anchor: Anchor) -> Expr:
@@ -266,8 +265,7 @@ def line_substitute(e: Expr, anchor: Anchor) -> Expr:
 
     With the origin anchor every variable v becomes lam*v; generally v
     becomes v_bar + lam*(v - v_bar).  ``e`` must not already use the
-    integration variable.  Only the variables ``e`` uses are mapped, so
-    a structural zero costs the same whatever the model's size.
+    integration variable.  Only the variables ``e`` uses are mapped.
     """
     footprint = e.free_vars()
     if LAMBDA in footprint:
@@ -431,13 +429,18 @@ def integrate_analytic(e: Expr) -> Expr | None:
 
 @dataclass
 class MatrixFunction:
-    """Grid of expressions in (x, u) forming one factor matrix; no evaluator."""
+    """One factor matrix of expressions in (x, u); no evaluator.  ``nonzeros``
+    maps (i, j) to an entry, in row-major order; every other entry is ZERO."""
 
-    entries: tuple[tuple[Expr, ...], ...]
+    shape: tuple[int, int]
+    nonzeros: Mapping[tuple[int, int], Expr]
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.entries), len(self.entries[0]) if self.entries else 0)
+    def entries(self) -> tuple[tuple[Expr, ...], ...]:
+        """The dense grid, ``ZERO`` off the nonzeros, built on each call."""
+        get = self.nonzeros.get
+        return tuple(tuple(get((i, j), ZERO) for j in range(self.shape[1]))
+                     for i in range(self.shape[0]))
 
     def entry_strings(self) -> list[list[str]]:
         return [[to_string(e) for e in row] for row in self.entries]
@@ -522,15 +525,10 @@ def factorize(model: NlssModel, anchor: Anchor | None = None,
         ("D", model.h, model.u_names),
     ):
         jac = jacobian(fvec, wrt)
-        rows = tuple(
-            tuple(
-                _integrate_entry(line_substitute(jac[i][j], anchor),
-                                 mode, tag, i, j, warnings)
-                for j in range(len(wrt))
-            )
-            for i in range(len(fvec))
-        )
-        blocks[tag] = MatrixFunction(rows)
+        blocks[tag] = MatrixFunction(jac.shape, {
+            (i, j): _integrate_entry(line_substitute(d, anchor),
+                                     mode, tag, i, j, warnings)
+            for (i, j), d in jac.nonzeros.items()})
 
     V = _offsets(model.f, "f", at)
     W = _offsets(model.h, "h", at)

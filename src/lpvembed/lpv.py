@@ -337,18 +337,17 @@ def _extract(fs: FactorizedSystem, split: bool):
     # dense += fill would sum them; only nonzero sums are stored.
     sums: dict[tuple, float] = {}
     for tag, block in blocks.items():
-        for i, row in enumerate(block.entries):
-            for j, e in enumerate(row):
-                terms = e.terms if split and isinstance(e, Add) else (e,)
-                for term in terms:
-                    if not term.free_vars():
-                        k, coeff = 0, constant_value(term)
-                    else:
-                        coeff, factor = (_split_term(term) if split
-                                         else (1.0, term))
-                        k = index.setdefault(factor, len(index)) + 1
-                    key = (tag, k, i, j)
-                    sums[key] = sums.get(key, 0.0) + coeff
+        for (i, j), e in block.nonzeros.items():
+            terms = e.terms if split and isinstance(e, Add) else (e,)
+            for term in terms:
+                if not term.free_vars():
+                    k, coeff = 0, constant_value(term)
+                else:
+                    coeff, factor = (_split_term(term) if split
+                                     else (1.0, term))
+                    k = index.setdefault(factor, len(index)) + 1
+                key = (tag, k, i, j)
+                sums[key] = sums.get(key, 0.0) + coeff
     rows = {t: [] for t in blocks}
     for (tag, k, i, j), c in sorted(sums.items()):
         if c != 0.0:

@@ -130,7 +130,7 @@ def test_criterion_6_matrices_finite_and_match_jacobians_at_origin(block_at):
             got = block_at(getattr(fs, tag), bind)
             finite = finite and bool(np.all(np.isfinite(got)))
             want = np.array([[tree_eval(e, bind) for e in row]
-                             for row in jacobian(eqs, wrt)])
+                             for row in jacobian(eqs, wrt).entries])
             worst = max(worst, float(np.max(np.abs(got - want))))
     ok = finite and worst <= 1e-12
     report(6, ok, f"corpus matrices at the origin: finite={finite}, "

@@ -52,7 +52,7 @@ def make_model(f_texts, h_texts, nx, nu, sample_time=0.0):
 
 def test_jacobian_structure():
     names = ("x1", "x2")
-    J = jacobian([pe("x2", names), pe("sin(x1)", names)], names)
+    J = jacobian([pe("x2", names), pe("sin(x1)", names)], names).entries
     assert [[to_string(e) for e in row] for row in J] == [
         ["0", "1"], ["cos(x1)", "0"]]
 
@@ -60,7 +60,7 @@ def test_jacobian_structure():
 def test_jacobian_numeric_check():
     names = ("x1", "x2", "u1")
     fvec = [pe("x1*x2 + exp(-u1*x1)", names)]
-    J = jacobian(fvec, names)
+    J = jacobian(fvec, names).entries
     env = {"x1": 0.7, "x2": -1.2, "u1": 0.4}
     h = 1e-6
     for j, n in enumerate(names):
@@ -447,12 +447,13 @@ def reference_factorize(model, anchor, mode):
                            ("C", model.h, model.x_names),
                            ("D", model.h, model.u_names)):
         jac = reference_jacobian(fvec, wrt)
-        rows = tuple(
-            tuple(_integrate_entry(reference_line_substitute(jac[i][j], anchor),
-                                   mode, tag, i, j, warnings)
-                  for j in range(len(wrt)))
-            for i in range(len(fvec)))
-        blocks[tag] = MatrixFunction(rows)
+        grid = [[_integrate_entry(reference_line_substitute(jac[i][j], anchor),
+                                  mode, tag, i, j, warnings)
+                 for j in range(len(wrt))]
+                for i in range(len(fvec))]
+        blocks[tag] = MatrixFunction(
+            (len(fvec), len(wrt)),
+            {(i, j): e for i, row in enumerate(grid) for j, e in enumerate(row)})
     V = np.array([tree_eval(e, at) for e in model.f])
     W = np.array([tree_eval(e, at) for e in model.h])
     return FactorizedSystem(model, anchor, blocks["A"], blocks["B"],
@@ -553,6 +554,31 @@ def test_factorize_work_follows_the_footprint(monkeypatch):
     assert calls["map_entries"] <= sum(len(fp) ** 2 for fp in footprints)
 
 
+def test_factor_matrices_hold_only_the_footprint(monkeypatch):
+    """On a 30-pendulum chain, factorize integrates one entry per
+    (equation, variable) footprint pair, 150 of the four blocks' 3,721
+    entries, and each block keeps them in row-major order."""
+    model = chain_model(30)
+    pairs = sum(len(e.free_vars()) for e in model.f + model.h)
+    calls = []
+
+    def counting_integrate_entry(*args):
+        calls.append(args[2:4])
+        return _integrate_entry(*args)
+
+    monkeypatch.setattr(fz, "_integrate_entry", counting_integrate_entry)
+    fs = factorize(model)
+    assert len(calls) == pairs == 150
+    blocks = (fs.A_bar, fs.B_bar, fs.C_bar, fs.D_bar)
+    assert sum(math.prod(b.shape) for b in blocks) == 3721
+    assert sum(len(b.nonzeros) for b in blocks) == 150
+    for block in blocks:
+        keys = list(block.nonzeros)
+        assert keys == sorted(keys)
+        assert all(0 <= i < block.shape[0] and 0 <= j < block.shape[1]
+                   for i, j in keys)
+
+
 # ------------------------------------------------ canonical form by construction
 # No step of factorize normalizes a tree again: it relies on every tree
 # that the parser and the constructors build being a fixed point of
@@ -584,7 +610,7 @@ def test_stages_build_canonical_trees(tmp_path):
         for anchor in (Anchor.origin(model.nx, model.nu),
                        seeded_anchor(model, 7)):
             for fvec in (model.f, model.h):
-                for row in jacobian(fvec, model.var_names):
+                for row in jacobian(fvec, model.var_names).entries:
                     for d in row:
                         assert_canonical(d)
                         on_line = line_substitute(d, anchor)
