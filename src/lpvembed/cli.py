@@ -105,6 +105,8 @@ def _print_sched(sm, range_box=None):
 def cmd_convert(args) -> int:
     _check_threshold(args.threshold)
     _check_grid(args.grid)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     doc = _load_model(args.model)
     model = doc.model
     check_samples(model, args.samples)
@@ -239,12 +241,16 @@ def _run_scenario(target: str, args):
 
 def cmd_simulate(args) -> int:
     traj = _run_scenario(args.target, args)
-    if args.output.endswith(".json"):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(trajectory_to_dict(traj), fh)
-            fh.write("\n")
-    else:
-        write_trajectory_csv(traj, args.output)
+    try:
+        if args.output.endswith(".json"):
+            with open(args.output, "w", encoding="utf-8") as fh:
+                json.dump(trajectory_to_dict(traj), fh)
+                fh.write("\n")
+        else:
+            write_trajectory_csv(traj, args.output)
+    except OSError as exc:
+        raise ModelFileError(f"cannot write: {exc.strerror}",
+                             args.output) from None
     print(f"wrote {args.output} ({len(traj.t)} samples)")
     return 0
 

@@ -457,17 +457,20 @@ def _scan(idx: int, fp: Sequence[str], axes, fn, vec) -> tuple[float, float]:
     return tuple(walk(np.array([lo[1], hi[1]])).tolist())
 
 
-def estimate_range(sm: SchedulingMap, box: Mapping[str, tuple[float, float]],
+def estimate_range(sm: SchedulingMap,
+                   box: Mapping[str, tuple[float, float]] | None,
                    grid_per_dim: int = 10001) -> RangeBox:
     """Scheduling extrema over a dense grid on the (x, u) box.
 
     Each entry is scanned over a regular grid of ``grid_per_dim`` points
     per dimension spanning its own dependency footprint (components the
     entry does not use cannot move its extrema, so they are not
-    gridded).  An entry whose footprint grid would exceed
-    ``RANGE_GRID_BUDGET`` points raises RangeGridError; pass a coarser
-    grid in that case.  Reported intervals are widened outward by 0.5%
-    of each endpoint's magnitude; the raw extrema are kept alongside.
+    gridded); a footprint variable without bounds in ``box`` (None is
+    an empty box) raises ModelError.  An entry whose footprint grid
+    would exceed ``RANGE_GRID_BUDGET`` points raises RangeGridError;
+    pass a coarser grid in that case.  Reported intervals are widened
+    outward by 0.5% of each endpoint's magnitude; the raw extrema are
+    kept alongside.
 
     One loop walks the grid in ``itertools.product`` order, in blocks of
     at most ``RANGE_BLOCK`` points, so memory does not grow with the
@@ -493,6 +496,7 @@ def estimate_range(sm: SchedulingMap, box: Mapping[str, tuple[float, float]],
     """
     if grid_per_dim < 2:
         raise RangeGridError("grid_per_dim must be at least 2")
+    box = {} if box is None else box
     raw = []
     for idx, (e, fp) in enumerate(zip(sm.entries, sm.footprints)):
         missing = [n for n in fp if n not in box]
@@ -592,13 +596,19 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
     the first largest, or the first non-finite one (from a non-finite f
     or realization value), which fails the check; an entry of p, f or h
     that raises raises EntryError, naming it.  ``samples`` must pass
-    :func:`check_samples`.
+    :func:`check_samples`, ``seed`` must be non-negative, and ``box``
+    must bound every variable (ModelError names those it does not).
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     check_samples(model, samples)
     if box is None:
         box = default_box(model)
-    rng = np.random.default_rng(seed)
     names = model.var_names
+    missing = [n for n in names if n not in box]
+    if missing:
+        raise ModelError(f"verification needs bounds for {', '.join(missing)}")
+    rng = np.random.default_rng(seed)
     for n in names:
         _check_interval(n, *box[n])
     lo = np.array([box[n][0] for n in names])

@@ -385,7 +385,8 @@ def save_artifact(path: str, m: LpvssModel, sm: SchedulingMap,
     """Write the artifact as strict JSON, with no NaN or Infinity tokens.
 
     A failure leaves no partial artifact: the text goes to a sibling
-    ``.tmp`` file that replaces ``path`` only when complete.
+    ``.tmp`` file that replaces ``path`` only when complete.  A path that
+    cannot be written raises ModelFileError naming it.
     """
     tmp = path + ".tmp"
     try:
@@ -393,6 +394,8 @@ def save_artifact(path: str, m: LpvssModel, sm: SchedulingMap,
             json.dump(artifact_dict(m, sm, meta), fh, indent=2, allow_nan=False)
             fh.write("\n")
         os.replace(tmp, path)
+    except OSError as exc:
+        raise ModelFileError(f"cannot write: {exc.strerror}", path) from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -14,6 +14,7 @@ import pytest
 
 import lpvembed
 from lpvembed.cli import main
+from lpvembed.factorize import MatrixFunction
 from lpvembed.lpv import CoeffFamily, LpvssModel
 
 DISK_SCENARIO = ["--input", "2*sin(0.2*pi*t)", "--x0", "0,0", "--t-end", "5"]
@@ -97,8 +98,10 @@ def test_convert_threshold_breach_exits_4(tmp_path, capsys):
      "--threshold must be non-negative and finite, got inf"),
     (["--threshold", "-1"],
      "--threshold must be non-negative and finite, got -1.0"),
+    (["--seed", "-1"], "--seed must be non-negative, got -1"),
 ], ids=["samples-0", "samples-negative", "samples-over-budget", "grid-1",
-        "threshold-nan", "threshold-inf", "threshold-negative"])
+        "threshold-nan", "threshold-inf", "threshold-negative",
+        "seed-negative"])
 def test_convert_bad_settings_exit_2(tmp_path, capsys, no_factorize, flags,
                                      message):
     out = tmp_path / "disk.json"
@@ -113,6 +116,30 @@ def test_convert_missing_model_exits_2(tmp_path, capsys):
                         str(tmp_path / "x.json")], capsys)
     assert code == 2
     assert "no such file" in err
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_convert_to_an_unwritable_path_exits_2(tmp_path, capsys, where):
+    out = tmp_path / "no_dir" / "x.json"
+    message = "No such file or directory"
+    if where == "directory":
+        out = tmp_path / "x.json"
+        out.mkdir()
+        message = "Is a directory"
+    code, _, err = run(["convert", "unbalanced_disk", "-o", str(out),
+                        "--grid", "101"], capsys)
+    assert (code, err) == (2, f"error: {out}: cannot write: {message}\n")
+    assert not any(p.name.endswith(".tmp") for p in tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_simulate_to_an_unwritable_path_exits_2(tmp_path, capsys, suffix):
+    out = tmp_path / "no_dir" / f"run{suffix}"
+    code, _, err = run(["simulate", "unbalanced_disk", "--t-end", "0.1",
+                        "-o", str(out)], capsys)
+    assert (code, err) == (
+        2, f"error: {out}: cannot write: No such file or directory\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_convert_unparsable_model_exits_2(tmp_path, capsys):
@@ -343,17 +370,19 @@ def test_convert_bad_anchor_name_exits_2(tmp_path, capsys):
 def test_cli_verbs_never_build_dense_coefficients(tmp_path, capsys,
                                                   monkeypatch):
     # the dense views and matrices(p) are for inspection; convert,
-    # simulate, compare and info work on the stored triplets alone
+    # simulate, compare, info and range work on the stored triplets and
+    # the factor matrices' nonzeros alone
     def refuse(*args, **kwargs):
         raise AssertionError("dense coefficients built")
     monkeypatch.setattr(CoeffFamily, "dense", refuse)
     monkeypatch.setattr(LpvssModel, "matrices", refuse)
+    monkeypatch.setattr(MatrixFunction, "entries", property(refuse))
     out = str(tmp_path / "disk.json")
     for argv in (["convert", "unbalanced_disk", "-o", out],
                  ["simulate", out, *DISK_SCENARIO, "-o",
                   str(tmp_path / "t.csv")],
                  ["compare", "unbalanced_disk", out, *DISK_SCENARIO],
-                 ["info", out], ["range", out]):
+                 ["info", out], ["range", out], ["range", "unbalanced_disk"]):
         code, _, err = run(argv, capsys)
         assert code == 0, (argv, err)
 

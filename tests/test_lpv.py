@@ -423,6 +423,13 @@ def test_range_missing_bounds():
         estimate_range(sm, {"u1": (0.0, 1.0)})
 
 
+def test_range_without_a_box_names_the_missing_bounds():
+    # None is an empty box, not a TypeError
+    sm = SchedulingMap(entries=(pe("sinc(x1)", ("x1",)),), var_names=("x1",))
+    with pytest.raises(ModelError, match="^p1 needs bounds for x1$"):
+        estimate_range(sm, None)
+
+
 def test_range_degenerate_box():
     sm = SchedulingMap(entries=(pe("sinc(x1)", ("x1",)),), var_names=("x1",))
     rb = estimate_range(sm, {"x1": (0.0, 0.0)}, grid_per_dim=11)
@@ -1052,6 +1059,20 @@ def test_verify_needs_a_sample(disk_doc, samples):
     m, sm = extract_factor(factorize(disk_doc.model))
     with pytest.raises(ValueError, match="^samples must be at least 1"):
         verify_embedding(disk_doc.model, m, sm, samples=samples)
+
+
+def test_verify_refuses_a_negative_seed(disk_doc):
+    m, sm = extract_factor(factorize(disk_doc.model))
+    with pytest.raises(ValueError,
+                       match="^seed must be non-negative, got -1$"):
+        verify_embedding(disk_doc.model, m, sm, seed=-1)
+
+
+def test_verify_names_the_variables_the_box_leaves_out(disk_doc):
+    m, sm = extract_factor(factorize(disk_doc.model))
+    with pytest.raises(ModelError,
+                       match="^verification needs bounds for x2, u1$"):
+        verify_embedding(disk_doc.model, m, sm, box={"x1": (-1.0, 1.0)})
 
 
 def test_verify_refuses_samples_over_the_float_budget(disk_doc,
