@@ -563,7 +563,7 @@ def test_factor_matrices_hold_only_the_footprint(monkeypatch):
     calls = []
 
     def counting_integrate_entry(*args):
-        calls.append(args[2:4])
+        calls.append(args[2:5])    # (tag, i, j)
         return _integrate_entry(*args)
 
     monkeypatch.setattr(fz, "_integrate_entry", counting_integrate_entry)
@@ -571,7 +571,8 @@ def test_factor_matrices_hold_only_the_footprint(monkeypatch):
     assert len(calls) == pairs == 150
     blocks = (fs.A_bar, fs.B_bar, fs.C_bar, fs.D_bar)
     assert sum(math.prod(b.shape) for b in blocks) == 3721
-    assert sum(len(b.nonzeros) for b in blocks) == 150
+    assert calls == [(tag, i, j) for tag, b in zip("ABCD", blocks)
+                     for i, j in b.nonzeros]
     for block in blocks:
         keys = list(block.nonzeros)
         assert keys == sorted(keys)
