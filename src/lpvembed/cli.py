@@ -27,8 +27,8 @@ from .lpv import (
     extract_element, extract_factor, verify_embedding,
 )
 from .modelfile import (
-    ModelDocument, ModelFileError, anchor_of, load_artifact, load_model_file,
-    read_flag, read_number, save_artifact,
+    ModelDocument, ModelFileError, anchor_of, check_writable, load_artifact,
+    load_model_file, read_flag, read_number, save_artifact,
 )
 from .models import BUNDLED, bundled_path
 from .parser import ParseError
@@ -107,6 +107,7 @@ def cmd_convert(args) -> int:
     _check_grid(args.grid)
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    check_writable(args.output)
     doc = _load_model(args.model)
     model = doc.model
     check_samples(model, args.samples)
@@ -240,6 +241,7 @@ def _run_scenario(target: str, args):
 
 
 def cmd_simulate(args) -> int:
+    check_writable(args.output)
     traj = _run_scenario(args.target, args)
     try:
         if args.output.endswith(".json"):

@@ -69,8 +69,9 @@ its own or as such a node's, is code that raises
   It agrees with the scalar table to a few ulp (the transcendental
   functions are other implementations; the arithmetic is the same).  A
   deferred integral's ``at_array`` runs its panel in this table on the
-  whole array and integrates through ``at`` only the points that panel
-  does not settle.  Domain and range violations raise only as numpy's
+  whole array, bisects [0, 1] once where that panel does not settle,
+  and integrates through ``at`` only the points the bisection does not
+  settle either.  Domain and range violations raise only as numpy's
   ``errstate`` says.
 """
 
@@ -875,6 +876,15 @@ def compile_array(e: Expr, arg_names: Iterable[str]) -> Callable:
     violations follow ``np.errstate``; a constant ``e`` returns a
     scalar."""
     return _compile((e,), tuple(arg_names), table="numpy")
+
+
+def compile_arrays(exprs: Iterable[Expr],
+                   arg_names: Iterable[str]) -> Callable[..., tuple]:
+    """:func:`compile_vector` through the numpy table: one function of
+    equal-shaped float arrays, one per name, that returns each of
+    ``exprs`` at every point, as :func:`compile_array` does, in a tuple.
+    It raises what the entries raise, naming none."""
+    return _compile(tuple(exprs), tuple(arg_names), _reraise, table="numpy")
 
 
 def compile_panel(integrand: Expr, lam: str, arg_names: Iterable[str],

@@ -45,6 +45,7 @@ from .expr import (
     NonDifferentiableError, Pow, Var, ZERO, add, call, compile_panel,
     compile_vector, div, mul, neg, substitute, to_string,
 )
+from . import quadrature
 from .quadrature import RULE, integrate, unsettled
 
 # the integration variable; model variables may not use this name
@@ -195,7 +196,8 @@ class DeferredIntegral(Expr):
     panel it needs and raises what the integrand raises.  The same panel
     in the numpy table, for :meth:`at_array`, is compiled on that
     method's first call, so an entry that is only evaluated point by
-    point (loaded, simulated, verified) never compiles it.
+    point (loaded, simulated) never compiles it; the range scan and
+    verification compile it once per entry.
     """
 
     __slots__ = ("integrand", "arg_names", "_panel", "_array_panel")
@@ -220,12 +222,16 @@ class DeferredIntegral(Expr):
 
     def at_array(self, *values) -> np.ndarray:
         """:meth:`at` at every point of equal-shaped float arrays, one per
-        name of ``arg_names``, in order.  One panel on [0, 1] in the numpy
-        table gives each point's first estimate; a point it settles, by
-        quadrature's own test (:func:`unsettled`), keeps that estimate,
-        equal to :meth:`at`'s to a few ulp, and every other point is
-        :meth:`at`'s value, bit for bit.  Raises what :meth:`at` raises,
-        and floating-point errors as ``np.errstate`` says."""
+        name of ``arg_names``, in order.  The numpy table's panel follows
+        :func:`integrate` as far as its first bisection, on all points at
+        once: one panel on [0, 1] gives each point's first estimate, and
+        the points that quadrature's own test (:func:`unsettled`) does not
+        settle are bisected once (:func:`quadrature.bisected`, integrate's
+        arithmetic) where ``MAX_SUBDIVISIONS``, read at call time, allows
+        it.  A point settled by either step keeps its estimate, equal to
+        :meth:`at`'s to a few ulp, and every other point is :meth:`at`'s
+        value, bit for bit.  Raises what :meth:`at` raises, and
+        floating-point errors as ``np.errstate`` says."""
         panel = self._array_panel
         if panel is None:
             panel = compile_panel(self.integrand, LAMBDA, self.arg_names,
@@ -235,7 +241,15 @@ class DeferredIntegral(Expr):
         shape = np.broadcast_shapes(*map(np.shape, values))
         out = np.array(np.broadcast_to(k, shape), dtype=float)
         flat, cols = out.reshape(-1), [np.ravel(v) for v in values]
-        for n in np.flatnonzero(unsettled(err, out)):
+        redo = np.flatnonzero(unsettled(err, out))
+        if redo.size and quadrature.MAX_SUBDIVISIONS >= 1:
+            err = np.broadcast_to(err, shape).reshape(-1)[redo]
+            total, total_err = quadrature.bisected(
+                partial(panel, *(c[redo] for c in cols)), 0.0, 1.0,
+                flat[redo], err)
+            flat[redo] = total
+            redo = redo[unsettled(total_err, total)]
+        for n in redo:
             flat[n] = self.at(*(c[n] for c in cols))
         return out
 

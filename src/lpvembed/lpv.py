@@ -17,25 +17,32 @@ exactly; combined with the line-integral identity this makes the LPV
 model an exact global embedding of the nonlinear system, which
 :func:`verify_embedding` checks by direct sampling.
 
-The scheduling map is compiled once, into one function that returns all
-of p (see :func:`compile_vector`), and called on Python floats, with
-numpy scalars only as a retry (see :func:`call_floats`).  A failing
-entry raises EntryError, which names it: ``p2: ln of non-positive
-value``, as the range scan does with the grid point.
+The scheduling map is compiled for two tables.  For one point at a
+time (simulation), into one function that returns all of p (see
+:func:`compile_vector`), called on Python floats, with numpy scalars
+only as a retry (see :func:`call_floats`).  For blocks of points, each
+entry into a numpy function of its own footprint (see
+:func:`compile_array`), compiled once per map and shared by the range
+scan and verification.  Both block paths walk a block that raises or
+is not finite point by point through the scalar functions, so only
+those raise: a failing entry raises EntryError, which names it: ``p2:
+ln of non-positive value``, as the range scan does with the grid point
+and verification at the first failing sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .expr import (EVAL_ERRORS, Add, EntryError, EvalError, Expr, Mul,
-                   call_floats, compile_array, compile_scalar,
-                   compile_vector, constant_value, mul, to_string)
+                   call_floats, compile_array, compile_arrays,
+                   compile_scalar, compile_vector, constant_value, mul,
+                   to_string)
 from .factorize import (
     Anchor, FactorizedSystem, ModelError, NlssModel, check_sample_time,
     var_sort_key,
@@ -44,6 +51,9 @@ from .quadrature import QuadratureConvergenceError
 
 RANGE_GRID_BUDGET = 10_000_000
 RANGE_BLOCK = 1 << 16      # grid points per numpy evaluation in the scan
+# floats per (triplet, sample) temporary of one block of verification:
+# a block holds this many divided by the larger map's triplet count
+VERIFY_BLOCK = 1 << 14
 # most floats verify_embedding may allocate for its sample points and
 # residuals, checked before it allocates them
 VERIFY_FLOAT_BUDGET = 10_000_000
@@ -80,6 +90,13 @@ class SchedulingMap:
     @cached_property
     def _vector(self):
         return compile_vector(self.entries, self.var_names, "p")
+
+    @cached_property
+    def _arrays(self):
+        # each entry through the numpy table, a function of its
+        # footprint: the range scan's and verification's blocks share them
+        return tuple(compile_array(e, fp)
+                     for e, fp in zip(self.entries, self.footprints))
 
     def evaluate(self, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
         return np.array(call_floats(self._vector, x, u), dtype=float)
@@ -260,6 +277,20 @@ class LpvssModel:
                                    minlength=rows * cols).reshape(rows, cols))
         return tuple(out)
 
+    def _merged(self):
+        """The triplets of each map, state then output: ``(k, i, j, c,
+        rows, offset)`` of ``[X | U]`` for (X, U) = (A, B), then (C, D),
+        U's columns shifted by nx, in row-major (k, i, j) order."""
+        f = self.coeffs
+        for X, U, offset in ((f["A"], f["B"], self.V),
+                             (f["C"], f["D"], self.W)):
+            _, rows, nx = X.shape
+            cols = nx + U.shape[2]
+            k, i, j, c = (np.concatenate(pair) for pair in (
+                (X.k, U.k), (X.i, U.i), (X.j, U.j + nx), (X.c, U.c)))
+            order = np.argsort((k * rows + i) * cols + j)
+            yield k[order], i[order], j[order], c[order], rows, offset
+
     def affine_maps(self):
         """The realization as a sparse state map and output map.
 
@@ -273,27 +304,40 @@ class LpvssModel:
         The maps copy the current triplets; build them again after
         editing them.  They sum in another order than :meth:`matrices`
         and agree with it to rounding, not bit for bit.
+        :meth:`block_maps` is the same realization on many samples.
         """
         bar = np.concatenate((self.anchor.x_bar, self.anchor.u_bar))
 
-        def sparse(X: CoeffFamily, U: CoeffFamily, offset):
-            _, rows, nx = X.shape
-            cols = nx + U.shape[2]
-            k, i, j, c = (np.concatenate(pair) for pair in (
-                (X.k, U.k), (X.i, U.i), (X.j, U.j + nx), (X.c, U.c)))
-            order = np.argsort((k * rows + i) * cols + j)
-            k, i, j, c = k[order], i[order], j[order], c[order]
-
+        def sparse(k, i, j, c, rows, offset):
             def apply(p, x, u):
                 w = np.concatenate(((1.0,), p))
                 z = np.concatenate((x, u)) - bar
                 return np.bincount(i, weights=c * w[k] * z[j],
                                    minlength=rows) + offset
             return apply
+        return tuple(sparse(*merged) for merged in self._merged())
 
-        f = self.coeffs
-        return (sparse(f["A"], f["B"], self.V),
-                sparse(f["C"], f["D"], self.W))
+    def block_maps(self):
+        """:meth:`affine_maps` on many samples at once.
+
+        Returns ``(state, output)``.  ``state(w, z)`` takes one
+        column per sample, ``w`` (np + 1, n) holding ``[1, p]`` and ``z``
+        (nx + nu, n) holding ``[x - x_bar, u - u_bar]``, and returns the
+        (nx, n) realization.  One ``np.bincount`` over (row, sample) bins
+        sums ``(c * w[k]) * z[j]`` in triplet order, so each column is
+        what :meth:`affine_maps` gives for its sample, bit for bit.  Its
+        temporaries hold (triplets, n) floats.
+        """
+        def sparse(k, i, j, c, rows, offset):
+            def apply(w, z):
+                n = w.shape[1]
+                bins = i[:, None] * n + np.arange(n)
+                weights = (c[:, None] * w[k]) * z[j]
+                return (np.bincount(bins.ravel(), weights=weights.ravel(),
+                                    minlength=rows * n).reshape(rows, n)
+                        + offset[:, None])
+            return apply
+        return tuple(sparse(*merged) for merged in self._merged())
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +520,11 @@ def estimate_range(sm: SchedulingMap,
     at most ``RANGE_BLOCK`` points, so memory does not grow with the
     grid.  Each block is evaluated at once through the numpy table
     (:func:`compile_array`) with every floating-point flag but underflow
-    raised.  There a deferred integral runs one quadrature panel at every
-    point and integrates through ``at`` only the points that panel does
-    not settle (``DeferredIntegral.at_array``).  A block that raises (a
+    raised, through the entry's function that verification shares
+    (cached on the map).  There a deferred integral runs one quadrature
+    panel at every point, bisects once where it does not settle, and
+    integrates through ``at`` only the points that neither settles
+    (``DeferredIntegral.at_array``).  A block that raises (a
     quadrature that does not converge, or an unbound variable, included)
     or gives a non-finite value is walked point by point through the
     entry's compiled scalar function (:func:`compile_scalar`)
@@ -515,7 +561,7 @@ def estimate_range(sm: SchedulingMap,
             _check_interval(n, lo, hi)
             axes.append(np.linspace(lo, hi, grid_per_dim))
         raw.append(_scan(idx, fp, axes, compile_scalar(e, fp),
-                         compile_array(e, fp)))
+                         sm._arrays[idx]))
     return RangeBox(
         raw=tuple(raw),
         reported=tuple(_widen(lo, hi) for lo, hi in raw),
@@ -588,16 +634,29 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
     """Sample the box and compare the LPV realization against f and h.
 
     At each point: p = eta(x, u), then A(p)(x - x_bar) + B(p)(u - u_bar)
-    + V is checked against f(x, u) entrywise (outputs likewise), through
-    the sparse maps of :meth:`LpvssModel.affine_maps`, built once per
-    call, and f and h each compiled by :func:`compile_vector` and called
-    by :func:`call_floats`, as p is.  The
-    report carries per-equation worst residuals and where they occurred:
-    the first largest, or the first non-finite one (from a non-finite f
-    or realization value), which fails the check; an entry of p, f or h
-    that raises raises EntryError, naming it.  ``samples`` must pass
-    :func:`check_samples`, ``seed`` must be non-negative, and ``box``
-    must bound every variable (ModelError names those it does not).
+    + V is checked against f(x, u) entrywise (outputs likewise).  The
+    samples go in blocks of ``VERIFY_BLOCK`` divided by the larger sparse
+    map's triplet count, so a block's (triplet, sample) temporaries stay
+    bounded.  Each block is evaluated at once through the numpy table,
+    with every floating-point flag but underflow raised: p through the
+    scheduling map's per-entry functions, which the range scan shares,
+    a deferred integral through ``at_array``; f and h through
+    :func:`compile_arrays`; the maps through
+    :meth:`LpvssModel.block_maps`, which sum as the one-sample maps do.
+    A block that raises (a quadrature that does not converge, or an
+    unbound variable, included), or that gives a non-finite p or
+    residual, is walked sample by sample as a wholly scalar check does:
+    p by :meth:`SchedulingMap.evaluate`, f and h each compiled by
+    :func:`compile_vector` and called by :func:`call_floats`, the maps by
+    :meth:`LpvssModel.affine_maps`.  So only the walk raises: an entry of
+    p, f or h that fails raises EntryError, naming it, at the first
+    sample where it does.  The table agrees with the scalar functions to
+    a few ulp, and so do the residuals.  The report carries per-equation
+    worst residuals and where they occurred: the first largest, or the
+    first non-finite one (from a non-finite f or realization value),
+    which fails the check.  ``samples`` must pass :func:`check_samples`,
+    ``seed`` must be non-negative, and ``box`` must bound every variable
+    (ModelError names those it does not).
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -615,23 +674,66 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
     hi = np.array([box[n][1] for n in names])
     pts = lo + (hi - lo) * rng.random((samples, len(names)))
 
-    f = compile_vector(model.f, names, "f")
-    h = compile_vector(model.h, names, "h")
-    state_map, output_map = m.affine_maps()
-    res = np.empty((samples, model.nx + model.ny))
-    for n, row in enumerate(pts):
-        x, u = row[:model.nx], row[model.nx:]
-        p = sm.evaluate(x, u)
-        res[n] = np.abs(np.concatenate((state_map(p, x, u),
-                                        output_map(p, x, u)))
-                        - (call_floats(f, x, u) + call_floats(h, x, u)))
+    nx, ny = model.nx, model.ny
+    column = {n: c for c, n in enumerate(names)}
+    entries = [(vec, [column[n] for n in fp])
+               for vec, fp in zip(sm._arrays, sm.footprints)]
+    fh = compile_arrays(model.f + model.h, names)
+    state_map, output_map = m.block_maps()
+    bar = np.concatenate((m.anchor.x_bar, m.anchor.u_bar))
+
+    def block(rows) -> np.ndarray | None:
+        # the block's residuals, or None where a p is not finite
+        cols = rows.T
+        w = np.empty((len(entries) + 1, len(rows)))
+        w[0] = 1.0
+        for k, (vec, fp) in enumerate(entries, 1):
+            w[k] = vec(*(cols[c] for c in fp))
+        if not np.isfinite(w).all():
+            return None
+        z = (rows - bar).T
+        lpv = np.concatenate((state_map(w, z), output_map(w, z)))
+        for r, v in enumerate(fh(*cols)):
+            lpv[r] -= v
+        return np.abs(lpv).T
+
+    @cache
+    def scalar():  # compiled only for a block that falls back
+        return (compile_vector(model.f, names, "f"),
+                compile_vector(model.h, names, "h"), *m.affine_maps())
+
+    def walk(rows) -> np.ndarray:
+        f, h, state, output = scalar()
+        out = np.empty((len(rows), nx + ny))
+        for n, row in enumerate(rows):
+            x, u = row[:nx], row[nx:]
+            p = sm.evaluate(x, u)
+            out[n] = np.abs(np.concatenate((state(p, x, u), output(p, x, u)))
+                            - (call_floats(f, x, u) + call_floats(h, x, u)))
+        return out
+
+    triplets = max(m.coeffs[X].c.size + m.coeffs[U].c.size
+                   for X, U in ("AB", "CD"))
+    size = max(1, VERIFY_BLOCK // max(triplets, 1))
+    res = np.empty((samples, nx + ny))
+    for start in range(0, samples, size):
+        rows = pts[start:start + size]
+        r = None
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                r = block(rows)
+        except (FloatingPointError, QuadratureConvergenceError,
+                *EVAL_ERRORS):
+            pass
+        if r is None or not np.isfinite(r).all():
+            r = walk(rows)
+        res[start:start + len(rows)] = r
     # per equation, the first non-finite residual if any, else the first
     # largest
     bad = ~np.isfinite(res)
     at = np.where(bad.any(axis=0), bad.argmax(axis=0), res.argmax(axis=0))
     worst = res[at, np.arange(res.shape[1])]
-    where = [(tuple(pts[k, :model.nx]), tuple(pts[k, model.nx:])) for k in at]
-    return VerifyReport(worst[:model.nx], worst[model.nx:],
-                        where[:model.nx], where[model.nx:],
+    where = [(tuple(pts[k, :nx]), tuple(pts[k, nx:])) for k in at]
+    return VerifyReport(worst[:nx], worst[nx:], where[:nx], where[nx:],
                         samples, seed, {k: (float(v[0]), float(v[1]))
                                         for k, v in box.items()})

@@ -34,9 +34,11 @@ which store each family as a dense nested list.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass
 from functools import cache
 from typing import Mapping, Sequence
@@ -378,6 +380,25 @@ def artifact_dict(m: LpvssModel, sm: SchedulingMap, meta: dict | None = None) ->
     }
     out.update(meta or {})
     return out
+
+
+def check_writable(path: str) -> None:
+    """Raise ModelFileError naming ``path``, as :func:`save_artifact`
+    does, where no file can be written there: ``path`` is a directory,
+    or its parent is missing, not a directory or not writable.  Commands
+    call this before any work; the write itself still reports what this
+    cannot foresee."""
+    parent = os.path.dirname(path) or "."
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR,
+                                     os.strerror(errno.ENOTDIR))
+        if not os.access(parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise ModelFileError(f"cannot write: {exc.strerror}", path) from None
 
 
 def save_artifact(path: str, m: LpvssModel, sm: SchedulingMap,

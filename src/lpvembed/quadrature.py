@@ -5,7 +5,8 @@ Each interval is estimated with the 15-point Kronrod rule; the embedded
 the two estimates serves as the interval's error bound.  The interval
 with the largest bound is bisected until the summed bounds fall below
 ``max(ABS_TOL, REL_TOL * |integral|)`` (:func:`unsettled`, which a
-caller holding many first panels at once applies to all of them) or the
+caller holding many first panels at once applies to all of them, as it
+takes the first bisection of all of them with :func:`bisected`) or the
 subdivision budget runs out, in which case
 :class:`QuadratureConvergenceError` is raised still carrying the best
 estimate.
@@ -144,6 +145,28 @@ def panel(f: Callable[[float], float], a: float, b: float):
     return k, g, abs(k - g)
 
 
+def _refined(total, total_err, pk, neg_err, k1, e1, k2, e2):
+    """The estimate and error bound once the panel with estimate ``pk``
+    and error bound ``-neg_err`` is replaced by its halves, (k1, e1) and
+    (k2, e2): integrate's update, on floats or elementwise on arrays."""
+    return total + ((k1 + k2) - pk), total_err + ((e1 + e2) + neg_err)
+
+
+def bisected(panel, a: float, b: float, k, err):
+    """Integrate's estimate and error bound after its first bisection of
+    [a, b], from the first panel's estimate ``k`` and error bound ``err``
+    on [a, b].  ``panel(p, q)`` is as for :func:`integrate`; on arrays of
+    points (a panel in the numpy table) this bisects all of them at once,
+    and gives each point's floats as integrate has them after that
+    bisection.  Integrate bisects only where ``unsettled(err, k)`` and
+    ``MAX_SUBDIVISIONS >= 1``, and returns the result where it is then
+    not :func:`unsettled`; the caller checks both."""
+    m = 0.5 * (a + b)
+    k1, _, e1 = panel(a, m)
+    k2, _, e2 = panel(m, b)
+    return _refined(k, err, k, -err, k1, e1, k2, e2)
+
+
 def integrate(panel: Callable[[float, float], tuple[float, float, float]],
               a: float, b: float) -> QuadResult:
     """Integrate over [a, b] adaptively to ABS_TOL and REL_TOL.
@@ -190,8 +213,8 @@ def integrate(panel: Callable[[float, float], tuple[float, float, float]],
         k2, _, e2 = panel(pm, pb)
         evals += 30
         subdivisions += 1
-        total += (k1 + k2) - pk
-        total_err += (e1 + e2) + neg_err
+        total, total_err = _refined(total, total_err, pk, neg_err, k1, e1,
+                                    k2, e2)
         counter += 1
         heapq.heappush(heap, (-e1, counter, pa, pm, k1))
         counter += 1

@@ -8,7 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpvembed.expr import FUNCTIONS, Add, Call, Const, Div, Mul, Pow, Var
+from lpvembed.expr import (
+    FUNCTIONS, Add, Call, Const, Div, Mul, Pow, Var, call_floats,
+    compile_vector,
+)
+from lpvembed.lpv import VerifyReport
 from lpvembed.modelfile import load_model_file
 from lpvembed.models import load_bundled
 
@@ -64,6 +68,38 @@ def tree_eval(e, bindings):
     if isinstance(e, Call):
         return FUNCTIONS[e.fn](tree_eval(e.arg, bindings))
     return e.at(*(bindings[a] for a in e.arg_names))
+
+
+def reference_verify(model, m, sm, samples, box, seed=0):
+    """``verify_embedding`` sample by sample, as it was before it ran in
+    numpy blocks: the same sampler, then at each point p by
+    ``SchedulingMap.evaluate``, f and h by their compiled vectors on
+    floats, the maps by ``LpvssModel.affine_maps``.  The independent
+    reference for the blocks; it raises what the old loop raised."""
+    names = model.var_names
+    lo = np.array([box[n][0] for n in names])
+    hi = np.array([box[n][1] for n in names])
+    pts = lo + (hi - lo) * np.random.default_rng(seed).random(
+        (samples, len(names)))
+    f = compile_vector(model.f, names, "f")
+    h = compile_vector(model.h, names, "h")
+    state_map, output_map = m.affine_maps()
+    res = np.empty((samples, model.nx + model.ny))
+    with np.errstate(all="ignore"):
+        for n, row in enumerate(pts):
+            x, u = row[:model.nx], row[model.nx:]
+            p = sm.evaluate(x, u)
+            res[n] = np.abs(np.concatenate((state_map(p, x, u),
+                                            output_map(p, x, u)))
+                            - (call_floats(f, x, u) + call_floats(h, x, u)))
+    bad = ~np.isfinite(res)
+    at = np.where(bad.any(axis=0), bad.argmax(axis=0), res.argmax(axis=0))
+    worst = res[at, np.arange(res.shape[1])]
+    where = [(tuple(pts[k, :model.nx]), tuple(pts[k, model.nx:]))
+             for k in at]
+    return VerifyReport(worst[:model.nx], worst[model.nx:],
+                        where[:model.nx], where[model.nx:], samples, seed,
+                        dict(box))
 
 
 @pytest.fixture(scope="session")

@@ -142,6 +142,32 @@ def test_simulate_to_an_unwritable_path_exits_2(tmp_path, capsys, suffix):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory",
+                                   "file-as-dir"])
+def test_an_unwritable_output_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, no_factorize, where):
+    out = tmp_path / "no_dir" / "out.json"
+    message = "No such file or directory"
+    if where == "directory":
+        out = tmp_path / "out.json"
+        out.mkdir()
+        message = "Is a directory"
+    elif where == "file-as-dir":
+        (tmp_path / "plain").write_text("")
+        out = tmp_path / "plain" / "out.json"
+        message = "Not a directory"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated")
+    monkeypatch.setattr(lpvembed.cli, "simulate_nl", refuse)
+    monkeypatch.setattr(lpvembed.cli, "simulate_lpv_self_scheduled", refuse)
+    for argv in (["convert", "unbalanced_disk", "--grid", "101"],
+                 ["simulate", "unbalanced_disk", "--t-end", "0.1"]):
+        code, stdout, err = run(argv + ["-o", str(out)], capsys)
+        assert (code, stdout, err) == (
+            2, "", f"error: {out}: cannot write: {message}\n")
+
+
 def test_convert_unparsable_model_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.nlss"
     bad.write_text("format_version 1\nnx 1\nnu 1\nny 1\ntime continuous\n"

@@ -791,8 +791,10 @@ def test_tolerances_govern_a_deferred_entry_as_they_govern_integrate(
     # the first panel changes the entry's value exactly as integrate's.
     # at_array and the range scan settle a point by the same test: at
     # the loose tolerances the numpy panel settles every grid point, and
-    # the scan calls at only at its two extrema; at the tight ones every
-    # point goes to at, and the batch is at's values bit for bit
+    # the scan calls at only at its two extrema; at tighter ones the
+    # numpy bisection settles all but the last point (integrate bisects
+    # once more at 1e-16 only there), and at the tightest every point
+    # goes to at, and the batch is at's values bit for bit
     entry = DeferredIntegral(pe("tanh(lam*x)*x", ("x", LAMBDA)))
     sm = SchedulingMap((entry,), ("x",))
     x = np.linspace(0.5, 1.0, 5)
@@ -823,4 +825,63 @@ def test_tolerances_govern_a_deferred_entry_as_they_govern_integrate(
     tight = quad(f)
     assert tight.subdivisions > 0 and tight.value != loose.value
     assert same(entry.at(1.0), tight.value)
+    batched(1)
+    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-18)
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-18)
+    assert min(quad(reference(entry, [v])).subdivisions for v in x) > 1
     assert batched(x.size)
+
+
+# a rational integrand: numpy and the scalar table run the same IEEE
+# operations in the same order, so their panels agree bit for bit.  Near
+# x1 = 0 it peaks at lam = 0.5, where integrate bisects many times
+RATIONAL = "1/(x1*x1 + (lam - 0.5)*(lam - 0.5))"
+
+
+def test_numpy_bisection_equals_at_bit_for_bit():
+    entry = DeferredIntegral(pe(RATIONAL, ("x1", LAMBDA)))
+    x = np.concatenate((np.logspace(-4, 1, 300), -np.logspace(-3, 0, 30)))
+    subdivisions = {quad(reference(entry, [v])).subdivisions for v in x}
+    assert {0, 1} <= subdivisions and max(subdivisions) >= 10
+    want = np.array([entry.at(v) for v in x])
+    assert entry.at_array(x).tobytes() == want.tobytes()
+    # a 2-D array of points, as a block of grid points may come
+    assert entry.at_array(x.reshape(30, 11)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_numpy_bisection_keeps_to_the_subdivision_budget(monkeypatch,
+                                                          budget):
+    # with no bisection allowed, at raises wherever the first panel does
+    # not settle, and so must at_array; with one, the numpy bisection
+    # settles what integrate's one bisection settles, and at raises at
+    # the rest
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", budget)
+    entry = DeferredIntegral(pe(RATIONAL, ("x1", LAMBDA)))
+    x = np.logspace(-3, 1, 60)
+    kinds = set()
+    for v in x:
+        want = outcome(lambda: entry.at(v))
+        got = outcome(lambda: float(entry.at_array(np.array([v]))[0]))
+        assert same_outcome(got, want), v
+        kinds.add(type(want))
+    assert kinds == {float, tuple}
+    with pytest.raises(quadrature.QuadratureConvergenceError) as ei:
+        entry.at_array(x)
+    first = next(v for v in x if isinstance(outcome(lambda: entry.at(v)),
+                                            tuple))
+    assert str(ei.value) == outcome(lambda: entry.at(first))[1]
+
+
+def test_bisected_is_integrates_first_bisection():
+    # on floats, bisected gives integrate's result where integrate
+    # bisects exactly once
+    entry = DeferredIntegral(pe(RATIONAL, ("x1", LAMBDA)))
+    f = next(f for f in (reference(entry, [v])
+                         for v in np.logspace(-3, 1, 60))
+             if quad(f).subdivisions == 1)
+    r = quad(f)
+    panel = partial(quadrature.panel, f)
+    k, _, err = panel(0.0, 1.0)
+    total, total_err = quadrature.bisected(panel, 0.0, 1.0, k, err)
+    assert same(total, r.value) and same(total_err, r.error)

@@ -5,6 +5,7 @@ import math
 import random
 import warnings
 from collections import Counter
+from functools import partial
 from itertools import chain, product
 
 import numpy as np
@@ -25,10 +26,10 @@ from lpvembed.lpv import (
 )
 from lpvembed.models import BUNDLED, corpus, load_bundled
 from lpvembed.parser import parse_expr
-from lpvembed.quadrature import unsettled
+from lpvembed.quadrature import bisected, unsettled
 from lpvembed.synthetic import corpus_models, random_model
 
-from conftest import network_doc, tree_eval
+from conftest import network_doc, reference_verify, tree_eval
 
 
 def pe(text, names):
@@ -626,10 +627,15 @@ def source_box(source):
     return default_box(oracle_model(source))
 
 
-def scheduling_maps(source):
+def lpv_models(source):
+    """(LpvssModel, SchedulingMap) of both extractions."""
     mode = "numeric" if source.startswith("numeric:") else "analytic"
     fs = factorize(oracle_model(source), mode=mode)
-    return [extract(fs)[1] for extract in (extract_element, extract_factor)]
+    return [extract(fs) for extract in (extract_element, extract_factor)]
+
+
+def scheduling_maps(source):
+    return [sm for _m, sm in lpv_models(source)]
 
 
 def reference_range(sm, box, grid_per_dim):
@@ -653,14 +659,29 @@ def bits(raw):
     return np.array(raw, dtype=float).tobytes()
 
 
+def sent_to_at(e, *columns):
+    """Where a deferred entry's ``at_array`` calls ``at``: the points its
+    numpy panel on [0, 1] leaves unsettled and one bisection of [0, 1]
+    does not settle either."""
+    k, _, err = e._array_panel(*columns, 0.0, 1.0)
+    redo = unsettled(err, k)
+    if redo.any():
+        total, total_err = bisected(
+            partial(e._array_panel, *(c[redo] for c in columns)), 0.0, 1.0,
+            k[redo], err[redo])
+        redo[redo] = unsettled(total_err, total)
+    return redo
+
+
 @pytest.mark.parametrize("source", TABLE_SOURCES + DEFERRED_SOURCES)
 def test_numpy_table_equals_the_scalar_functions_within_4_ulp(source):
     # a 9-point grid per footprint component (0 included, where the
     # removable singularities sit) and random points; an ulp is taken at
     # the entry's largest magnitude there, since tanh, exp, expm1 and tan
     # differ from math's by a few ulp and sums may cancel.  A deferred
-    # entry keeps its numpy panel's estimate only where that panel
-    # settles, and is at's value bit for bit at every other point
+    # entry keeps its numpy estimate only where its panel or one
+    # bisection settles, and is at's value bit for bit at every other
+    # point
     rng = np.random.default_rng(5)
     for sm in scheduling_maps(source):
         for e, fp in zip(sm.entries, sm.footprints):
@@ -675,8 +696,7 @@ def test_numpy_table_equals_the_scalar_functions_within_4_ulp(source):
             ulp = np.spacing(np.abs(want).max())
             assert np.abs(got - want).max() <= 4 * ulp, e
             if isinstance(e, DeferredIntegral):
-                k, _, err = e._array_panel(*pts.T, 0.0, 1.0)
-                redo = unsettled(err, k)
+                redo = sent_to_at(e, *pts.T)
                 assert got[redo].tobytes() == want[redo].tobytes(), e
 
 
@@ -702,8 +722,9 @@ def count_at_calls(monkeypatch):
 
 def test_network_range_integrates_only_where_the_panel_does_not_settle(
         monkeypatch):
-    # at runs at the points the numpy panel rejects, then at the two
-    # extrema, where the scalar function re-evaluates the entry
+    # at runs at the points that neither the numpy panel nor its one
+    # bisection settles, then at the two extrema, where the scalar
+    # function re-evaluates the entry
     doc = network_doc(0)
     _m, sm = extract_factor(factorize(doc.model))
     calls = count_at_calls(monkeypatch)
@@ -712,9 +733,9 @@ def test_network_range_integrates_only_where_the_panel_does_not_settle(
     for e, fp in zip(sm.entries, sm.footprints):
         if isinstance(e, DeferredIntegral):
             cols = product(*(np.linspace(*doc.box[n], 101) for n in fp))
-            k, _, err = e._array_panel(*np.array(list(cols)).T, 0.0, 1.0)
-            want[e] = int(np.count_nonzero(unsettled(err, k))) + 2
-            points += k.size
+            redo = sent_to_at(e, *np.array(list(cols)).T)
+            want[e] = int(np.count_nonzero(redo)) + 2
+            points += redo.size
     # a scan walking every point would call at 21,230 times
     assert len(want) == 10 and points + 2 * len(want) == 21_230
     assert calls == want
@@ -723,8 +744,9 @@ def test_network_range_integrates_only_where_the_panel_does_not_settle(
 
 def test_a_convert_compiles_one_numpy_panel_per_scanned_entry(
         monkeypatch, tmp_path):
-    # and loading the artifact, simulating it and verifying it compile
-    # none: the entries built at load time keep no numpy panel
+    # which verification reuses; loading the artifact and simulating it
+    # compile none, since the entries built at load time keep no numpy
+    # panel, and verifying it then compiles one per entry
     import gc
     from lpvembed import factorize as fz
     from lpvembed.modelfile import load_artifact, save_artifact
@@ -754,11 +776,12 @@ def test_a_convert_compiles_one_numpy_panel_per_scanned_entry(
     assert compiled["scalar"] == scanned   # the nodes are built anew
     simulate_lpv_self_scheduled(m, sm, np.full(8, 0.5),
                                 InputSignal.from_exprs(["sin(t)"], 1), 1.0)
-    doc = network_doc(1, seed=2)
-    verify_embedding(doc.model, m, sm, samples=50, box=doc.box)
     assert compiled["numpy"] == 0
     assert all(e._array_panel is None for e in sm.entries
                if isinstance(e, DeferredIntegral))
+    doc = network_doc(1, seed=2)
+    verify_embedding(doc.model, m, sm, samples=50, box=doc.box)
+    assert compiled["numpy"] == scanned
 
 
 @pytest.mark.parametrize("text, budget", [
@@ -772,10 +795,11 @@ def test_a_failing_deferred_entry_raises_as_the_walk_does(monkeypatch, text,
     if budget is not None:
         monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", budget)
     e = DeferredIntegral(pe(text, ("x1", "lam")))
-    sm = SchedulingMap((e,), ("x1",))
     box = {"x1": (-1.0, 1.0)}
 
     def raised():
+        # a new map compiles its numpy functions anew, patched or not
+        sm = SchedulingMap((e,), ("x1",))
         with pytest.raises(Exception) as ei:
             estimate_range(sm, box, grid_per_dim=11)
         return type(ei.value), str(ei.value)
@@ -1103,3 +1127,173 @@ def test_verify_report_dict_roundtrips(disk_doc):
     assert d["samples"] == 1000 and d["seed"] == 0
     assert d["max_residual"] == rep.max_residual
     assert d["f_max"] == list(rep.f_max)
+
+
+# ----------------------------------------------- verification in numpy blocks
+
+# the most a verified residual may move from the sample-by-sample
+# reference, fixed before measuring: the numpy table's tanh, exp, expm1,
+# log and pow differ from math's by a few ulp, and the residuals are
+# of order 1e-15
+VERIFY_TOL = 1e-12
+
+
+def verify_box(source):
+    """The box convert verifies over: the declared one, completed with
+    [-1, 1]."""
+    return {**default_box(oracle_model(source)), **(source_box(source) or {})}
+
+
+@pytest.mark.parametrize("source", ORACLE_SOURCES + DEFERRED_SOURCES)
+def test_block_maps_equal_the_affine_maps_bit_for_bit(source):
+    rng = np.random.default_rng(13)
+    for m, _sm in lpv_models(source):
+        blocks, maps = m.block_maps(), m.affine_maps()
+        bar = np.concatenate((m.anchor.x_bar, m.anchor.u_bar))
+        for n in (1, 7):
+            p = rng.uniform(-2.0, 2.0, (m.np, n))
+            pts = rng.uniform(-2.0, 2.0, (n, m.nx + m.nu))
+            w = np.vstack((np.ones(n), p))
+            z = (pts - bar).T
+            for block, one in zip(blocks, maps):
+                got = block(w, z)
+                want = np.array([one(p[:, s], pts[s, :m.nx], pts[s, m.nx:])
+                                 for s in range(n)]).T
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("source", ORACLE_SOURCES + DEFERRED_SOURCES)
+def test_verify_equals_the_sample_by_sample_reference(source):
+    model, box = oracle_model(source), verify_box(source)
+    for m, sm in lpv_models(source):
+        got = verify_embedding(model, m, sm, samples=200, box=box, seed=3)
+        want = reference_verify(model, m, sm, 200, box, seed=3)
+        for g, w in ((got.f_max, want.f_max), (got.h_max, want.h_max)):
+            assert np.abs(g - w).max(initial=0.0) <= VERIFY_TOL
+
+
+def test_verify_with_an_anchor_equals_the_reference(disk_doc):
+    box = disk_doc.box
+    fs = factorize(disk_doc.model, Anchor((0.5, -1.0), (0.25,)))
+    for m, sm in (extract_element(fs), extract_factor(fs)):
+        got = verify_embedding(disk_doc.model, m, sm, samples=300, box=box)
+        want = reference_verify(disk_doc.model, m, sm, 300, box)
+        assert np.abs(got.f_max - want.f_max).max() <= VERIFY_TOL
+        assert np.abs(got.h_max - want.h_max).max() <= VERIFY_TOL
+
+
+def test_range_and_verify_share_the_entries_numpy_functions(monkeypatch):
+    # a convert compiles each scheduling entry's numpy function once
+    compiled = Counter()
+
+    def counted(e, names):
+        compiled[e] += 1
+        return compile_array(e, names)
+    monkeypatch.setattr(lpv, "compile_array", counted)
+    doc = network_doc(0)
+    m, sm = extract_factor(factorize(doc.model))
+    m.range_box = estimate_range(sm, doc.box, grid_per_dim=11)
+    verify_embedding(doc.model, m, sm, samples=50, box=doc.box)
+    assert compiled == Counter(sm.entries)
+
+
+def test_verify_in_small_blocks_equals_one_block(monkeypatch):
+    # the table works elementwise, so how the samples are cut into
+    # blocks does not move a residual
+    cases = [(oracle_model(s), verify_box(s), lpv_models(s))
+             for s in ("bundled:unbalanced_disk", "random:3", "network:0")]
+
+    def reports():
+        return [verify_embedding(model, m, sm, samples=150, box=box)
+                for model, box, pairs in cases for m, sm in pairs]
+    want = reports()
+    for block in (1, 64):
+        monkeypatch.setattr(lpv, "VERIFY_BLOCK", block)
+        for got, ref in zip(reports(), want):
+            assert got.f_max.tobytes() == ref.f_max.tobytes()
+            assert got.h_max.tobytes() == ref.h_max.tobytes()
+            assert (got.f_worst, got.h_worst) == (ref.f_worst, ref.h_worst)
+
+
+def empty_lpv(f1, h1, n_p=0):
+    """A one-state model ``f1``, ``h1`` against an LPV model whose
+    coefficients are all zero, with ``n_p`` scheduling variables."""
+    model = make_model([f1], [h1], 1, 1)
+    zero = np.zeros((n_p + 1, 1, 1))
+    m = LpvssModel.from_dense(zero, zero, zero, zero, nx=1, nu=1, ny=1,
+                              np=n_p, V=np.zeros(1), W=np.zeros(1),
+                              anchor=Anchor.origin(1, 1))
+    return model, m
+
+
+def failing_cases():
+    """(name, model, LPV model, scheduling map, box): entries that fail,
+    a pole the floats divide by, and residuals that overflow."""
+    unit = {"x1": (-1.0, 1.0), "u1": (-1.0, 1.0)}
+    x1 = ("x1",)
+    held = make_model(["-x1*tanh(1/x1)"], ["tanh(1/x1) + x1"], 1, 1)
+    A = np.array([[[0.0]], [[-1.0]]])
+    zero = np.zeros((2, 1, 1))
+    held_m = LpvssModel.from_dense(A, zero, zero, zero, nx=1, nu=1, ny=1,
+                                   np=1, V=np.zeros(1), W=np.ones(1),
+                                   anchor=Anchor.origin(1, 1))
+    ln_f, ln_f_m = empty_lpv("ln(x1)", "x1")
+    ln_p, ln_p_m = empty_lpv("x1", "x1", n_p=1)
+    square = make_model(["-x1*x1 + u1"], ["x1"], 1, 1)
+    cases = [
+        ("ln-f", ln_f, ln_f_m, SchedulingMap((), ln_f.var_names), unit),
+        ("ln-p", ln_p, ln_p_m,
+         SchedulingMap((pe("ln(x1)", x1),), ln_p.var_names), unit),
+        ("tanh-pole", held, held_m,
+         SchedulingMap((pe("tanh(1/x1)", x1),), held.var_names),
+         {"x1": (0.0, 0.0), "u1": (0.0, 0.0)}),
+        ("overflow", square, *extract_factor(factorize(square)),
+         {"x1": (-2e154, 2e154), "u1": (-1.0, 1.0)}),
+    ]
+    for source in ("bundled:unbalanced_disk", "network:0"):
+        model = oracle_model(source)
+        cases.append((source, model, *extract_factor(factorize(model)),
+                      verify_box(source)))
+    return cases
+
+
+def verify_outcome(verify, model, m, sm, box):
+    """The bits of a report's residuals and its worst points, or the
+    type and message of what ``verify`` raises.  The map is built anew,
+    so its numpy functions come from ``lpv.compile_array`` as it is now,
+    patched or not."""
+    try:
+        rep = verify(model, m, SchedulingMap(sm.entries, sm.var_names),
+                     200, box)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (np.concatenate((rep.f_max, rep.h_max)).tobytes(),
+            rep.f_worst + rep.h_worst)
+
+
+def batched_verify(model, m, sm, samples, box):
+    return verify_embedding(model, m, sm, samples=samples, box=box)
+
+
+@pytest.mark.parametrize("case", failing_cases(), ids=lambda c: c[0])
+def test_verify_fails_or_walks_as_the_reference_does(monkeypatch, case):
+    # a failing entry raises the reference's EntryError, and a block
+    # with a non-finite residual is walked, so the worst points are the
+    # reference's; elsewhere the residuals agree within VERIFY_TOL (a
+    # near-tie may move a worst point).  With the block path refused
+    # everywhere, the whole report is the reference's, bit for bit
+    _name, model, m, sm, box = case
+    want = verify_outcome(reference_verify, model, m, sm, box)
+    got = verify_outcome(batched_verify, model, m, sm, box)
+    if isinstance(want[0], type) or not np.isfinite(
+            np.frombuffer(want[0])).all():
+        assert got == want
+    else:
+        assert np.abs(np.frombuffer(got[0])
+                      - np.frombuffer(want[0])).max() <= VERIFY_TOL
+
+    def refuse(*columns):
+        raise EvalError("refused")
+    monkeypatch.setattr(lpv, "compile_array", lambda e, names: refuse)
+    monkeypatch.setattr(lpv, "compile_arrays", lambda es, names: refuse)
+    assert verify_outcome(batched_verify, model, m, sm, box) == want
