@@ -32,7 +32,6 @@ from .modelfile import (
 )
 from .models import BUNDLED, bundled_path
 from .parser import ParseError
-from .quadrature import QuadratureConvergenceError
 from .sim import (
     GridMismatchError, InputSignal, SolverConfig, SolverError,
     read_input_csv, rmse, simulate_lpv_self_scheduled, simulate_nl,
@@ -414,8 +413,8 @@ def main(argv=None) -> int:
     except (ModelFileError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ModelError, ExprError, QuadratureConvergenceError, RangeGridError,
-            SolverError, GridMismatchError) as exc:
+    except (ModelError, ExprError, RangeGridError, SolverError,
+            GridMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERT
     except RecursionError:

@@ -60,10 +60,13 @@ its own or as such a node's, is code that raises
   function that returns their values as a tuple, and
   :func:`compile_scalar` is its one-expression case.  A vector function
   whose entry fails raises :class:`EntryError`, the one error that names
-  a failing entry.  :func:`compile_panel` writes a quadrature rule's
-  panel of an integrand on any interval, the function a deferred
-  integral compiles: the nodes free of the integration variable once,
-  the rest in a loop over the rule's node pairs.
+  a failing entry; an entry fails when it raises one of
+  :data:`EVAL_ERRORS`, a deferred integral that does not converge
+  included, and ``EntryError.at`` adds the point where it did.
+  :func:`compile_panel` writes a quadrature rule's panel of an
+  integrand on any interval, the function a deferred integral compiles:
+  the nodes free of the integration variable once, the rest in a loop
+  over the rule's node pairs.
 * The numpy table maps them to ufuncs and :data:`ARRAY_FUNCTIONS`, so
   :func:`compile_array` evaluates one tree at whole arrays of points.
   It agrees with the scalar table to a few ulp (the transcendental
@@ -102,6 +105,13 @@ class EntryError(EvalError):
         super().__init__(f"{label}: {cause}")
         self.label, self.index, self.cause = label, index, cause
 
+    def at(self, place: str, names, values) -> EntryError:
+        """This error with the point where it happened added to its
+        cause: ``p1: ln of non-positive value at grid point x1=-1.0``."""
+        point = ", ".join(f"{n}={float(v)!r}" for n, v in zip(names, values))
+        return EntryError(self.label, self.index,
+                          EvalError(f"{self.cause} at {place} {point}"))
+
 
 class UnboundVariableError(EvalError):
     def __init__(self, name: str):
@@ -124,13 +134,19 @@ def sinc(a: float) -> float:
     return math.sin(a) / a
 
 
+# below this |a|, cosm1c is -a/2, accurate to a relative a*a/12, where
+# sin(a/2)**2 would near the subnormal range (|a| below about 3e-154)
+_COSM1C_TINY = 1e-150
+
+
 def cosm1c(a: float) -> float:
     """(cos(a) - 1)/a continued with 0.0 at a = 0.
 
-    Uses -2 sin(a/2)^2 / a to avoid the cancellation in cos(a) - 1.
+    Uses -2 sin(a/2)^2 / a to avoid the cancellation in cos(a) - 1, and
+    -a/2 where ``|a| < _COSM1C_TINY``.
     """
-    if a == 0.0:
-        return 0.0
+    if abs(a) < _COSM1C_TINY:
+        return 0.0 - 0.5 * a  # 0.0, not -0.0, at either zero
     s = math.sin(0.5 * a)
     return -2.0 * s * s / a
 
@@ -142,14 +158,36 @@ def expm1c(a: float) -> float:
     return math.expm1(a) / a
 
 
+# dsinc's Taylor series is a * sum_k c_k a^(2k) with c_k = (-1)^(k+1)
+# (2k+2)/(2k+3)!, k = 0..11.  The direct quotient cancels as 3*eps/a^2
+# for small a; below |a| = 1.5 these twelve terms stay within about an
+# ulp of the exact value (measured against mpmath) in both tables
+_DSINC_SWITCH = 1.5
+_DSINC_SERIES = (
+    -1 / 3, 1 / 30, -1 / 840, 1 / 45360, -1 / 3991680, 1 / 518918400,
+    -1 / 93405312000, 1 / 22230464256000, -1 / 6758061133824000,
+    1 / 2554547108585472000, -1 / 1175091669949317120000,
+    1 / 646300418472124416000000,
+)
+
+
+def _dsinc_series(a):
+    """dsinc by its series, Horner in a*a, on a float or an array."""
+    t = a * a
+    s = 0.0
+    for c in reversed(_DSINC_SERIES):
+        s = s * t + c
+    return a * s
+
+
 def dsinc(a: float) -> float:
     """Derivative of sinc: (a cos a - sin a)/a^2, continued with 0.0 at a = 0.
 
-    Switches to the Taylor form -a/3 + a^3/30 for small a where the direct
-    quotient loses all significant digits.
+    Below ``|a| < _DSINC_SWITCH`` the series, where the direct quotient
+    would lose significant digits.
     """
-    if abs(a) < 1e-4:
-        return a * (a * a / 30.0 - 1.0 / 3.0)
+    if abs(a) < _DSINC_SWITCH:
+        return _dsinc_series(a)
     return (a * math.cos(a) - math.sin(a)) / (a * a)
 
 
@@ -193,7 +231,8 @@ def _array_sinc(a):
 def _array_cosm1c(a):
     a = np.asarray(a, dtype=float)
     s = np.sin(0.5 * a)
-    return np.divide(-2.0 * s * s, a, out=np.zeros_like(a), where=a != 0.0)
+    return np.divide(-2.0 * s * s, a, out=np.asarray(0.0 - 0.5 * a),
+                     where=np.abs(a) >= _COSM1C_TINY)
 
 
 def _array_expm1c(a):
@@ -203,10 +242,9 @@ def _array_expm1c(a):
 
 def _array_dsinc(a):
     a = np.asarray(a, dtype=float)
-    small = np.abs(a) < 1e-4
+    small = np.abs(a) < _DSINC_SWITCH
     out = np.empty_like(a)
-    t = a[small]
-    out[small] = t * (t * t / 30.0 - 1.0 / 3.0)
+    out[small] = _dsinc_series(a[small])
     t = a[~small]
     out[~small] = (t * np.cos(t) - np.sin(t)) / (t * t)
     return out
@@ -422,8 +460,12 @@ DERIVATIVES: dict[str, Callable[[Expr], Expr]] = {
     "ln": lambda a: div(ONE, a),
     "sqrt": lambda a: div(ONE, mul(Const(2.0), call("sqrt", a))),
     "sinc": lambda a: call("dsinc", a),
-    # quotient forms; evaluable everywhere except exactly at a = 0,
-    # which no conversion path ever differentiates into
+    # quotient forms: not evaluable at a = 0, and the expm1c and dsinc
+    # ones cancel near it.  factorize differentiates a model's own
+    # equations, so a model that uses cosm1c, expm1c or dsinc itself
+    # meets them wherever its line integral passes a = 0, and such a
+    # convert exits with an error naming the entry; derivatives with a
+    # value at 0 are ROADMAP.md's direction 15
     "cosm1c": lambda a: div(add(neg(call("sin", a)),
                                 neg(call("cosm1c", a))), a),
     "expm1c": lambda a: div(add(mul(add(a, Const(-1.0)), call("exp", a)), ONE),
@@ -661,7 +703,8 @@ def _negated(e: Expr) -> Expr | None:
 # the numpy scalars; a failing entry is found again on those arguments.
 
 # what compiled code raises on a domain or range violation: math errors,
-# and the EvalError of a deferred integral or an unbound variable
+# and the EvalError of a deferred integral that does not converge
+# (quadrature's QuadratureConvergenceError) or of an unbound variable
 EVAL_ERRORS = (EvalError, ValueError, ZeroDivisionError, OverflowError)
 
 

@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    DERIVATIVES, Add, Call, Const, Div, EntryError, EvalError, Expr, Mul,
+    DERIVATIVES, Add, Call, Const, Div, EntryError, Expr, Mul,
     NonDifferentiableError, Pow, Var, ZERO, add, call, compile_panel,
     compile_vector, div, mul, neg, substitute, to_string,
 )
@@ -511,9 +511,7 @@ def _offsets(exprs: Sequence[Expr], tag: str,
     try:
         return np.array(compile_vector(exprs, tuple(at), tag)(*at.values()))
     except EntryError as exc:
-        where = ", ".join(f"{n}={v!r}" for n, v in at.items())
-        raise EntryError(exc.label, exc.index, EvalError(
-            f"{exc.cause} at the anchor {where}")) from exc
+        raise exc.at("the anchor", at, at.values()) from exc
 
 
 def factorize(model: NlssModel, anchor: Anchor | None = None,

@@ -23,11 +23,13 @@ time (simulation), into one function that returns all of p (see
 only as a retry (see :func:`call_floats`).  For blocks of points, each
 entry into a numpy function of its own footprint (see
 :func:`compile_array`), compiled once per map and shared by the range
-scan and verification.  Both block paths walk a block that raises or
-is not finite point by point through the scalar functions, so only
-those raise: a failing entry raises EntryError, which names it: ``p2:
-ln of non-positive value``, as the range scan does with the grid point
-and verification at the first failing sample.
+scan and verification.  Both block paths fall back through one rule
+(:func:`_blocks`): a block that raises or is not finite is walked point
+by point through the scalar functions, so only those raise.  A failing
+entry raises EntryError, which names it and where it failed: ``p2: ln
+of non-positive value at grid point x1=-1.0`` in the range scan, ``at
+sample x1=...`` at verification's first failing sample.  A deferred
+integral that does not converge is such a failure.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .factorize import (
     Anchor, FactorizedSystem, ModelError, NlssModel, check_sample_time,
     var_sort_key,
 )
-from .quadrature import QuadratureConvergenceError
 
 RANGE_GRID_BUDGET = 10_000_000
 RANGE_BLOCK = 1 << 16      # grid points per numpy evaluation in the scan
@@ -452,12 +453,28 @@ def _check_interval(name: str, lo: float, hi: float) -> None:
             f"invalid box for {name}: width {hi} - ({lo}) overflows")
 
 
+def _blocks(n: int, size: int, block, walk):
+    """``(start, values)`` of items ``start:stop`` of ``n``, per block of
+    ``size``: ``block(start, stop)`` with every floating-point flag but
+    underflow raised, or ``walk(start, stop)`` point by point where that
+    raises an evaluation error, returns None or is not finite."""
+    for start in range(0, n, size):
+        stop = min(start + size, n)
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                v = block(start, stop)
+        except (FloatingPointError, *EVAL_ERRORS):
+            v = None
+        if v is None or not np.isfinite(v).all():
+            v = walk(start, stop)
+        yield start, v
+
+
 def _scan(idx: int, fp: Sequence[str], axes, fn, vec) -> tuple[float, float]:
     """(lo, hi) of entry ``idx`` over the grid of ``axes``, as
     :func:`estimate_range` describes: blocks through ``vec``, and point
-    by point through ``fn`` where a block raises or is not finite."""
+    by point through ``fn`` where a block falls back (:func:`_blocks`)."""
     shape = tuple(len(a) for a in axes)
-    total = math.prod(shape)
 
     def columns(flat):             # the axis values at flat grid indices
         cols = np.unravel_index(flat, shape) if shape else ()
@@ -470,9 +487,8 @@ def _scan(idx: int, fp: Sequence[str], axes, fn, vec) -> tuple[float, float]:
             if not math.isfinite(v):
                 raise ValueError(f"non-finite value {float(v)!r}")
         except EVAL_ERRORS as exc:
-            at = ", ".join(f"{n}={float(c)!r}" for n, c in zip(fp, pt))
-            raise EntryError(f"p{idx + 1}", idx, ValueError(
-                f"{exc} at grid point {at}")) from exc
+            raise EntryError(f"p{idx + 1}", idx, exc).at(
+                "grid point", fp, pt) from exc
         return v
 
     def walk(flat) -> np.ndarray:  # fn point by point, on numpy scalars
@@ -480,19 +496,13 @@ def _scan(idx: int, fp: Sequence[str], axes, fn, vec) -> tuple[float, float]:
         with np.errstate(all="ignore"):   # an inf or a NaN is checked here
             return np.fromiter(map(value, pts), float, flat.size)
 
+    def block(start, stop):        # a constant is one number
+        return np.broadcast_to(vec(*columns(np.arange(start, stop))),
+                               (stop - start,))
+
     lo = hi = None                 # (value, flat index)
-    for start in range(0, total, RANGE_BLOCK):
-        flat = np.arange(start, min(start + RANGE_BLOCK, total))
-        v = None
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                # a constant is one number
-                v = np.broadcast_to(vec(*columns(flat)), flat.shape)
-        except (FloatingPointError, QuadratureConvergenceError,
-                *EVAL_ERRORS):
-            pass
-        if v is None or not np.isfinite(v).all():
-            v = walk(flat)
+    for start, v in _blocks(math.prod(shape), RANGE_BLOCK, block,
+                            lambda start, stop: walk(np.arange(start, stop))):
         i, j = int(v.argmin()), int(v.argmax())
         if lo is None or v[i] < lo[0]:
             lo = (v[i], start + i)
@@ -524,9 +534,9 @@ def estimate_range(sm: SchedulingMap,
     (cached on the map).  There a deferred integral runs one quadrature
     panel at every point, bisects once where it does not settle, and
     integrates through ``at`` only the points that neither settles
-    (``DeferredIntegral.at_array``).  A block that raises (a
-    quadrature that does not converge, or an unbound variable, included)
-    or gives a non-finite value is walked point by point through the
+    (``DeferredIntegral.at_array``).  A block that raises (an
+    evaluation error, a quadrature that does not converge among them) or
+    gives a non-finite value is walked point by point through the
     entry's compiled scalar function (:func:`compile_scalar`)
     instead.  The raw extrema are the first grid points with the least
     and the greatest value, and their values are the scalar function's
@@ -643,14 +653,15 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
     a deferred integral through ``at_array``; f and h through
     :func:`compile_arrays`; the maps through
     :meth:`LpvssModel.block_maps`, which sum as the one-sample maps do.
-    A block that raises (a quadrature that does not converge, or an
-    unbound variable, included), or that gives a non-finite p or
-    residual, is walked sample by sample as a wholly scalar check does:
-    p by :meth:`SchedulingMap.evaluate`, f and h each compiled by
+    A block that raises (an evaluation error, a quadrature that does not
+    converge among them), or that gives a non-finite p or residual, is
+    walked sample by sample as a wholly scalar check does: p by
+    :meth:`SchedulingMap.evaluate`, f and h each compiled by
     :func:`compile_vector` and called by :func:`call_floats`, the maps by
     :meth:`LpvssModel.affine_maps`.  So only the walk raises: an entry of
-    p, f or h that fails raises EntryError, naming it, at the first
-    sample where it does.  The table agrees with the scalar functions to
+    p, f or h that fails raises EntryError, naming it and the first
+    sample where it does: ``f1: ln of non-positive value at sample
+    x1=-0.9, u1=0.3``.  The table agrees with the scalar functions to
     a few ulp, and so do the residuals.  The report carries per-equation
     worst residuals and where they occurred: the first largest, or the
     first non-finite one (from a non-finite f or realization value),
@@ -707,27 +718,23 @@ def verify_embedding(model: NlssModel, m: LpvssModel, sm: SchedulingMap,
         out = np.empty((len(rows), nx + ny))
         for n, row in enumerate(rows):
             x, u = row[:nx], row[nx:]
-            p = sm.evaluate(x, u)
+            try:
+                p = sm.evaluate(x, u)
+                want = call_floats(f, x, u) + call_floats(h, x, u)
+            except EntryError as exc:
+                raise exc.at("sample", names, row) from exc
             out[n] = np.abs(np.concatenate((state(p, x, u), output(p, x, u)))
-                            - (call_floats(f, x, u) + call_floats(h, x, u)))
+                            - want)
         return out
 
     triplets = max(m.coeffs[X].c.size + m.coeffs[U].c.size
                    for X, U in ("AB", "CD"))
     size = max(1, VERIFY_BLOCK // max(triplets, 1))
     res = np.empty((samples, nx + ny))
-    for start in range(0, samples, size):
-        rows = pts[start:start + size]
-        r = None
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                r = block(rows)
-        except (FloatingPointError, QuadratureConvergenceError,
-                *EVAL_ERRORS):
-            pass
-        if r is None or not np.isfinite(r).all():
-            r = walk(rows)
-        res[start:start + len(rows)] = r
+    for start, r in _blocks(samples, size,
+                            lambda start, stop: block(pts[start:stop]),
+                            lambda start, stop: walk(pts[start:stop])):
+        res[start:start + len(r)] = r
     # per equation, the first non-finite residual if any, else the first
     # largest
     bad = ~np.isfinite(res)

@@ -33,6 +33,8 @@ import heapq
 import math
 from typing import Callable, NamedTuple
 
+from .expr import EvalError
+
 # Kronrod nodes on (0, 1], paired symmetrically about the interval
 # midpoint.  Odd entries (indices 1, 3, 5) are the Gauss-7 nodes.
 _XK = (
@@ -102,11 +104,12 @@ def unsettled(err, value):
     return (err > ABS_TOL) & ((rel > ABS_TOL) <= (err > rel))
 
 
-class QuadratureConvergenceError(Exception):
+class QuadratureConvergenceError(EvalError):
     """Subdivision budget exhausted before meeting the tolerance.
 
-    Carries the best available estimate and its error bound so callers
-    can still inspect how far the integration got.
+    An EvalError, so the caller names the entry that fails.  Carries
+    the best available estimate and its error bound so callers can
+    still inspect how far the integration got.
     """
 
     def __init__(self, estimate: float, error: float, subdivisions: int):

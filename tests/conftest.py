@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from lpvembed.expr import (
-    FUNCTIONS, Add, Call, Const, Div, Mul, Pow, Var, call_floats,
-    compile_vector,
+    FUNCTIONS, Add, Call, Const, Div, EntryError, EvalError, Mul, Pow, Var,
+    call_floats, compile_vector,
 )
 from lpvembed.lpv import VerifyReport
 from lpvembed.modelfile import load_model_file
@@ -75,7 +75,9 @@ def reference_verify(model, m, sm, samples, box, seed=0):
     numpy blocks: the same sampler, then at each point p by
     ``SchedulingMap.evaluate``, f and h by their compiled vectors on
     floats, the maps by ``LpvssModel.affine_maps``.  The independent
-    reference for the blocks; it raises what the old loop raised."""
+    reference for the blocks; it raises the EntryError the old loop
+    raised, with the sample where it did: ``f1: ln of non-positive value
+    at sample x1=-0.5, u1=0.25``."""
     names = model.var_names
     lo = np.array([box[n][0] for n in names])
     hi = np.array([box[n][1] for n in names])
@@ -88,10 +90,15 @@ def reference_verify(model, m, sm, samples, box, seed=0):
     with np.errstate(all="ignore"):
         for n, row in enumerate(pts):
             x, u = row[:model.nx], row[model.nx:]
-            p = sm.evaluate(x, u)
+            try:
+                p = sm.evaluate(x, u)
+                want = call_floats(f, x, u) + call_floats(h, x, u)
+            except EntryError as exc:
+                at = ", ".join(f"{n}={float(v)!r}" for n, v in zip(names, row))
+                raise EntryError(exc.label, exc.index, EvalError(
+                    f"{exc.cause} at sample {at}")) from exc
             res[n] = np.abs(np.concatenate((state_map(p, x, u),
-                                            output_map(p, x, u)))
-                            - (call_floats(f, x, u) + call_floats(h, x, u)))
+                                            output_map(p, x, u))) - want)
     bad = ~np.isfinite(res)
     at = np.where(bad.any(axis=0), bad.argmax(axis=0), res.argmax(axis=0))
     worst = res[at, np.arange(res.shape[1])]

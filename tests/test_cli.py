@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import lpvembed
+from lpvembed import quadrature
 from lpvembed.cli import main
 from lpvembed.factorize import MatrixFunction
 from lpvembed.lpv import CoeffFamily, LpvssModel
@@ -799,6 +801,65 @@ def test_info_reads_a_version_1_artifact(capsys):
     assert code == 0
     assert "  format_version 1\n" in text
     assert "  coefficients: A 3, B 1, C 1, D 0 nonzero\n" in text
+
+
+# ------------------------------------------ a quadrature that does not converge
+# p1 = integral01(0.6*(tan(2*lam*x1)^2 + 1) - 1) meets tan's pole in lam
+# where |x1| > pi/4, and its quadrature does not converge there: each verb
+# exits 3, naming the entry and where it was evaluated
+
+CONVERGE = (r"p1: integral did not converge after \d+ subdivisions: "
+            r"estimate \S+, error bound \S+")
+
+
+def tan_model(tmp_path, half_width):
+    path = tmp_path / f"tan_{half_width}.nlss"
+    path.write_text("format_version 1\nnx 1\nnu 1\nny 1\n"
+                    "f1 = -x1 + 0.3*tan(2*x1) + u1\nh1 = x1\n"
+                    f"box x1 -{half_width} {half_width}\n")
+    return str(path)
+
+
+@pytest.fixture()
+def tan_artifact(tmp_path, monkeypatch):
+    # converted on a box clear of the pole; a small budget keeps the
+    # integrals that do not converge cheap
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 50)
+    out = str(tmp_path / "tan.json")
+    assert main(["convert", tan_model(tmp_path, 0.5), "--mode", "numeric",
+                 "--grid", "101", "-o", out]) == 0
+    return out
+
+
+def test_convert_names_the_entry_and_the_sample_that_do_not_converge(
+        tmp_path, capsys, monkeypatch):
+    # the range grid's two points, x1 = -1 and 1, converge within the
+    # budget; verification then meets a sample that does not
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 400)
+    code, _, err = run(["convert", tan_model(tmp_path, 1), "--grid", "2",
+                        "-o", str(tmp_path / "a.json")], capsys)
+    assert code == 3
+    assert re.fullmatch(rf"error: {CONVERGE} at sample x1=\S+, u1=\S+",
+                        err.splitlines()[-1]), err
+
+
+def test_range_names_the_entry_and_the_grid_point_that_do_not_converge(
+        tan_artifact, capsys):
+    code, _, err = run(["range", tan_artifact, "--box", "x1=-1:1",
+                        "--grid", "101"], capsys)
+    assert code == 3
+    assert re.fullmatch(rf"error: {CONVERGE} at grid point x1=-1.0\n",
+                        err), err
+
+
+def test_simulate_names_the_entry_and_the_time_that_do_not_converge(
+        tan_artifact, tmp_path, capsys):
+    code, _, err = run(["simulate", tan_artifact, "--x0", "0.79",
+                        "--t-end", "0.5", "-o", str(tmp_path / "run.csv")],
+                       capsys)
+    assert code == 3
+    assert re.fullmatch(rf"error: scheduling evaluation failed: {CONVERGE} "
+                        rf"\(t = 0.0\)\n", err), err
 
 
 # -------------------------------------------------------------- console script

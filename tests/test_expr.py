@@ -9,9 +9,11 @@ import sys
 import threading
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 
+from lpvembed import expr
 from lpvembed.expr import (
     ARRAY_FUNCTIONS, FUNCTIONS, Add, Call, Const, EntryError, Expr, Mul,
     NonDifferentiableError, UnboundVariableError, Var,
@@ -134,6 +136,66 @@ def test_singularity_helpers_small_arguments():
     assert cosm1c(a) == pytest.approx(-a / 2.0, rel=1e-9)
     assert expm1c(a) == pytest.approx(1.0 + a / 2.0 + a * a / 6.0, rel=1e-11)
     assert dsinc(a) == pytest.approx(-a / 3.0 + a ** 3 / 30.0, rel=1e-9)
+
+
+def test_cosm1c_does_not_underflow_below_its_tiny_branch():
+    # -2*sin(a/2)**2/a underflows to -0.0 for 0 < |a| below about
+    # 3e-154; there cosm1c is -a/2 in both tables, and 0.0 at either zero
+    a = [2e-162, -2e-162, 5e-324, -5e-324, 1e-200]
+    want = [-1e-162, 1e-162, -0.0, 0.0, -5e-201]
+    assert [cosm1c(v) for v in a] == want
+    with np.errstate(all="raise", under="ignore"):
+        assert ARRAY_FUNCTIONS["cosm1c"](np.array(a)).tolist() == want
+    for zero in (0.0, -0.0):
+        for got in (cosm1c(zero), float(ARRAY_FUNCTIONS["cosm1c"](
+                np.array([zero]))[0])):
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+# the removable-singularity family at exact precision: the definition,
+# with working precision raised to cover the cancellation in cos(a) - 1
+# and a*cos(a) - sin(a), which lose about 2*log2(1/|a|) bits
+_MP_DEFINITIONS = {
+    "sinc": (1, lambda a: mpmath.sin(a) / a),
+    "cosm1c": (0, lambda a: (mpmath.cos(a) - 1) / a),
+    "expm1c": (1, lambda a: mpmath.expm1(a) / a),
+    "dsinc": (0, lambda a: (a * mpmath.cos(a) - mpmath.sin(a)) / (a * a)),
+}
+SINGULARITY_ULP = 4    # fixed before measuring
+
+
+def _singularity_points():
+    """±logspace(-300, 1), ±0, subnormals, and both sides of each switch
+    point (cosm1c's tiny branch, dsinc's series and its old 1e-4)."""
+    switches = [expr._COSM1C_TINY, expr._DSINC_SWITCH, 1e-4, 3e-154]
+    near = [math.nextafter(s, d) for s in switches for d in (0.0, 2.0)]
+    subnormals = [5e-324, 1e-323, 1e-320, 1e-310,
+                  math.nextafter(2.2250738585072014e-308, 0.0)]
+    mags = list(np.logspace(-300, 1, 602)) + switches + near + subnormals
+    return [0.0, -0.0] + mags + [-v for v in mags]
+
+
+@pytest.mark.parametrize("fn", sorted(_MP_DEFINITIONS))
+def test_singularity_family_is_within_a_few_ulp_of_mpmath(fn):
+    at_zero, definition = _MP_DEFINITIONS[fn]
+    a = _singularity_points()
+    with np.errstate(all="raise", under="ignore"):
+        tables = {"scalar": [FUNCTIONS[fn](v) for v in a],
+                  "numpy": ARRAY_FUNCTIONS[fn](np.array(a)).tolist()}
+    worst = {}
+    for n, v in enumerate(a):
+        if v == 0.0:
+            ref = mpmath.mpf(at_zero)
+        else:
+            bits = 80 + 2 * max(0, -int(mpmath.mag(v)))
+            with mpmath.workprec(bits):
+                ref = definition(mpmath.mpf(v))
+        ulp = math.ulp(float(ref))
+        for table, got in tables.items():
+            err = float(abs(mpmath.mpf(got[n]) - ref) / ulp)
+            if err > worst.get(table, (0.0,))[0]:
+                worst[table] = (err, v)
+    assert all(err <= SINGULARITY_ULP for err, _ in worst.values()), worst
 
 
 # ----------------------------------------------------------------- derivatives
@@ -401,11 +463,16 @@ def test_a_dropped_vector_function_is_freed_at_once():
 
 @pytest.mark.parametrize("fn", ["sinc", "cosm1c", "expm1c", "dsinc"])
 def test_array_singularity_family_is_exact_at_0_and_the_dsinc_switch(fn):
-    # 0, the smallest subnormals and both sides of dsinc's 1e-4 switch,
+    # 0, the smallest subnormals, both sides of cosm1c's tiny branch and
+    # dsinc's series up to its switch at 1.5 (its old 1e-4 switch too),
     # with every flag but underflow raised: the branch an element does
-    # not take must not be evaluated for it
+    # not take must not be evaluated for it.  Above the switches the
+    # tables call other sin and cos, which agree to a few ulp
     near = [math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e-4, 1.0),
-            5e-5, 2e-4, 5e-324, 1e-300, 1e-8]
+            5e-5, 2e-4, 5e-324, 1e-300, 1e-8, 2e-162,
+            math.nextafter(expr._COSM1C_TINY, 0.0), expr._COSM1C_TINY,
+            math.nextafter(expr._COSM1C_TINY, 1.0),
+            math.nextafter(expr._DSINC_SWITCH, 0.0)]
     a = np.array([0.0, -0.0] + near + [-v for v in near])
     with np.errstate(all="raise", under="ignore"):
         got = ARRAY_FUNCTIONS[fn](a)

@@ -1297,3 +1297,19 @@ def test_verify_fails_or_walks_as_the_reference_does(monkeypatch, case):
     monkeypatch.setattr(lpv, "compile_array", lambda e, names: refuse)
     monkeypatch.setattr(lpv, "compile_arrays", lambda es, names: refuse)
     assert verify_outcome(batched_verify, model, m, sm, box) == want
+
+
+def test_verify_names_the_entry_and_the_first_failing_sample():
+    # ln(x1) fails at every sample with x1 <= 0; the walk of the first
+    # block names f1 and the first of them, as the range scan names its
+    # grid point
+    model, m = empty_lpv("ln(x1)", "x1")
+    box = {"x1": (-1.0, 1.0), "u1": (-1.0, 1.0)}
+    pts = -1.0 + 2.0 * np.random.default_rng(0).random((50, 2))
+    x1, u1 = pts[np.argmax(pts[:, 0] <= 0.0)]
+    with pytest.raises(EntryError) as ei:
+        verify_embedding(model, m, SchedulingMap((), model.var_names),
+                         samples=50, box=box)
+    assert (ei.value.label, ei.value.index) == ("f1", 0)
+    assert str(ei.value) == (f"f1: ln of non-positive value at sample "
+                             f"x1={float(x1)!r}, u1={float(u1)!r}")

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from lpvembed import quadrature
-from lpvembed.expr import compile_panel, compile_scalar
+from lpvembed.expr import (
+    EVAL_ERRORS, EvalError, compile_panel, compile_scalar,
+)
 from lpvembed.parser import parse_expr
 from lpvembed.quadrature import (
     RULE, QuadratureConvergenceError, QuadResult, integrate, panel, unsettled,
@@ -97,6 +99,12 @@ def test_budget_exhaustion_raises(monkeypatch):
     truth = 2.0 / 3.0 * ((1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5)
     assert err.estimate == pytest.approx(truth, abs=1e-3)
     assert err.error > 0.0
+
+
+def test_a_quadrature_that_does_not_converge_is_an_evaluation_error():
+    # so compiled code's callers name the entry, as for a domain error
+    assert issubclass(QuadratureConvergenceError, EvalError)
+    assert issubclass(QuadratureConvergenceError, EVAL_ERRORS)
 
 
 def test_tolerances_are_respected(monkeypatch):

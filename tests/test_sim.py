@@ -589,7 +589,8 @@ def _verify():
     (_simulate_schedule, SolverError,
      "scheduling evaluation failed: p2: ln of non-positive value (t = 0.0)",
      "p2", 1),
-    (_verify, EntryError, "f1: ln of non-positive value", "f1", 0),
+    (_verify, EntryError, "f1: ln of non-positive value at sample "
+     "x1=-0.9180529521276106, u1=-0.9669447289429418", "f1", 0),
 ], ids=["schedule", "range-table", "range-walk", "offsets", "simulate-f",
         "simulate-h", "simulate-input", "simulate-p", "verify"])
 def test_every_evaluation_site_raises_one_entry_error(site, error, message,
