@@ -35,9 +35,10 @@ the function set contains a small family for removable singularities:
 
 These arise when Jacobian entries are integrated along the line through
 the origin and keep every produced matrix function evaluable at x = 0.
-The function table is the extension point for adding new primitives: an
-entry needs a numeric implementation and, if differentiable, a rule in
-the derivative table (:data:`DERIVATIVES`).
+The function table :data:`FUNCTIONS` is the extension point for adding
+new primitives: one :class:`Function` row per name holds its code on
+floats, its code on arrays and, if it is differentiable, its derivative
+rule.
 
 Compilation
 -----------
@@ -55,8 +56,8 @@ integral is the only such node.  A variable that is not an argument, on
 its own or as such a node's, is code that raises
 :class:`UnboundVariableError` when it runs.
 
-* The scalar table maps the functions to :data:`FUNCTIONS`, on Python
-  floats.  :func:`compile_vector` turns a list of trees into one
+* The scalar table maps the functions to their rows' ``scalar`` code,
+  on Python floats.  :func:`compile_vector` turns a list of trees into one
   function that returns their values as a tuple, and
   :func:`compile_scalar` is its one-expression case.  A vector function
   whose entry fails raises :class:`EntryError`, the one error that names
@@ -67,7 +68,7 @@ its own or as such a node's, is code that raises
   integrand on any interval, the function a deferred integral compiles:
   the nodes free of the integration variable once, the rest in a loop
   over the rule's node pairs.
-* The numpy table maps them to ufuncs and :data:`ARRAY_FUNCTIONS`, so
+* The numpy table maps them to their rows' ``array`` code, so
   :func:`compile_array` evaluates one tree at whole arrays of points.
   It agrees with the scalar table to a few ulp (the transcendental
   functions are other implementations; the arithmetic is the same).  A
@@ -203,29 +204,13 @@ def _sqrt(a: float) -> float:
     return math.sqrt(a)
 
 
-# name -> numeric implementation: constant folding and the scalar table
-FUNCTIONS: dict[str, Callable[[float], float]] = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "tanh": math.tanh,
-    "exp": math.exp,
-    "ln": _ln,
-    "sqrt": _sqrt,
-    "abs": abs,
-    "sinc": sinc,
-    "cosm1c": cosm1c,
-    "expm1c": expm1c,
-    "dsinc": dsinc,
-}
-
-
 # the same family on whole arrays of points; the branch an element does
 # not take is never evaluated for it, so it raises no floating-point flag
 
-def _array_sinc(a):
+def _array_quotient(fn, a):
+    """fn(a)/a continued with 1.0 at a = 0: sinc and expm1c on arrays."""
     a = np.asarray(a, dtype=float)
-    return np.divide(np.sin(a), a, out=np.ones_like(a), where=a != 0.0)
+    return np.divide(fn(a), a, out=np.ones_like(a), where=a != 0.0)
 
 
 def _array_cosm1c(a):
@@ -233,11 +218,6 @@ def _array_cosm1c(a):
     s = np.sin(0.5 * a)
     return np.divide(-2.0 * s * s, a, out=np.asarray(0.0 - 0.5 * a),
                      where=np.abs(a) >= _COSM1C_TINY)
-
-
-def _array_expm1c(a):
-    a = np.asarray(a, dtype=float)
-    return np.divide(np.expm1(a), a, out=np.ones_like(a), where=a != 0.0)
 
 
 def _array_dsinc(a):
@@ -250,21 +230,56 @@ def _array_dsinc(a):
     return out
 
 
-# name -> implementation on arrays, for the numpy table of the generator;
-# ln and sqrt outside their domain give numpy's flags, not ValueError
-ARRAY_FUNCTIONS: dict[str, Callable] = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "tanh": np.tanh,
-    "exp": np.exp,
-    "ln": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "sinc": _array_sinc,
-    "cosm1c": _array_cosm1c,
-    "expm1c": _array_expm1c,
-    "dsinc": _array_dsinc,
+class Function:
+    """One primitive of the expression language: its code on Python
+    floats (constant folding, the scalar table), on numpy arrays (the
+    numpy table), and its derivative rule, d/da f(a) as a tree in the
+    argument ``a``, or None where it has none."""
+
+    __slots__ = ("scalar", "array", "derivative")
+
+    def __init__(self, scalar: Callable[[float], float], array: Callable,
+                 derivative: Callable[[Expr], Expr] | None):
+        self.scalar, self.array, self.derivative = scalar, array, derivative
+
+
+# name -> primitive, the only function registry; ln and sqrt outside
+# their domain raise ValueError on floats and give numpy's flags on arrays
+FUNCTIONS: dict[str, Function] = {
+    "sin": Function(math.sin, np.sin, lambda a: call("cos", a)),
+    "cos": Function(math.cos, np.cos, lambda a: neg(call("sin", a))),
+    "tan": Function(math.tan, np.tan,
+                    lambda a: add(ONE, pow_(call("tan", a), Const(2.0)))),
+    "tanh": Function(math.tanh, np.tanh,
+                     lambda a: add(ONE, neg(pow_(call("tanh", a), Const(2.0))))),
+    "exp": Function(math.exp, np.exp, lambda a: call("exp", a)),
+    "ln": Function(_ln, np.log, lambda a: div(ONE, a)),
+    "sqrt": Function(_sqrt, np.sqrt,
+                     lambda a: div(ONE, mul(Const(2.0), call("sqrt", a)))),
+    "abs": Function(abs, np.abs, None),
+    "sinc": Function(sinc, partial(_array_quotient, np.sin),
+                     lambda a: call("dsinc", a)),
+    # (cos a - 1)/a^2 = -sinc(a/2)^2/2 gives a rule with the value -1/2
+    # at a = 0 and no cancellation worse than the difference's
+    "cosm1c": Function(cosm1c, _array_cosm1c,
+                       lambda a: add(mul(Const(0.5), pow_(call(
+                           "sinc", mul(Const(0.5), a)), Const(2.0))),
+                           neg(call("sinc", a)))),
+    # quotient forms: not evaluable at a = 0, and they cancel near it.
+    # factorize differentiates a model's own equations, so a model that
+    # uses expm1c or dsinc itself meets them wherever its line integral
+    # passes a = 0, and such a convert exits with an error naming the
+    # entry; derivatives with a value at 0 are ROADMAP.md's direction 15
+    "expm1c": Function(expm1c, partial(_array_quotient, np.expm1),
+                       lambda a: div(add(mul(add(a, Const(-1.0)),
+                                             call("exp", a)), ONE),
+                                     pow_(a, Const(2.0)))),
+    "dsinc": Function(dsinc, _array_dsinc,
+                      lambda a: div(add(mul(Const(2.0), call("sin", a)),
+                                        neg(mul(Const(2.0), a, call("cos", a))),
+                                        neg(mul(pow_(a, Const(2.0)),
+                                                call("sin", a)))),
+                                    pow_(a, Const(3.0)))),
 }
 
 
@@ -443,38 +458,11 @@ class Call(Expr):
         return (self.arg,)
 
     def diff(self, var):
-        rule = DERIVATIVES.get(self.fn)
+        rule = FUNCTIONS[self.fn].derivative
         if rule is None:
             raise NonDifferentiableError(
                 f"'{self.fn}' has no derivative rule")
         return mul(rule(self.arg), self.arg.diff(var))
-
-
-# outer derivative d/da f(a) as an expression in the argument
-DERIVATIVES: dict[str, Callable[[Expr], Expr]] = {
-    "sin": lambda a: call("cos", a),
-    "cos": lambda a: neg(call("sin", a)),
-    "tan": lambda a: add(ONE, pow_(call("tan", a), Const(2.0))),
-    "tanh": lambda a: add(ONE, neg(pow_(call("tanh", a), Const(2.0)))),
-    "exp": lambda a: call("exp", a),
-    "ln": lambda a: div(ONE, a),
-    "sqrt": lambda a: div(ONE, mul(Const(2.0), call("sqrt", a))),
-    "sinc": lambda a: call("dsinc", a),
-    # quotient forms: not evaluable at a = 0, and the expm1c and dsinc
-    # ones cancel near it.  factorize differentiates a model's own
-    # equations, so a model that uses cosm1c, expm1c or dsinc itself
-    # meets them wherever its line integral passes a = 0, and such a
-    # convert exits with an error naming the entry; derivatives with a
-    # value at 0 are ROADMAP.md's direction 15
-    "cosm1c": lambda a: div(add(neg(call("sin", a)),
-                                neg(call("cosm1c", a))), a),
-    "expm1c": lambda a: div(add(mul(add(a, Const(-1.0)), call("exp", a)), ONE),
-                            pow_(a, Const(2.0))),
-    "dsinc": lambda a: div(add(mul(Const(2.0), call("sin", a)),
-                               neg(mul(Const(2.0), a, call("cos", a))),
-                               neg(mul(pow_(a, Const(2.0)), call("sin", a)))),
-                           pow_(a, Const(3.0))),
-}
 
 
 ZERO = Const(0.0)
@@ -577,7 +565,7 @@ def call(fn: str, arg) -> Expr:
     arg = _coerce(arg)
     if isinstance(arg, Const):
         try:
-            return Const(FUNCTIONS[fn](arg.value))
+            return Const(FUNCTIONS[fn].scalar(arg.value))
         except (ValueError, OverflowError):
             pass
     return Call(fn, arg)
@@ -712,18 +700,18 @@ def _unbound(name: str):
     raise UnboundVariableError(name)
 
 
-# the only names compiled code sees besides its arguments: the function
-# table, _unbound, and inf and nan, which repr prints for folded
-# non-finite constants
+# each table's namespace, the only names compiled code sees besides its
+# arguments: the functions, _unbound, and inf and nan, which repr prints
+# for folded non-finite constants; and the method through which its code
+# calls a deferred integral
 _TABLES = {
-    "scalar": {"_pow": math.pow,
-               **{f"_fn_{fn}": impl for fn, impl in FUNCTIONS.items()}},
-    "numpy": {"_pow": np.power,
-              **{f"_fn_{fn}": impl for fn, impl in ARRAY_FUNCTIONS.items()}},
+    "scalar": ({"_pow": math.pow,
+                **{f"_fn_{fn}": f.scalar for fn, f in FUNCTIONS.items()}},
+               "at"),
+    "numpy": ({"_pow": np.power,
+               **{f"_fn_{fn}": f.array for fn, f in FUNCTIONS.items()}},
+              "at_array"),
 }
-
-# the method through which each table calls a deferred integral
-_DEFERRED_CALL = {"scalar": "at", "numpy": "at_array"}
 
 # the deepest code written inline, and the most terms of one inline sum
 # or product; a deeper node, or a run of further terms, gets a local
@@ -753,8 +741,9 @@ def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], fail=None,
     # arguments are _a0, _a1, ... whatever the variable names are
     params = [f"_a{i}" for i in range(len(names))]
     args = dict(zip(names, params))
+    functions, deferred_call = _TABLES[table]
     ns = {"__builtins__": {}, "inf": math.inf, "nan": math.nan,
-          "_unbound": _unbound, **_TABLES[table]}
+          "_unbound": _unbound, **functions}
     lines: list[str] = []
     count = itertools.count()
 
@@ -795,7 +784,7 @@ def _compile(exprs: tuple[Expr, ...], names: tuple[str, ...], fail=None,
                 ns[f"_node{len(ns)}"] = node
                 vals = ", ".join(args.get(n, f"_unbound({n!r})")
                                  for n in node.arg_names)
-                out = f"_node{len(ns) - 1}.{_DEFERRED_CALL[table]}({vals})"
+                out = f"_node{len(ns) - 1}.{deferred_call}({vals})"
             if uses[node] > 1 or d > _MAX_DEPTH or node in hoist:
                 out, d = local(sink, out), 0
             code[node] = (out, d)

@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    DERIVATIVES, Add, Call, Const, Div, EntryError, Expr, Mul,
+    FUNCTIONS, Add, Call, Const, Div, EntryError, Expr, Mul,
     NonDifferentiableError, Pow, Var, ZERO, add, call, compile_panel,
     compile_vector, div, mul, neg, substitute, to_string,
 )
@@ -131,7 +131,8 @@ class NlssModel:
                     if used and isinstance(n, DeferredIntegral):
                         raise ModelError(f"{where}: deferred integral entries "
                                          "cannot be differentiated")
-                    if used and isinstance(n, Call) and n.fn not in DERIVATIVES:
+                    if (used and isinstance(n, Call)
+                            and FUNCTIONS[n.fn].derivative is None):
                         raise ModelError(f"{where}: '{n.fn}' has no derivative rule")
                     if isinstance(n, Const) and not math.isfinite(n.value):
                         bad = n.value

@@ -365,7 +365,8 @@ def _simulate(step, output, nx: int, nu: int, sample_time: float,
     """Solve xi = step(t, x, u(t)) and sample y = output(t, x, u(t)).
 
     Returns the grid and the state, output and input samples on it.
-    A non-finite state or output sample raises SolverError at its time.
+    A non-finite input, state or output sample raises SolverError at
+    its time; the inputs are checked before the solve.
     """
     cfg = cfg or SolverConfig()
     if len(x0) != nx or u.nu != nu:
@@ -375,21 +376,31 @@ def _simulate(step, output, nx: int, nu: int, sample_time: float,
 
     if method == "discrete":
         grid = _discrete_grid(t_end, sample_time)
+    else:
+        grid = _output_grid(t_end, cfg.output_dt)
+        # the most steps the settings force: a fixed step, or the bound
+        # on an adaptive one
+        if method == "rk4":
+            _check_grid_size(t_end / cfg.step, "t_end / step")
+        else:
+            _check_grid_size(t_end / cfg.max_step, "t_end / max_step")
+    us = np.array([u(t) for t in grid])
+    bad = np.flatnonzero(~np.isfinite(us).all(axis=1))
+    if bad.size:
+        raise SolverError("non-finite input", float(grid[bad[0]]))
+    if method == "discrete":
         xs = np.empty((len(grid), nx))
-        us = np.array([u(t) for t in grid])
         xs[0] = x0
         for i in range(len(grid) - 1):
             xs[i + 1] = step(float(grid[i]), xs[i], us[i])
             if not np.all(np.isfinite(xs[i + 1])):
                 raise SolverError("non-finite state", float(grid[i + 1]))
     else:
-        grid = _output_grid(t_end, cfg.output_dt)
         steps = _rk45_steps if method == "rk45" else _rk4_steps
         xs = _sample_steps(
             steps(lambda t, x: step(t, x, u(t)), float(grid[0]), x0,
                   float(grid[-1]), cfg),
             x0, grid)
-        us = np.array([u(t) for t in grid])
     # rows go straight into one array, sized by the first row; a list of
     # per-sample rows raises the peak memory of long LPV runs
     ys = None

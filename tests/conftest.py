@@ -44,8 +44,9 @@ def network_doc(index, seed=1):
 def tree_eval(e, bindings):
     """``e`` at ``bindings`` by walking its tree: the independent reference
     for the library's compiled code.  Sums start from 0.0 and products
-    from 1.0, powers are ``math.pow`` and functions :data:`FUNCTIONS`; a
-    deferred integral runs its own ``at``."""
+    from 1.0, powers are ``math.pow`` and functions the ``scalar`` code
+    of their :data:`FUNCTIONS` rows; a deferred integral runs its own
+    ``at``."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -66,7 +67,7 @@ def tree_eval(e, bindings):
         return math.pow(tree_eval(e.base, bindings),
                         tree_eval(e.exponent, bindings))
     if isinstance(e, Call):
-        return FUNCTIONS[e.fn](tree_eval(e.arg, bindings))
+        return FUNCTIONS[e.fn].scalar(tree_eval(e.arg, bindings))
     return e.at(*(bindings[a] for a in e.arg_names))
 
 

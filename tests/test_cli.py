@@ -549,6 +549,20 @@ def test_simulate_non_finite_output_exits_3(tmp_path, capsys):
     assert "non-finite output (t = 0.0)" in err
 
 
+def test_simulate_non_finite_input_exits_3_at_its_time(tmp_path, capsys):
+    # tanh(u1) is finite where u1 is inf, so only the input check stops
+    # the model; the artifact's B(p)*u would make the derivative inf
+    path = _model_file(tmp_path, "-x1 + tanh(u1)")
+    artifact = str(tmp_path / "m.json")
+    assert main(["convert", path, "-o", artifact, "--grid", "11"]) == 0
+    capsys.readouterr()
+    for target in (path, artifact):
+        code, _, err = run(["simulate", target, "-o", str(tmp_path / "o.csv"),
+                            "--t-end", "1", "--input", "1e308*(t+1)*10"],
+                           capsys)
+        assert (code, err) == (3, "error: non-finite input (t = 0.0)\n")
+
+
 def test_simulate_division_by_zero_exits_3_without_a_warning(tmp_path,
                                                             capsys):
     # the state reaches f as numpy scalars, for which 1/x2 at x2 = 0 is
@@ -588,7 +602,7 @@ def test_simulate_evaluation_errors_name_the_entry_and_time(tmp_path,
 @pytest.mark.parametrize("discrete", [False, True], ids=["rk45", "discrete"])
 def test_simulate_input_evaluation_error_exits_3(tmp_path, capsys, expr,
                                                  discrete):
-    # a discrete run samples the input at numpy grid times first, where
+    # a run samples the input at numpy grid times before it solves, where
     # 1/t would be inf with a warning
     target = "unbalanced_disk"
     if discrete:
@@ -683,6 +697,11 @@ DISCRETE = ("format_version 1\nnx 1\nnu 1\nny 1\ntime discrete {}\n"
      "output grid budget of 10000000 samples"),
     ("-1", ["--t-end", "1e300"], "the step count t_end = 1e+300 exceeds the "
      "output grid budget of 10000000 samples"),
+    ("", ["--t-end", "1", "--solver", "rk4", "--fixed-step", "1e-9"],
+     "t_end / step = 1e+09 exceeds the output grid budget of 10000000 "
+     "samples"),
+    ("", ["--t-end", "1", "--max-step", "1e-9"], "t_end / max_step = 1e+09 "
+     "exceeds the output grid budget of 10000000 samples"),
 ])
 def test_simulate_non_finite_solver_settings_exit_2(tmp_path, capsys, time,
                                                     flags, message):
@@ -860,6 +879,25 @@ def test_simulate_names_the_entry_and_the_time_that_do_not_converge(
     assert code == 3
     assert re.fullmatch(rf"error: scheduling evaluation failed: {CONVERGE} "
                         rf"\(t = 0.0\)\n", err), err
+
+
+# ------------------------------------------------ cosm1c in a model's equations
+# cosm1c's derivative rule, 0.5*sinc(a/2)^2 - sinc(a), has the value -1/2
+# at a = 0, so the line integral through x1 = 0 converts in both modes
+
+@pytest.mark.parametrize("mode", ["analytic", "numeric"])
+def test_a_model_using_cosm1c_converts_over_a_box_holding_0(tmp_path, capsys,
+                                                            mode):
+    model = tmp_path / "cosm1c.nlss"
+    model.write_text("format_version 1\nnx 1\nnu 1\nny 1\n"
+                     "f1 = -x1 + 0.3*cosm1c(2*x1) + u1\nh1 = x1\n"
+                     "box x1 -1 1\n")
+    out = tmp_path / "cosm1c.json"
+    code, _, err = run(["convert", str(model), "--mode", mode,
+                        "-o", str(out)], capsys)
+    assert code == 0, err
+    assert json.loads(out.read_text())["report"]["verify"][
+        "max_residual"] < 1e-14
 
 
 # -------------------------------------------------------------- console script
